@@ -117,11 +117,23 @@ func (s *Server) Set(tid int, key, val []byte) (kernel.OpResult, uint64, error) 
 // SetAt is Set with an explicit request arrival time (open/closed-loop
 // drivers use it to model client think time and batching).
 func (s *Server) SetAt(arrival simclock.Time, tid int, key, val []byte) (kernel.OpResult, uint64, error) {
+	var seq uint64
+	res, err := s.SetAtNotify(arrival, tid, key, val, func(q uint64, _ simclock.Time) { seq = q })
+	return res, seq, err
+}
+
+// SetAtNotify is SetAt for drivers that attribute gated responses: sent
+// runs inside the operation, as soon as the response is in the extsync
+// ring, with its sequence number and the lane time. Attributing after
+// SetAt returns is too late, because RunAt fires a checkpoint that came due
+// during the operation before returning, and that checkpoint's commit
+// releases the response. sent is not called on an ungated server.
+func (s *Server) SetAtNotify(arrival simclock.Time, tid int, key, val []byte,
+	sent func(seq uint64, at simclock.Time)) (kernel.OpResult, error) {
 	p, err := s.proc()
 	if err != nil {
-		return kernel.OpResult{}, 0, err
+		return kernel.OpResult{}, err
 	}
-	var seq uint64
 	res, err := s.m.RunAt(arrival, p, p.Thread(tid), func(e *kernel.Env) error {
 		e.Syscall() // request arrives via IPC from netd
 		e.Charge(s.cfg.PerOpCompute)
@@ -136,16 +148,18 @@ func (s *Server) SetAt(arrival simclock.Time, tid int, key, val []byte) (kernel.
 			if s.cfg.EchoValue {
 				resp = val
 			}
-			var err error
-			seq, err = s.cfg.Ext.Send(e.Lane, resp)
-			return err
+			seq, err := s.cfg.Ext.Send(e.Lane, resp)
+			if err != nil {
+				return err
+			}
+			sent(seq, e.Lane.Now())
 		}
 		return nil
 	})
 	if err == nil {
 		s.Sets++
 	}
-	return res, seq, err
+	return res, err
 }
 
 // Get executes one GET on worker thread tid.

@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"treesls/internal/alloc"
 	"treesls/internal/caps"
@@ -480,11 +479,7 @@ type pageReplica struct {
 	sum  uint64
 }
 
-func pageChecksum(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
-}
+func pageChecksum(data []byte) uint64 { return mem.FoldFNV(mem.FNVOffset, data) }
 
 // updateReplica refreshes the replica + checksum of a backup page after it
 // was (re)written. No-op unless cfg.Replicas > 1.

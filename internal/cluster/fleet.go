@@ -280,6 +280,12 @@ func (f *Fleet) nextArrival() (int, simclock.Time, bool) {
 // dispatch runs the server side of one frame on its shard: the kvstore SET
 // on the key's worker thread, then the response through the shard's gate
 // (or straight out when ungated). The router header is charged both ways.
+//
+// Tracking a gated response after SetAt returns is safe here, unlike on a
+// single machine (net.Fleet tracks from inside the operation): a shard's
+// driver is deferred, so a checkpoint that RunAt fires as the operation
+// ends never releases anything. Only the coordinator's release phase does,
+// and it never runs inside a dispatch.
 func (f *Fleet) dispatch(shard int) func(p net.Packet, ready simclock.Time) error {
 	s := f.c.Shards[shard]
 	return func(p net.Packet, ready simclock.Time) error {

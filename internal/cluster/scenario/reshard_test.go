@@ -107,6 +107,30 @@ func TestReshardClean(t *testing.T) {
 	}
 }
 
+// BenchmarkReshardInjection times one injection of the reshard sweep: the
+// add-shard script crashed by a whole-cluster power failure halfway through
+// its clean run's events, with every oracle on.
+func BenchmarkReshardInjection(b *testing.B) {
+	base := reshardScripts()[0]
+	total, err := EventCount(base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := base
+	sc.Crashes = []Crash{{At: total / 2, Target: TargetPower}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := Run(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := len(r.Unjustified) + len(r.CutViolations) + len(r.OrderViolations) + len(r.LinearizeViolations); n != 0 {
+			b.Fatalf("%d oracle violations", n)
+		}
+	}
+}
+
 // TestReshardCrashSweep is the tentpole's proof obligation: for each
 // reshard script, crash at EVERY event boundary of the clean run, for each
 // of the four targets — whole-cluster power, the coordinator (which owns

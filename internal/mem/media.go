@@ -182,11 +182,7 @@ func (m *Memory) injectCrashFaults() {
 		return
 	}
 	var frames []uint32
-	for f := int(m.mediaProtect); f < len(m.nvm.frames); f++ {
-		if m.nvm.frames[f] != nil {
-			frames = append(frames, uint32(f))
-		}
-	}
+	m.nvm.forEachFrame(m.mediaProtect, func(f uint32, _ []byte) { frames = append(frames, f) })
 	if len(frames) == 0 {
 		return
 	}

@@ -69,29 +69,62 @@ func (p PageID) String() string {
 	return fmt.Sprintf("%s:%d", p.Kind, p.Frame)
 }
 
+// chunkFrames is how many frames one lazily made frame-table chunk covers.
+const chunkFrames = 256
+
+// frameChunk holds the backing bytes of chunkFrames consecutive frames
+// (nil until the frame is first touched).
+type frameChunk [chunkFrames][]byte
+
 // Device is one physical memory device: a fixed number of frames with
-// lazily-materialized backing bytes.
+// lazily-materialized backing bytes. The frame table is itself lazy: a
+// directory of chunks, each made when one of its frames is first touched,
+// so a machine that touches few frames never pays for a full table.
 type Device struct {
-	kind   Kind
-	frames [][]byte
+	kind    Kind
+	nFrames int
+	chunks  []*frameChunk
 }
 
 func newDevice(kind Kind, nFrames int) *Device {
-	return &Device{kind: kind, frames: make([][]byte, nFrames)}
+	return &Device{kind: kind, nFrames: nFrames, chunks: make([]*frameChunk, (nFrames+chunkFrames-1)/chunkFrames)}
 }
 
 // NumFrames returns the device capacity in frames.
-func (d *Device) NumFrames() int { return len(d.frames) }
+func (d *Device) NumFrames() int { return d.nFrames }
 
 // data returns the backing bytes of frame f, materializing them on demand.
 func (d *Device) data(f uint32) []byte {
-	if int(f) >= len(d.frames) {
-		panic(fmt.Sprintf("mem: frame %d out of range on %s device (%d frames)", f, d.kind, len(d.frames)))
+	if int(f) >= d.nFrames {
+		panic(fmt.Sprintf("mem: frame %d out of range on %s device (%d frames)", f, d.kind, d.nFrames))
 	}
-	if d.frames[f] == nil {
-		d.frames[f] = make([]byte, PageSize)
+	c := d.chunks[f/chunkFrames]
+	if c == nil {
+		c = new(frameChunk)
+		d.chunks[f/chunkFrames] = c
 	}
-	return d.frames[f]
+	b := c[f%chunkFrames]
+	if b == nil {
+		b = make([]byte, PageSize)
+		c[f%chunkFrames] = b
+	}
+	return b
+}
+
+// forEachFrame calls fn for every materialized frame at or above from, in
+// ascending frame order (crash-time damage depends on that order).
+func (d *Device) forEachFrame(from uint32, fn func(f uint32, b []byte)) {
+	for ci := int(from / chunkFrames); ci < len(d.chunks); ci++ {
+		c := d.chunks[ci]
+		if c == nil {
+			continue
+		}
+		for i, b := range c {
+			if f := uint32(ci*chunkFrames + i); b != nil && f >= from {
+				fn(f, b)
+			}
+		}
+	}
 }
 
 // Memory bundles the two devices and the cost model. All page data access in
@@ -106,10 +139,13 @@ type Memory struct {
 
 	// Relaxed-persistency state (see persist.go). wb is the per-line
 	// write buffer of unfenced NVM stores; it stays empty under eADR.
+	// wbFlushed lists the lines flushed since the last fence, so Fence
+	// visits only those; it may hold stale keys (see Fence).
 	mode      PersistMode
 	crashSeed uint64
 	crashes   uint64 // power failures so far (varies damage across crashes)
 	wb        map[lineKey]*wbLine
+	wbFlushed []lineKey
 
 	// Event-granular crash injection.
 	events         uint64
@@ -347,11 +383,6 @@ func (m *Memory) Crash() {
 		m.crashes++ // vary media damage across crashes under eADR too
 	}
 	m.injectCrashFaults()
-	for f, b := range m.dram.frames {
-		if b != nil {
-			clear(b)
-		}
-		_ = f
-	}
+	m.dram.forEachFrame(0, func(_ uint32, b []byte) { clear(b) })
 	m.resetDRAMFreeList()
 }

@@ -113,7 +113,8 @@ type lineKey struct {
 
 // wbLine is one dirty line in the write buffer. shadow holds the durable
 // content from before the line was first dirtied; flushed means a clwb has
-// been issued but no fence has drained it yet.
+// been issued but no fence has drained it yet (its key is then also in
+// Memory.wbFlushed).
 type wbLine struct {
 	shadow  [LineSize]byte
 	flushed bool
@@ -196,8 +197,10 @@ func (m *Memory) Flush(p PageID, off, n int) simclock.Duration {
 	}
 	lines := simclock.Duration(0)
 	for l := off / LineSize; l <= (off+n-1)/LineSize; l++ {
-		if wl, ok := m.wb[lineKey{frame: p.Frame, line: uint16(l)}]; ok && !wl.flushed {
+		k := lineKey{frame: p.Frame, line: uint16(l)}
+		if wl, ok := m.wb[k]; ok && !wl.flushed {
 			wl.flushed = true
+			m.wbFlushed = append(m.wbFlushed, k)
 			lines++
 		}
 	}
@@ -224,11 +227,15 @@ func (m *Memory) Fence() simclock.Duration {
 	// The crash event fires before the drain: a power failure at the
 	// fence persists nothing that the fence was about to retire.
 	m.crashEvent()
-	for k, wl := range m.wb {
-		if wl.flushed {
+	// Only lines flushed since the last fence can drain. A key may be
+	// stale — the line was dirtied again, or appears twice and was
+	// already drained — so the buffer entry is re-checked.
+	for _, k := range m.wbFlushed {
+		if wl, ok := m.wb[k]; ok && wl.flushed {
 			delete(m.wb, k)
 		}
 	}
+	m.wbFlushed = m.wbFlushed[:0]
 	return m.model.SFence
 }
 
@@ -347,5 +354,6 @@ func (m *Memory) applyCrashDamage() {
 		}
 	}
 	clear(m.wb)
+	m.wbFlushed = m.wbFlushed[:0]
 	m.crashes++
 }

@@ -194,15 +194,16 @@ func (f *Fleet) nextSender() (*client, bool) {
 func (f *Fleet) dispatch(p Packet, ready simclock.Time) error {
 	tid := p.Conn % f.srvThreads
 	val := f.valueFor(p.Conn, p.Req)
-	res, seq, err := f.srv.SetAt(ready, tid, f.cl[p.Conn].key, val)
-	if err != nil {
+	// A gated response is tracked from inside the operation: a checkpoint
+	// that comes due while it runs fires before SetAtNotify returns and
+	// releases the response at its commit.
+	res, err := f.srv.SetAtNotify(ready, tid, f.cl[p.Conn].key, val, func(seq uint64, at simclock.Time) {
+		f.net.TrackResponse(seq, p.Conn, p.Req, p.Submit, at)
+	})
+	if err != nil || f.net.Gated() {
 		return err
 	}
-	if f.net.Gated() {
-		f.net.TrackResponse(seq, p.Conn, p.Req, p.Submit, res.End)
-	} else {
-		f.net.CompleteDirect(p.Conn, p.Req, p.Submit, len(val), res.Core)
-	}
+	f.net.CompleteDirect(p.Conn, p.Req, p.Submit, len(val), res.Core)
 	return nil
 }
 

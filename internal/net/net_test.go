@@ -147,6 +147,43 @@ func TestGatedRunReleasesOnCommit(t *testing.T) {
 	}
 }
 
+// TestGatedFleetStartsAnywhere starts a gated fleet at every microsecond of
+// the window before a periodic checkpoint deadline, so some first
+// operations straddle the deadline and the checkpoint RunAt fires at their
+// end releases their responses. Every response must still be attributed
+// and acknowledged in order.
+func TestGatedFleetStartsAnywhere(t *testing.T) {
+	straddled := 0
+	for lead := simclock.Duration(0); lead < 60*simclock.Microsecond; lead += simclock.Microsecond {
+		m, nw, _, fleet := testMachine(t, true, simclock.Millisecond)
+		m.SettleTo(m.NextCheckpointAt().Add(-lead))
+		ckpts := m.Stats.Checkpoints
+		for nw.Stats.Dispatched == 0 {
+			if _, err := fleet.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.Stats.Checkpoints != ckpts && nw.Stats.Responses > 0 {
+			straddled++
+		}
+		if err := fleet.Run(); err != nil {
+			t.Fatalf("lead %v: %v", lead, err)
+		}
+		if len(fleet.Violations) != 0 {
+			t.Fatalf("lead %v: FIFO violations: %v", lead, fleet.Violations)
+		}
+		if nw.Stats.UnknownSeq != 0 {
+			t.Fatalf("lead %v: %d released responses had no tracked request", lead, nw.Stats.UnknownSeq)
+		}
+		if fleet.TotalAcked() != 18 || fleet.DupAcks != 0 {
+			t.Fatalf("lead %v: acked %d (dup %d), want 18", lead, fleet.TotalAcked(), fleet.DupAcks)
+		}
+	}
+	if straddled == 0 {
+		t.Fatal("no start instant made the first operation straddle a checkpoint; test premise broken")
+	}
+}
+
 // TestUngatedFasterThanGated compares mean client latency: the gate defers
 // responses to the next commit, so gated latency must exceed ungated.
 func TestUngatedFasterThanGated(t *testing.T) {

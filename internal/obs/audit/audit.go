@@ -23,8 +23,8 @@
 package audit
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"treesls/internal/alloc"
 	"treesls/internal/caps"
@@ -33,44 +33,30 @@ import (
 	"treesls/internal/mem"
 )
 
-// digest is an FNV-1a accumulator with canonical encoders. Tags separate
-// fields of variable-length encodings so no two distinct states collide by
-// concatenation ambiguity.
+// digest is an FNV-1a accumulator (folded by mem.FoldFNV) with canonical
+// encoders. Tags separate fields of variable-length encodings so no two
+// distinct states collide by concatenation ambiguity.
 type digest struct{ h uint64 }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+func newDigest() *digest { return &digest{h: mem.FNVOffset} }
 
-func newDigest() *digest { return &digest{h: fnvOffset} }
+func (d *digest) byte(b byte) { d.h = mem.FoldFNV(d.h, []byte{b}) }
 
-func (d *digest) byte(b byte) {
-	d.h ^= uint64(b)
-	d.h *= fnvPrime
-}
-
+// u64 folds v's eight bytes, least significant first.
 func (d *digest) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		d.byte(byte(v >> (8 * i)))
-	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	d.h = mem.FoldFNV(d.h, b[:])
 }
 
 func (d *digest) bytes(b []byte) {
 	d.u64(uint64(len(b)))
-	h := d.h
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	d.h = h
+	d.h = mem.FoldFNV(d.h, b)
 }
 
 func (d *digest) str(s string) {
 	d.u64(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		d.byte(s[i])
-	}
+	d.h = mem.FoldFNV(d.h, []byte(s))
 }
 
 // Page-slot markers in the canonical encoding.
@@ -342,11 +328,7 @@ func rootID(r *caps.ORoot) uint64 {
 }
 
 // PageDigest hashes one page's content (helper for tests).
-func PageDigest(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
+func PageDigest(b []byte) uint64 { return mem.FoldFNV(mem.FNVOffset, b) }
 
 // Result is one audit's outcome.
 type Result struct {
