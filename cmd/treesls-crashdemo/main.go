@@ -206,15 +206,8 @@ func clusterDemo(shards int, mode mem.PersistMode, seed uint64, replicate bool) 
 	// Run roughly half the traffic, then pull the plug mid-flight.
 	half := uint64(fleet.Keys()) * 4
 	for fleet.TotalAcked() < half {
-		if c.CurrentPhase() != cluster.PhaseIdle {
-			check(c.Step())
-			continue
-		}
-		st, err := fleet.Step()
+		_, err := fleet.Advance()
 		check(err)
-		if st == cluster.StepBlocked {
-			c.StartRound()
-		}
 	}
 	fmt.Printf("▸ %d requests acked across the cluster; %d cuts announced (newest epoch %d)\n",
 		fleet.TotalAcked(), len(c.Coord.Cuts()), c.Coord.Newest().Epoch)
@@ -258,23 +251,9 @@ func reshardDemo(shards int, mode mem.PersistMode, seed uint64) {
 	fmt.Printf("▸ booted a %d-shard TreeSLS cluster (%s persistency), ring v%d %v\n",
 		shards, mode, c.Ring.Version(), c.Ring.Members())
 
-	migTurn := false
 	step := func() {
-		if c.CurrentPhase() != cluster.PhaseIdle {
-			check(c.Step())
-			return
-		}
-		if c.MigrationInFlight() && migTurn {
-			migTurn = false
-			check(c.MigStep())
-			return
-		}
-		migTurn = true
-		st, err := fleet.Step()
+		_, err := fleet.Advance()
 		check(err)
-		if st == cluster.StepBlocked && !c.MigrationInFlight() {
-			c.StartRound()
-		}
 	}
 	for fleet.TotalAcked() < uint64(fleet.Keys())*3 {
 		step()

@@ -82,6 +82,9 @@ type Fleet struct {
 	keys []*fkey
 
 	srvThreads int
+	// migTurn alternates Advance between migration and fleet steps while
+	// an epoch is open.
+	migTurn bool
 
 	// OnAck, when set, observes every in-order acknowledgement (the
 	// scenario digests hang off this).
@@ -360,6 +363,33 @@ func (f *Fleet) Step() (StepStatus, error) {
 		return StepBlocked, nil
 	}
 	return StepBlocked, nil
+}
+
+// Advance performs one micro-action of the cluster world: the one step
+// policy every cluster harness shares. A round in flight advances one
+// protocol action (so crashes can land between any two of them).
+// Otherwise, while a migration epoch is open, migration and fleet steps
+// strictly alternate, which keeps the schedule deterministic while keys
+// stream under live writes; and a round opens for blocked gates only when
+// no epoch holds the ring. Advance returns the fleet step's status, or
+// StepProgress for a round or migration step.
+func (f *Fleet) Advance() (StepStatus, error) {
+	if f.c.CurrentPhase() != PhaseIdle {
+		return StepProgress, f.c.Step()
+	}
+	if f.c.MigrationInFlight() && f.migTurn {
+		f.migTurn = false
+		return StepProgress, f.c.MigStep()
+	}
+	f.migTurn = true
+	st, err := f.Step()
+	if err != nil {
+		return st, err
+	}
+	if st == StepBlocked && !f.c.MigrationInFlight() {
+		f.c.StartRound()
+	}
+	return st, nil
 }
 
 func (f *Fleet) outstanding() int {

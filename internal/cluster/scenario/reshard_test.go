@@ -24,6 +24,18 @@ func reshardScripts() []Script {
 	}
 }
 
+// reshardTargets lists the four crash targets a reshard script is swept
+// against: whole-cluster power, the coordinator, a source shard (one that
+// holds keys before the reshard) and the destination (the joining shard,
+// which may not exist yet at low K — a logged no-op — or the leaving one).
+func reshardTargets(sc Script) []int {
+	src, dst := 0, sc.Shards
+	if !sc.Reshards[0].Add {
+		src, dst = 2, sc.Reshards[0].Target
+	}
+	return []int{TargetPower, TargetCoord, src, dst}
+}
+
 // ringStates enumerates every whole ring a script's run may legally end
 // on: each scripted reshard either commits (advancing the version and
 // changing membership) or aborts whole (ring untouched; an aborted add
@@ -153,14 +165,7 @@ func TestReshardCrashSweep(t *testing.T) {
 			t.Fatalf("%s: clean run generated only %d events; sweep would be vacuous", base.Name, total)
 		}
 		base.fill()
-		// Source: a shard that holds keys before the reshard. Dest: the
-		// joining shard (may not exist yet at low K — a logged no-op) or
-		// the leaving one.
-		src, dst := 0, base.Shards
-		if !base.Reshards[0].Add {
-			src, dst = 2, base.Reshards[0].Target
-		}
-		for _, target := range []int{TargetPower, TargetCoord, src, dst} {
+		for _, target := range reshardTargets(base) {
 			target := target
 			t.Run(fmt.Sprintf("%s/%s", base.Name, TargetName(target)), func(t *testing.T) {
 				skipped := 0

@@ -330,7 +330,6 @@ func Run(sc Script) (Result, error) {
 	}
 
 	next, nextR := 0, 0
-	migTurn := false
 	limit := sc.Clients*sc.KeysPerClient*sc.Requests*256 + 65536
 	for step := 0; ; step++ {
 		if step > limit {
@@ -344,19 +343,12 @@ func Run(sc Script) (Result, error) {
 			next++
 			continue
 		}
-		// A round in flight advances one micro-action at a time so crash
-		// thresholds can land between any two protocol actions.
-		if c.CurrentPhase() != cluster.PhaseIdle {
-			if err := c.Step(); err != nil {
-				return res, fmt.Errorf("scenario %s: round step: %w", sc.Name, err)
-			}
-			continue
-		}
-		// Once traffic is complete the event counter stalls, so a pending
-		// reshard fires regardless of its threshold.
-		fleetDone := fleet.TotalAcked() >= uint64(sc.Clients*sc.KeysPerClient*sc.Requests)
-		if nextR < len(sc.Reshards) && !c.MigrationInFlight() &&
-			(fleetDone || c.Events() >= sc.Reshards[nextR].At) {
+		// A scripted reshard opens only on an idle protocol with no epoch
+		// in flight. Once traffic is complete the event counter stalls, so
+		// a pending reshard then fires regardless of its threshold.
+		if nextR < len(sc.Reshards) && c.CurrentPhase() == cluster.PhaseIdle && !c.MigrationInFlight() &&
+			(c.Events() >= sc.Reshards[nextR].At ||
+				fleet.TotalAcked() >= uint64(sc.Clients*sc.KeysPerClient*sc.Requests)) {
 			r := sc.Reshards[nextR]
 			nextR++
 			if r.Add {
@@ -380,32 +372,14 @@ func Run(sc Script) (Result, error) {
 			}
 			continue
 		}
-		// A migration epoch interleaves with traffic one action at a time:
-		// strict alternation keeps the schedule deterministic while keys
-		// stream under live writes (the dual-routing window the sweep
-		// crashes into).
-		if c.MigrationInFlight() && migTurn {
-			migTurn = false
-			if err := c.MigStep(); err != nil {
-				return res, fmt.Errorf("scenario %s: migration step: %w", sc.Name, err)
-			}
-			continue
-		}
-		migTurn = true
-		st, err := fleet.Step()
+		st, err := fleet.Advance()
 		if err != nil {
-			return res, fmt.Errorf("scenario %s: fleet step: %w", sc.Name, err)
+			return res, fmt.Errorf("scenario %s: step: %w", sc.Name, err)
 		}
-		if st == cluster.StepDone {
-			if c.MigrationInFlight() || nextR < len(sc.Reshards) {
-				// Traffic finished first: drain the remaining scripted
-				// reshards so the run ends on a settled ring.
-				continue
-			}
+		if st == cluster.StepDone && !c.MigrationInFlight() && nextR == len(sc.Reshards) {
+			// Traffic finished and the remaining scripted reshards have
+			// drained: the run ends on a settled ring.
 			break
-		}
-		if st == cluster.StepBlocked && !c.MigrationInFlight() {
-			c.StartRound()
 		}
 	}
 

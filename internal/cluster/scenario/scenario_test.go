@@ -59,12 +59,10 @@ func TestCleanClusterRun(t *testing.T) {
 	}
 }
 
-// TestScenarioTable runs gated crash scripts across shard counts, persist
-// modes, crash targets and placements. Every one must uphold the cluster
-// invariant: client-visible responses are exactly a prefix of what the
-// recovered cut justifies, and recovery digests match the announcement.
-func TestScenarioTable(t *testing.T) {
-	scripts := []Script{
+// tableScripts are gated crash scripts across shard counts, persist modes,
+// crash targets and placements.
+func tableScripts() []Script {
+	return []Script{
 		{Name: "early-power", Seed: 1, Gated: true,
 			Crashes: []Crash{{At: 10, Target: TargetPower}}},
 		{Name: "mid-shard0", Seed: 2, Gated: true,
@@ -90,7 +88,13 @@ func TestScenarioTable(t *testing.T) {
 		{Name: "back-to-back", Seed: 12, Gated: true,
 			Crashes: []Crash{{At: 30, Target: 0}, {At: 31, Target: 1}}},
 	}
-	for _, sc := range scripts {
+}
+
+// TestScenarioTable runs every table script. Each must uphold the cluster
+// invariant: client-visible responses are exactly a prefix of what the
+// recovered cut justifies, and recovery digests match the announcement.
+func TestScenarioTable(t *testing.T) {
+	for _, sc := range tableScripts() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			r, err := Run(sc)

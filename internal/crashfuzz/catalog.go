@@ -62,20 +62,20 @@ func OracleCatalog() ([]OracleSet, error) {
 	mediaReshardCfg.fill()
 
 	entries := []entry{
-		{"crash", &crashDomain{cfg: crashCfg, res: &crashRes}},
-		{"net", &netDomain{cfg: netCfg, res: &netRes}},
-		{"media", &mediaDomain{cfg: mediaCfg, res: &mediaRes}},
-		{"repl", &replDomain{cfg: replCfg, res: &replRes}},
-		{"cluster", &clusterDomain{cfg: clusterCfg, res: &clusterRes}},
-		{"reshard", &reshardDomain{cfg: reshardCfg, res: &reshardRes}},
+		{"crash", crashDomain(crashCfg, &crashRes)},
+		{"net", netDomain(netCfg, &netRes)},
+		{"media", mediaDomain(mediaCfg, &mediaRes)},
+		{"repl", replDomain(replCfg, &replRes)},
+		{"cluster", clusterDomain(clusterCfg, &clusterRes)},
+		{"reshard", reshardDomain(reshardCfg, &reshardRes)},
 		{"media x reshard", faultplane.Compose(
-			&reshardDomain{cfg: mediaReshardCfg, res: &rRes},
+			reshardDomain(mediaReshardCfg, &rRes),
 			&mediaOverlay{faultsPerVictim: 1, res: &mRes})},
 		{"repl x cluster", faultplane.Compose(
-			&clusterDomain{cfg: replClusterCfg, res: &cRes},
+			clusterDomain(replClusterCfg, &cRes),
 			&replOverlay{res: &pRes})},
 		{"media x repl", faultplane.Compose(
-			&replDomain{cfg: mediaReplCfg, res: &rpRes},
+			replDomain(mediaReplCfg, &rpRes),
 			&mediaOverlay{faultsPerVictim: 1, res: &mRes})},
 	}
 	out := make([]OracleSet, 0, len(entries))

@@ -20,7 +20,6 @@ import (
 	"treesls/internal/cluster"
 	"treesls/internal/faultplane"
 	"treesls/internal/mem"
-	"treesls/internal/simclock"
 )
 
 // ClusterConfig parameterizes a cluster crash campaign.
@@ -29,29 +28,13 @@ type ClusterConfig struct {
 	Mode mem.PersistMode
 	// Seeds are the cluster/damage seeds; each seed gets its own cluster.
 	Seeds []uint64
-	// Shards is the cluster size (default 2).
-	Shards int
 	// CrashesPerSeed is how many injections to attempt per seed (default
-	// 24, below the shared default: every cluster round boots Shards
-	// whole machines through an up-to-800-micro-step window, so the
-	// shared 40 would roughly double the campaign's CI cost for coverage
-	// the target/boundary rotation already reaches by 24).
+	// 24, below the shared default: every cluster round boots
+	// clusterShards whole machines through an up-to-800-micro-step
+	// window, so the shared 40 would roughly double the campaign's CI
+	// cost for coverage the target/boundary rotation already reaches by
+	// 24).
 	CrashesPerSeed int
-	// EventWindow bounds the random event countdown (default 40: cluster
-	// events — cut-protocol micro-actions — are far sparser than NVM
-	// persistence events, and a 96-event window would routinely outlast
-	// the step budget, converting boundary crashes into expired
-	// countdowns).
-	EventWindow int
-	// StepsPerCrash bounds micro-steps while waiting for a countdown to
-	// elapse (default 800: a micro-step is one packet hop or one protocol
-	// action across the whole cluster, so the window needs many more of
-	// them than a single machine's workload does).
-	StepsPerCrash int
-	// Clients, KeysPerClient, Window shape the fleet (defaults 2, 2, 2).
-	Clients       int
-	KeysPerClient int
-	Window        int
 	// Replicate attaches a per-shard replicator streaming each shard's
 	// checkpoints to a hot standby (used by composed campaigns that probe
 	// failover under cluster crashes).
@@ -62,27 +45,25 @@ type ClusterConfig struct {
 	Ungated bool
 }
 
+// The cluster domain's fixed shape.
+const (
+	// clusterShards is the cluster size.
+	clusterShards = 2
+	// clusterEventWindow bounds the random event countdown: cluster events
+	// (cut-protocol micro-actions) are far sparser than NVM persistence
+	// events, and a 96-event window would routinely outlast the step
+	// budget, converting boundary crashes into expired countdowns.
+	clusterEventWindow = 40
+	// clusterStepsPerCrash bounds micro-steps while waiting for a
+	// countdown to elapse: a micro-step is one packet hop or one protocol
+	// action across the whole cluster, so the window needs many more of
+	// them than a single machine's workload does.
+	clusterStepsPerCrash = 800
+)
+
 func (c *ClusterConfig) fill() {
-	if c.Shards == 0 {
-		c.Shards = 2
-	}
 	if c.CrashesPerSeed == 0 {
 		c.CrashesPerSeed = 24
-	}
-	if c.EventWindow == 0 {
-		c.EventWindow = 40
-	}
-	if c.StepsPerCrash == 0 {
-		c.StepsPerCrash = 800
-	}
-	if c.Clients == 0 {
-		c.Clients = 2
-	}
-	if c.KeysPerClient == 0 {
-		c.KeysPerClient = 2
-	}
-	if c.Window == 0 {
-		c.Window = 2
 	}
 }
 
@@ -116,31 +97,15 @@ type ClusterResult struct {
 
 // clusterFuzzer is the per-seed world: one cluster plus its fleet.
 type clusterFuzzer struct {
-	cfg   ClusterConfig
-	rng   *rand.Rand
-	res   *ClusterResult
-	c     *cluster.Cluster
-	fleet *cluster.Fleet
-
-	// lastVictims records which shards the last injection crash-restored
-	// (all of them for a power failure); overlays target faults there.
-	lastVictims []int
-
-	oracles  *faultplane.Registry
-	preCrash []func() error
-}
-
-// clusterDomain adapts the cluster campaign to the fault-plane engine.
-type clusterDomain struct {
-	cfg ClusterConfig
+	clusterBase
 	res *ClusterResult
 }
 
-func (d *clusterDomain) Name() string        { return "cluster" }
-func (d *clusterDomain) StreamLabel() string { return "" }
-
-func (d *clusterDomain) Build(seed uint64, rng *rand.Rand) (faultplane.World, error) {
-	return newClusterFuzzer(d.cfg, seed, rng, d.res)
+// clusterDomain is the cluster campaign as a fault-plane domain.
+func clusterDomain(cfg ClusterConfig, res *ClusterResult) faultplane.Domain {
+	return faultplane.NewDomain("cluster", "", func(seed uint64, rng *rand.Rand) (faultplane.World, error) {
+		return newClusterFuzzer(cfg, seed, rng, res)
+	})
 }
 
 // RunCluster executes the campaign.
@@ -149,7 +114,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 	var res ClusterResult
 	st, err := faultplane.RunCampaign(
 		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.CrashesPerSeed},
-		&clusterDomain{cfg: cfg, res: &res})
+		clusterDomain(cfg, &res))
 	res.CrashesFired = st.Injections
 	res.Recoveries = st.Recoveries
 	return res, err
@@ -177,45 +142,30 @@ func (f *clusterFuzzer) Finish() error {
 }
 
 // Crash targets: 0 = power, 1 = coordinator, 2+i = shard i.
-func targetName(target, shards int) string {
+func targetName(target int) string {
 	switch target {
 	case 0:
 		return "power"
 	case 1:
 		return "coord"
 	default:
-		return fmt.Sprintf("shard%d", (target-2)%shards)
+		return fmt.Sprintf("shard%d", (target-2)%clusterShards)
 	}
 }
 
-func (f *clusterFuzzer) pickTarget() int {
-	return f.rng.Intn(2 + f.c.Config().Shards)
-}
-
 func newClusterFuzzer(cfg ClusterConfig, seed uint64, rng *rand.Rand, res *ClusterResult) (*clusterFuzzer, error) {
-	c, err := cluster.New(cluster.Config{
-		Shards:    cfg.Shards,
+	b, err := newClusterBase(cluster.Config{
+		Shards:    clusterShards,
 		Gated:     !cfg.Ungated,
 		Persist:   cfg.Mode,
 		Seed:      seed,
 		Audit:     true,
 		Replicate: cfg.Replicate,
-	})
+	}, rng)
 	if err != nil {
 		return nil, err
 	}
-	fleet, err := cluster.NewFleet(c, cluster.FleetConfig{
-		Clients:       cfg.Clients,
-		KeysPerClient: cfg.KeysPerClient,
-		Requests:      0, // unbounded: the campaign decides when to stop
-		Window:        cfg.Window,
-		ValueBytes:    32,
-		Seed:          int64(seed),
-	})
-	if err != nil {
-		return nil, err
-	}
-	f := &clusterFuzzer{cfg: cfg, rng: rng, res: res, c: c, fleet: fleet}
+	f := &clusterFuzzer{clusterBase: b, res: res}
 	f.registerOracles()
 	return f, nil
 }
@@ -224,82 +174,24 @@ func newClusterFuzzer(cfg ClusterConfig, seed uint64, rng *rand.Rand, res *Clust
 // in its legacy check order: cut digests, release coverage, acknowledgement
 // justification, client FIFO, duplicate acks, per-shard audit.
 func (f *clusterFuzzer) registerOracles() {
-	f.oracles = faultplane.NewRegistry()
-	f.oracles.Register("cut-verified", func() error {
-		return f.c.VerifyCut(f.c.Coord.Newest())
-	})
-	f.oracles.Register("released-covered", f.c.ReleasedCovered)
-	f.oracles.Register("extsync-justified", func() error {
-		bad, err := f.fleet.CheckJustified()
-		if err != nil {
-			return err
-		}
-		if len(bad) > 0 {
-			return fmt.Errorf("released-but-uncovered response: %s", bad[0])
-		}
-		return nil
-	})
-	f.oracles.Register("client-fifo", func() error {
-		if n := len(f.fleet.Violations); n > 0 {
-			return fmt.Errorf("client FIFO violation: %s", f.fleet.Violations[0])
-		}
-		return nil
-	})
-	f.oracles.Register("dup-acks", func() error {
-		if f.fleet.DupAcks > 0 {
-			return fmt.Errorf("%d duplicate acknowledgements after recovery", f.fleet.DupAcks)
-		}
-		return nil
-	})
-	f.oracles.Register("shard-audit", func() error {
+	f.registerCut()
+	r := f.Oracles()
+	r.Register("extsync-justified", func() error { return checkJustified(f.fleet.CheckJustified()) })
+	r.Register("client-fifo", func() error { return checkFIFO(f.fleet.Violations) })
+	r.Register("dup-acks", func() error { return checkDupAcks(f.fleet.DupAcks) })
+	r.Register("shard-audit", func() error {
 		for i, s := range f.c.Shards {
-			if s.M.Auditor != nil {
-				if la := s.M.LastAudit; !la.Ok() {
-					return fmt.Errorf("shard %d audit at %s: %d violation(s), first: %s",
-						i, la.Where, len(la.Violations), la.Violations[0])
-				}
+			if err := checkAudit(s.M); err != nil {
+				return fmt.Errorf("shard %d %w", i, err)
 			}
 		}
 		return nil
 	})
 }
 
-// Oracles returns the cluster domain's registry.
-func (f *clusterFuzzer) Oracles() *faultplane.Registry { return f.oracles }
-
-// AddPreCrash registers a composition hook run at the crash boundary —
-// after the countdown elapsed and the crash target is known, before the
-// failure is injected.
-func (f *clusterFuzzer) AddPreCrash(fn func() error) { f.preCrash = append(f.preCrash, fn) }
-
-// Now reports simulated time for engine trace instants.
-func (f *clusterFuzzer) Now() simclock.Time { return f.c.Shards[0].M.Now() }
-
-// Cluster exposes the live cluster to composition overlays.
-func (f *clusterFuzzer) Cluster() *cluster.Cluster { return f.c }
-
-// Victims reports the shard indices the last injection crash-restored.
-func (f *clusterFuzzer) Victims() []int { return f.lastVictims }
-
-// stepOnce advances the cluster world by one micro-action: a round step if
-// a round is in flight (so crashes can land between protocol actions), a
-// fleet micro-step otherwise, opening a round when the gates block.
-func (f *clusterFuzzer) stepOnce() error {
-	if f.c.CurrentPhase() != cluster.PhaseIdle {
-		return f.c.Step()
-	}
-	st, err := f.fleet.Step()
-	if err != nil {
-		return err
-	}
-	if st == cluster.StepBlocked {
-		f.c.StartRound()
-	}
-	return nil
-}
-
 // classify records which protocol boundary the crash landed on.
-func (f *clusterFuzzer) classify(res *ClusterResult) {
+func (f *clusterFuzzer) classify() {
+	res := f.res
 	switch f.c.CurrentPhase() {
 	case cluster.PhaseAnnounce, cluster.PhasePublish, cluster.PhaseRelease:
 		res.MidAnnounce++
@@ -319,10 +211,10 @@ func (f *clusterFuzzer) classify(res *ClusterResult) {
 // and boundaries varies per seed), then waits out a random event countdown
 // and injects; the engine runs the oracle registry next.
 func (f *clusterFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
-	target := f.pickTarget()
+	target := f.rng.Intn(2 + clusterShards)
 	fired, err := f.crashOnce(target)
 	if err != nil {
-		return fired, fmt.Errorf("%s: %w", targetName(target, f.cfg.Shards), attributeCutDigest(err))
+		return fired, fmt.Errorf("%s: %w", targetName(target), attributeCutDigest(err))
 	}
 	return fired, nil
 }
@@ -344,65 +236,19 @@ func attributeCutDigest(err error) error {
 // runs the recovery procedure for the target. Oracle checks are the
 // engine's job (or the caller's, for the one-shot entry point).
 func (f *clusterFuzzer) crashOnce(target int) (bool, error) {
-	res := f.res
-	deadline := f.c.Events() + uint64(1+f.rng.Intn(f.cfg.EventWindow))
-	fired := false
-	for step := 0; step < f.cfg.StepsPerCrash; step++ {
-		if f.c.Events() >= deadline {
-			fired = true
-			break
-		}
-		if err := f.stepOnce(); err != nil {
-			return false, err
-		}
-	}
-	if !fired {
-		return false, nil
-	}
-	f.classify(res)
-	f.lastVictims = f.lastVictims[:0]
-	switch target {
-	case 0:
-		for i := range f.c.Shards {
-			f.lastVictims = append(f.lastVictims, i)
-		}
-	case 1:
-	default:
-		f.lastVictims = append(f.lastVictims, (target-2)%f.c.Config().Shards)
-	}
-	if err := f.runPreCrash(); err != nil {
+	fired, err := f.runTo(f.c.Events()+uint64(1+f.rng.Intn(clusterEventWindow)), clusterStepsPerCrash)
+	if err != nil || !fired {
 		return false, err
 	}
+	f.classify()
 	switch target {
 	case 0:
-		res.PowerCrashes++
-		if _, err := f.c.PowerFail(); err != nil {
-			return true, err
-		}
-		f.fleet.ResyncAll()
+		return true, f.crash(victimPower, &f.res.PowerCrashes)
 	case 1:
-		res.CoordCrashes++
-		if err := f.c.FailCoordinator(); err != nil {
-			return true, err
-		}
+		return true, f.crash(victimCoord, &f.res.CoordCrashes)
 	default:
-		res.ShardCrashes++
-		victim := (target - 2) % f.c.Config().Shards
-		if err := f.c.FailShard(victim); err != nil {
-			return true, err
-		}
-		f.fleet.ResyncShard(victim)
+		return true, f.crash((target-2)%clusterShards, &f.res.ShardCrashes)
 	}
-	return true, nil
-}
-
-func (f *clusterFuzzer) runPreCrash() error {
-	for _, fn := range f.preCrash {
-		if err := fn(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ClusterOneShot runs a single parameterized cluster crash injection — the
@@ -413,35 +259,14 @@ func (f *clusterFuzzer) runPreCrash() error {
 // (Historical quirk, preserved: the fuzzed countdown gates a second,
 // rng-drawn countdown inside crashOnce.)
 func ClusterOneShot(mode mem.PersistMode, seed, eventK uint64, target uint8, steps uint16) error {
-	cfg := ClusterConfig{Mode: mode}
-	cfg.fill()
-	var res ClusterResult
-	f, err := newClusterFuzzer(cfg, seed, faultplane.Stream(seed, ""), &res)
+	f, err := newClusterFuzzer(ClusterConfig{Mode: mode}, seed, faultplane.Stream(seed, ""), &ClusterResult{})
 	if err != nil {
 		return fmt.Errorf("boot: %w", err)
 	}
-	deadline := f.c.Events() + eventK%uint64(cfg.EventWindow) + 1
-	n := int(steps)%cfg.StepsPerCrash + 1
-	fired := false
-	for step := 0; step < n; step++ {
-		if f.c.Events() >= deadline {
-			fired = true
-			break
-		}
-		if err := f.stepOnce(); err != nil {
-			return err
-		}
-	}
-	if !fired {
-		return nil
-	}
-	fired, err = f.crashOnce(int(target) % (2 + cfg.Shards))
-	if err != nil {
+	fired, err := f.runTo(f.c.Events()+eventK%clusterEventWindow+1, int(steps)%clusterStepsPerCrash+1)
+	if err != nil || !fired {
 		return err
 	}
-	if !fired {
-		return nil
-	}
-	_, err = f.oracles.Check()
-	return err
+	fired, err = f.crashOnce(int(target) % (2 + clusterShards))
+	return checkOneShot(f, fired, err)
 }

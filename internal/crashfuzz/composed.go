@@ -308,7 +308,7 @@ func (w *replOverlayWorld) PreCrash() error {
 			continue
 		}
 		w.res.CrashProbes++
-		if err := w.probe(s); err != nil {
+		if _, err := probeFailover(s.Rep, s.M.Now(), &w.res.NoAckedAtProbe); err != nil {
 			return fmt.Errorf("shard %d failover at crash instant: %w", i, err)
 		}
 	}
@@ -325,45 +325,9 @@ func (w *replOverlayWorld) checkPromotable() error {
 			continue
 		}
 		w.res.OracleFailovers++
-		if err := w.probe(s); err != nil {
+		if _, err := probeFailover(s.Rep, s.M.Now(), &w.res.NoAckedAtProbe); err != nil {
 			return fmt.Errorf("shard %d standby after recovery: %w", i, err)
 		}
-	}
-	return nil
-}
-
-// probe runs the replication contract against one shard's standby at the
-// shard's current instant: no acknowledged checkpoint refuses promotion; an
-// acknowledged one promotes to the acknowledged version with the exact
-// ledger digest, and a retried promotion lands bit-identically.
-func (w *replOverlayWorld) probe(s *cluster.Shard) error {
-	t := s.M.Now()
-	acked := s.Rep.AckedVersion(t)
-	if acked == 0 {
-		w.res.NoAckedAtProbe++
-		if _, err := s.Rep.FailoverAt(t); err == nil {
-			return fmt.Errorf("promoted a standby with no acknowledged checkpoint")
-		}
-		return nil
-	}
-	fo, err := s.Rep.FailoverAt(t)
-	if err != nil {
-		return fmt.Errorf("acknowledged checkpoint v%d lost: %w", acked, err)
-	}
-	if fo.Version != acked {
-		return fmt.Errorf("promoted v%d, acknowledged v%d", fo.Version, acked)
-	}
-	if fo.Digest != fo.ExpectedDigest {
-		return fmt.Errorf("standby digest %016x != primary digest %016x at v%d",
-			fo.Digest, fo.ExpectedDigest, fo.Version)
-	}
-	retry, err := s.Rep.FailoverAt(t)
-	if err != nil {
-		return fmt.Errorf("failover retry: %w", err)
-	}
-	if retry.Version != fo.Version || retry.Digest != fo.Digest {
-		return fmt.Errorf("failover retry diverged: v%d/%016x then v%d/%016x",
-			fo.Version, fo.Digest, retry.Version, retry.Digest)
 	}
 	return nil
 }
@@ -380,7 +344,7 @@ func RunMediaDuringReshard(cfg ReshardConfig, faultsPerVictim int) (ReshardResul
 	st, err := faultplane.RunCampaign(
 		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.ReshardsPerSeed},
 		faultplane.Compose(
-			&reshardDomain{cfg: cfg, res: &res},
+			reshardDomain(cfg, &res),
 			&mediaOverlay{faultsPerVictim: faultsPerVictim, res: &mres}))
 	res.CrashesFired = st.Injections
 	res.Recoveries = st.Recoveries
@@ -398,7 +362,7 @@ func RunReplUnderCluster(cfg ClusterConfig) (ClusterResult, ReplProbeResult, err
 	st, err := faultplane.RunCampaign(
 		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.CrashesPerSeed},
 		faultplane.Compose(
-			&clusterDomain{cfg: cfg, res: &res},
+			clusterDomain(cfg, &res),
 			&replOverlay{res: &pres}))
 	res.CrashesFired = st.Injections
 	res.Recoveries = st.Recoveries
@@ -416,7 +380,7 @@ func RunMediaUnderRepl(cfg ReplConfig, faultsPerVictim int) (ReplResult, MediaOv
 	st, err := faultplane.RunCampaign(
 		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.CrashesPerSeed},
 		faultplane.Compose(
-			&replDomain{cfg: cfg, res: &res},
+			replDomain(cfg, &res),
 			&mediaOverlay{faultsPerVictim: faultsPerVictim, res: &mres}))
 	res.CrashesFired = st.Injections
 	res.Restores = st.Recoveries

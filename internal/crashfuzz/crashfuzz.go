@@ -119,16 +119,13 @@ type Result struct {
 
 // fuzzer is the per-seed world: one machine plus the shadow model.
 type fuzzer struct {
-	fuzzerCounters
+	faultplane.Hooks
 	cfg Config
 	rng *rand.Rand
 	res *Result
 	m   *kernel.Machine
 	p   *kernel.Process
 	va  uint64
-
-	oracles  *faultplane.Registry
-	preCrash []func() error
 
 	live      []uint64 // current app state
 	committed []uint64 // app state at the last durable commit
@@ -146,19 +143,18 @@ type fuzzer struct {
 	// lastOp describes the workload op a crash interrupted, for error
 	// messages.
 	lastOp string
+
+	// This seed's crash classification, folded into the Result by Finish.
+	rollbacks         int
+	inFlightCommitted int
+	restoreCrashes    int
 }
 
-// crashDomain adapts the crash campaign to the fault-plane engine.
-type crashDomain struct {
-	cfg Config
-	res *Result
-}
-
-func (d *crashDomain) Name() string        { return "crash" }
-func (d *crashDomain) StreamLabel() string { return "" }
-
-func (d *crashDomain) Build(seed uint64, rng *rand.Rand) (faultplane.World, error) {
-	return newFuzzer(d.cfg, seed, rng, d.res)
+// crashDomain is the crash campaign as a fault-plane domain.
+func crashDomain(cfg Config, res *Result) faultplane.Domain {
+	return faultplane.NewDomain("crash", "", func(seed uint64, rng *rand.Rand) (faultplane.World, error) {
+		return newFuzzer(cfg, seed, rng, res)
+	})
 }
 
 // Run executes the campaign and returns its aggregate result. The first
@@ -169,7 +165,7 @@ func Run(cfg Config) (Result, error) {
 	var res Result
 	st, err := faultplane.RunCampaign(
 		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.CrashesPerSeed, Obs: cfg.Obs},
-		&crashDomain{cfg: cfg, res: &res})
+		crashDomain(cfg, &res))
 	res.CrashesFired = st.Injections
 	res.Restores = st.Recoveries
 	return res, err
@@ -193,14 +189,6 @@ func (f *fuzzer) Finish() error {
 		res.AuditChecks += f.m.Auditor.Checks
 	}
 	return f.m.Alloc.CheckInvariants()
-}
-
-// rollbacks / inFlightCommitted live on the fuzzer so Finish can fold them
-// into the Result after the seed finishes.
-type fuzzerCounters struct {
-	rollbacks         int
-	inFlightCommitted int
-	restoreCrashes    int
 }
 
 func newFuzzer(cfg Config, seed uint64, rng *rand.Rand, res *Result) (*fuzzer, error) {
@@ -255,30 +243,15 @@ func newFuzzer(cfg Config, seed uint64, rng *rand.Rand, res *Result) (*fuzzer, e
 // version's lineage (which also resynchronizes the shadow model), then the
 // shadow page and register comparisons against the surviving commit.
 func (f *fuzzer) registerOracles() {
-	f.oracles = faultplane.NewRegistry()
-	f.oracles.Register("audit", f.checkAudit)
-	f.oracles.Register("version-lineage", f.checkLineage)
-	f.oracles.Register("shadow-pages", f.checkPages)
-	f.oracles.Register("shadow-register", f.checkRegister)
+	r := f.Oracles()
+	r.Register("audit", func() error { return checkAudit(f.m) })
+	r.Register("version-lineage", f.checkLineage)
+	r.Register("shadow-pages", f.checkPages)
+	r.Register("shadow-register", f.checkRegister)
 }
-
-// Oracles returns the crash domain's registry.
-func (f *fuzzer) Oracles() *faultplane.Registry { return f.oracles }
-
-// AddPreCrash registers a composition hook run at the crash boundary.
-func (f *fuzzer) AddPreCrash(fn func() error) { f.preCrash = append(f.preCrash, fn) }
 
 // Now reports simulated time for engine trace instants.
 func (f *fuzzer) Now() simclock.Time { return f.m.Now() }
-
-func (f *fuzzer) runPreCrash() error {
-	for _, fn := range f.preCrash {
-		if err := fn(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 func (f *fuzzer) writePage(i int, v uint64) error {
 	_, err := f.m.Run(f.p, f.p.Thread(f.rng.Intn(f.cfg.Threads)), func(e *kernel.Env) error {
@@ -299,19 +272,7 @@ func (f *fuzzer) checkpoint() error {
 	f.m.TakeCheckpoint()
 	// No crash: the round committed.
 	f.commitPending()
-	return f.checkAudit()
-}
-
-// checkAudit surfaces auditor violations as campaign errors.
-func (f *fuzzer) checkAudit() error {
-	if f.m.Auditor == nil {
-		return nil
-	}
-	if la := f.m.LastAudit; !la.Ok() {
-		return fmt.Errorf("audit at %s: %d violation(s), first: %s",
-			la.Where, len(la.Violations), la.Violations[0])
-	}
-	return nil
+	return checkAudit(f.m)
 }
 
 func (f *fuzzer) commitPending() {
@@ -321,50 +282,37 @@ func (f *fuzzer) commitPending() {
 	f.pendingVer = 0
 }
 
-// Round arms a random persistence-event countdown, drives the workload
-// until it fires (a window can end quiet — that round simply did not
-// fire), then crash-restores. The engine runs the oracle registry after
-// every fired round.
+// Round injects one power failure at a random persistence-event
+// countdown; the engine runs the oracle registry after every fired round.
 func (f *fuzzer) Round(rng *rand.Rand, round int) (bool, error) {
-	k := 1 + f.rng.Intn(f.cfg.EventWindow)
-	f.m.Memory.ArmCrashAfter(uint64(k))
-	fired := false
-	for step := 0; step < f.cfg.StepsPerCrash && !fired; step++ {
-		var err error
-		fired, err = f.step()
-		if err != nil {
-			f.m.Memory.DisarmCrash()
-			return false, err
-		}
+	return f.inject(uint64(1+f.rng.Intn(f.cfg.EventWindow)), f.cfg.StepsPerCrash, true)
+}
+
+// inject arms a power failure k persistence events ahead, drives up to n
+// workload operations until it fires (a window can end quiet: the
+// injection simply did not fire), then crash-restores the machine. With
+// restoreCrash, one restore in RestoreCrashDenom runs under its own armed
+// countdown: the recovery path's own persistence events (backup copies,
+// flushes, journaled frees) are crash points too, and a half-finished
+// restore must be restartable without losing the never-silently-corrupt
+// guarantee.
+func (f *fuzzer) inject(k uint64, n int, restoreCrash bool) (bool, error) {
+	fired, err := armed(f.m, k, n, f.step)
+	if err != nil || !fired {
+		return false, err
 	}
-	f.m.Memory.DisarmCrash()
-	if !fired {
-		return false, nil
-	}
-	if err := f.runPreCrash(); err != nil {
+	if err := f.RunPreCrash(); err != nil {
 		return false, err
 	}
 	f.m.Crash()
-	// One crash in RestoreCrashDenom also arms a failure over the restore
-	// itself: the recovery path's own persistence events (backup copies,
-	// flushes, journaled frees) are crash points too, and a half-finished
-	// restore must be restartable without losing the
-	// never-silently-corrupt guarantee.
-	if f.rng.Intn(faultplane.Defaults.RestoreCrashDenom) == 0 {
-		rfired, err := f.crashDuringRestore()
-		if err != nil {
+	if restoreCrash && f.rng.Intn(faultplane.Defaults.RestoreCrashDenom) == 0 {
+		rfired, err := restoreUnderCrash(f.m, uint64(1+f.rng.Intn(f.cfg.EventWindow)))
+		if err != nil || !rfired {
+			// A countdown that outlived the restore left the machine up:
+			// only the oracle run remains.
 			return true, err
 		}
-		if rfired {
-			f.restoreCrashes++
-			if err := f.m.Restore(); err != nil {
-				return true, fmt.Errorf("after crash-during-restore: restore: %w", err)
-			}
-			return true, nil
-		}
-		// The countdown outlived the restore: the machine is already up,
-		// only the oracle run remains.
-		return true, nil
+		f.restoreCrashes++
 	}
 	if err := f.m.Restore(); err != nil {
 		return true, fmt.Errorf("restore: %w", err)
@@ -372,56 +320,35 @@ func (f *fuzzer) Round(rng *rand.Rand, round int) (bool, error) {
 	return true, nil
 }
 
-// crashDuringRestore attempts a restore with an armed power-failure
-// countdown. It reports whether the failure fired mid-restore (leaving the
-// machine crashed again); if the restore completed first, the machine is
-// running and the oracle run is the caller's next step.
-func (f *fuzzer) crashDuringRestore() (bool, error) {
-	f.m.Memory.ArmCrashAfter(uint64(1 + f.rng.Intn(f.cfg.EventWindow)))
-	fired, err := faultplane.CatchCrash(f.m.Restore)
-	f.m.Memory.DisarmCrash()
-	if fired {
-		f.m.Crash()
-		return true, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("restore (armed): %w", err)
-	}
-	return false, nil
-}
-
-// step runs one random workload operation, converting an injected power
-// failure into a clean "fired" signal.
-func (f *fuzzer) step() (bool, error) {
-	return faultplane.CatchCrash(func() error {
-		switch r := f.rng.Intn(100); {
-		case r < 62: // page write
-			i, v := f.rng.Intn(f.cfg.Pages), f.rng.Uint64()
-			f.lastOp = fmt.Sprintf("write page %d = %#x", i, v)
-			return f.writePage(i, v)
-		case r < 72: // register update
-			v := f.rng.Uint64()
-			f.lastOp = "register update"
-			_, e := f.m.Run(f.p, f.p.Threads[1], func(e *kernel.Env) error {
-				e.T.Touch(func(c *caps.Context) { c.R[5] = v })
-				return nil
-			})
-			if e == nil {
-				f.liveReg = v
-			}
-			return e
-		case r < 78: // cold-page eviction (exercises swap under crash)
-			f.lastOp = "evict"
-			if f.m.Ckpt.HasCheckpoint() {
-				_, e := f.m.EvictColdPages(f.rng.Intn(4) + 1)
-				return e
-			}
+// step runs one random workload operation.
+func (f *fuzzer) step() error {
+	switch r := f.rng.Intn(100); {
+	case r < 62: // page write
+		i, v := f.rng.Intn(f.cfg.Pages), f.rng.Uint64()
+		f.lastOp = fmt.Sprintf("write page %d = %#x", i, v)
+		return f.writePage(i, v)
+	case r < 72: // register update
+		v := f.rng.Uint64()
+		f.lastOp = "register update"
+		_, e := f.m.Run(f.p, f.p.Threads[1], func(e *kernel.Env) error {
+			e.T.Touch(func(c *caps.Context) { c.R[5] = v })
 			return nil
-		default: // checkpoint
-			f.lastOp = fmt.Sprintf("checkpoint v%d", f.m.Ckpt.CommittedVersion()+1)
-			return f.checkpoint()
+		})
+		if e == nil {
+			f.liveReg = v
 		}
-	})
+		return e
+	case r < 78: // cold-page eviction (exercises swap under crash)
+		f.lastOp = "evict"
+		if f.m.Ckpt.HasCheckpoint() {
+			_, e := f.m.EvictColdPages(f.rng.Intn(4) + 1)
+			return e
+		}
+		return nil
+	default: // checkpoint
+		f.lastOp = fmt.Sprintf("checkpoint v%d", f.m.Ckpt.CommittedVersion()+1)
+		return f.checkpoint()
+	}
 }
 
 // checkLineage classifies which version survived the crash — the last
@@ -506,32 +433,10 @@ func OneShot(mode mem.PersistMode, seed, eventK uint64, steps uint16, serial boo
 		SerialWalk: serial,
 	}
 	cfg.fill()
-	var res Result
-	f, err := newFuzzer(cfg, seed, faultplane.Stream(seed, ""), &res)
+	f, err := newFuzzer(cfg, seed, faultplane.Stream(seed, ""), &Result{})
 	if err != nil {
 		return fmt.Errorf("boot: %w", err)
 	}
-	if err := f.checkAudit(); err != nil {
-		return err
-	}
-	f.m.Memory.ArmCrashAfter(eventK%uint64(cfg.EventWindow) + 1)
-	n := int(steps)%cfg.StepsPerCrash + 1
-	fired := false
-	for step := 0; step < n && !fired; step++ {
-		fired, err = f.step()
-		if err != nil {
-			f.m.Memory.DisarmCrash()
-			return err
-		}
-	}
-	f.m.Memory.DisarmCrash()
-	if !fired {
-		return nil
-	}
-	f.m.Crash()
-	if err := f.m.Restore(); err != nil {
-		return fmt.Errorf("restore: %w", err)
-	}
-	_, err = f.oracles.Check()
-	return err
+	fired, err := f.inject(eventK%uint64(cfg.EventWindow)+1, int(steps)%cfg.StepsPerCrash+1, false)
+	return checkOneShot(f, fired, err)
 }

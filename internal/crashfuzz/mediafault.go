@@ -40,8 +40,8 @@ type MediaConfig struct {
 	// InjectionsPerSeed is how many inject-crash-restore-verify rounds
 	// to run per seed.
 	InjectionsPerSeed int
-	// Pages is the app working set (default 24). Threads defaults to 2.
-	Pages, Threads int
+	// Pages is the app working set (default 24).
+	Pages int
 	// CrashFaults adds background media damage: this many random NVM
 	// lines are poisoned at every power failure (the injector skips the
 	// mirrored metadata frames).
@@ -65,15 +65,15 @@ type MediaConfig struct {
 	Audit bool
 }
 
+// mediaThreads is the number of app threads issuing writes.
+const mediaThreads = 2
+
 func (c *MediaConfig) fill() {
 	if c.InjectionsPerSeed == 0 {
 		c.InjectionsPerSeed = faultplane.Defaults.RoundsPerSeed
 	}
 	if c.Pages == 0 {
 		c.Pages = 24
-	}
-	if c.Threads == 0 {
-		c.Threads = 2
 	}
 }
 
@@ -109,19 +109,13 @@ type MediaResult struct {
 	AuditChecks                               uint64
 }
 
-// mediaDomain adapts the media campaign to the fault-plane engine. Its
-// stream label preserves the campaign's historical RNG identity: the silo
-// always XORed its seeds with the ASCII bytes of "media".
-type mediaDomain struct {
-	cfg MediaConfig
-	res *MediaResult
-}
-
-func (d *mediaDomain) Name() string        { return "media" }
-func (d *mediaDomain) StreamLabel() string { return "media" }
-
-func (d *mediaDomain) Build(seed uint64, rng *rand.Rand) (faultplane.World, error) {
-	return newMediaFuzzer(d.cfg, seed, rng, d.res)
+// mediaDomain is the media campaign as a fault-plane domain. Its stream
+// label preserves the campaign's historical RNG identity: the silo always
+// XORed its seeds with the ASCII bytes of "media".
+func mediaDomain(cfg MediaConfig, res *MediaResult) faultplane.Domain {
+	return faultplane.NewDomain("media", "media", func(seed uint64, rng *rand.Rand) (faultplane.World, error) {
+		return newMediaFuzzer(cfg, seed, rng, res)
+	})
 }
 
 // RunMedia executes the campaign and returns the aggregate result. With
@@ -132,7 +126,7 @@ func RunMedia(cfg MediaConfig) (MediaResult, error) {
 	var res MediaResult
 	_, err := faultplane.RunCampaign(
 		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.InjectionsPerSeed},
-		&mediaDomain{cfg: cfg, res: &res})
+		mediaDomain(cfg, &res))
 	return res, err
 }
 
@@ -141,6 +135,7 @@ func RunMedia(cfg MediaConfig) (MediaResult, error) {
 // version, so degraded restores can be checked against the precise older
 // version the manifest names.
 type mediaFuzzer struct {
+	faultplane.Hooks
 	cfg   MediaConfig
 	rng   *rand.Rand
 	res   *MediaResult
@@ -161,9 +156,6 @@ type mediaFuzzer struct {
 	// record cannot survive — the one case where a fail-closed restore is
 	// the correct loud outcome rather than a harness failure.
 	primaryFault, mirrorFault bool
-
-	oracles  *faultplane.Registry
-	preCrash []func() error
 }
 
 func newMediaFuzzer(cfg MediaConfig, seed uint64, rng *rand.Rand, res *MediaResult) (*mediaFuzzer, error) {
@@ -194,7 +186,7 @@ func newMediaFuzzer(cfg MediaConfig, seed uint64, rng *rand.Rand, res *MediaResu
 	for i := range f.live {
 		f.live[i] = make([]byte, mem.PageSize)
 	}
-	p, err := m.NewProcess("app", cfg.Threads)
+	p, err := m.NewProcess("app", mediaThreads)
 	if err != nil {
 		return nil, err
 	}
@@ -219,24 +211,17 @@ func newMediaFuzzer(cfg MediaConfig, seed uint64, rng *rand.Rand, res *MediaResu
 // check order: audit, then version identity, then the manifest-explained
 // page-content walk.
 func (f *mediaFuzzer) registerOracles() {
-	f.oracles = faultplane.NewRegistry()
-	f.oracles.Register("audit", f.checkAudit)
-	f.oracles.Register("committed-version", f.checkVersion)
-	f.oracles.Register("page-contract", f.checkPages)
+	r := f.Oracles()
+	r.Register("audit", func() error { return checkAudit(f.m) })
+	r.Register("committed-version", f.checkVersion)
+	r.Register("page-contract", f.checkPages)
 }
-
-// Oracles returns the media domain's registry.
-func (f *mediaFuzzer) Oracles() *faultplane.Registry { return f.oracles }
-
-// AddPreCrash registers a composition hook run at the crash boundary —
-// after this round's targeted injection, before the power failure lands.
-func (f *mediaFuzzer) AddPreCrash(fn func() error) { f.preCrash = append(f.preCrash, fn) }
 
 // Now reports simulated time for engine trace instants.
 func (f *mediaFuzzer) Now() simclock.Time { return f.m.Now() }
 
 func (f *mediaFuzzer) writePage(i int, v uint64) error {
-	_, err := f.m.Run(f.p, f.p.Thread(f.rng.Intn(f.cfg.Threads)), func(e *kernel.Env) error {
+	_, err := f.m.Run(f.p, f.p.Thread(f.rng.Intn(mediaThreads)), func(e *kernel.Env) error {
 		return e.WriteU64(f.va+uint64(i)*mem.PageSize, v)
 	})
 	if err == nil {
@@ -381,14 +366,14 @@ func (f *mediaFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
 		f.primaryFault, f.mirrorFault = false, false
 	}
 	f.inject(res)
-	if err := f.runPreCrash(); err != nil {
+	if err := f.RunPreCrash(); err != nil {
 		return false, err
 	}
 	f.m.Crash()
 	res.Crashes++
 	commitDead := false
 	if f.cfg.CrashDuringRestore && f.rng.Intn(faultplane.Defaults.RestoreCrashDenom) == 0 {
-		fired, err := f.crashRestore()
+		fired, err := restoreUnderCrash(f.m, uint64(1+f.rng.Intn(faultplane.Defaults.RestoreEventWindow)))
 		switch {
 		case f.commitLost(err):
 			commitDead = true
@@ -420,15 +405,6 @@ func (f *mediaFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
 	return true, nil
 }
 
-func (f *mediaFuzzer) runPreCrash() error {
-	for _, fn := range f.preCrash {
-		if err := fn(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Finish folds the seed's repair and robustness counters.
 func (f *mediaFuzzer) Finish() error {
 	res := f.res
@@ -453,32 +429,6 @@ func (f *mediaFuzzer) Finish() error {
 func (f *mediaFuzzer) commitLost(err error) bool {
 	return err != nil && errors.Is(err, checkpoint.ErrNoCheckpoint) &&
 		f.primaryFault && f.mirrorFault
-}
-
-// crashRestore restores under an armed power-failure countdown, re-crashing
-// the machine if it fires. The caller finishes the restore if needed.
-func (f *mediaFuzzer) crashRestore() (fired bool, err error) {
-	f.m.Memory.ArmCrashAfter(uint64(1 + f.rng.Intn(faultplane.Defaults.RestoreEventWindow)))
-	fired, err = faultplane.CatchCrash(f.m.Restore)
-	f.m.Memory.DisarmCrash()
-	if fired {
-		f.m.Crash()
-		return true, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("restore (armed): %w", err)
-	}
-	return false, nil
-}
-
-func (f *mediaFuzzer) checkAudit() error {
-	if f.m.Auditor == nil {
-		return nil
-	}
-	if la := f.m.LastAudit; !la.Ok() {
-		return fmt.Errorf("audit at %s: %s", la.Where, la.Violations[0])
-	}
-	return nil
 }
 
 func (f *mediaFuzzer) checkVersion() error {

@@ -2,8 +2,9 @@ package crashfuzz
 
 // Migration regression for the fault-plane refactor: each legacy campaign
 // is pinned bit-for-bit — the full Result struct plus an FNV-1a digest of
-// its Go literal — for fixed seeds and fully-explicit configs (every knob
-// set, so no Defaults change can shift them). The goldens were captured on
+// its Go literal — for fixed seeds and fully-explicit configs (every config
+// knob set, so no Defaults change can shift them; single-valued shapes are
+// named constants beside each domain). The goldens were captured on
 // the pre-refactor silo engines; the refactored engines must reproduce the
 // exact same injection counts and digests or this test fails.
 //
@@ -80,9 +81,6 @@ func TestMigrationNetGolden(t *testing.T) {
 		EventWindow:    64,
 		StepsPerCrash:  600,
 		Clients:        3,
-		Window:         2,
-		IntervalUs:     200,
-		ProgressSteps:  150,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +96,6 @@ func TestMigrationMediaGolden(t *testing.T) {
 		Seeds:              []uint64{301},
 		InjectionsPerSeed:  12,
 		Pages:              24,
-		Threads:            2,
 		CrashFaults:        2,
 		Replicas:           2,
 		DisableChecksums:   false,
@@ -121,8 +118,6 @@ func TestMigrationReplGolden(t *testing.T) {
 		CrashesPerSeed: 4,
 		EventWindow:    96,
 		StepsPerCrash:  40,
-		WritesPerRound: 6,
-		FullSyncEvery:  4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,13 +129,7 @@ func TestMigrationClusterGolden(t *testing.T) {
 	res, err := RunCluster(ClusterConfig{
 		Mode:           mem.ModeADR,
 		Seeds:          []uint64{501},
-		Shards:         2,
 		CrashesPerSeed: 8,
-		EventWindow:    40,
-		StepsPerCrash:  800,
-		Clients:        2,
-		KeysPerClient:  2,
-		Window:         2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,12 +141,7 @@ func TestMigrationReshardGolden(t *testing.T) {
 	res, err := RunReshard(ReshardConfig{
 		Mode:            mem.ModeADR,
 		Seeds:           []uint64{601},
-		Shards:          3,
 		ReshardsPerSeed: 4,
-		StepsPerCrash:   4000,
-		Clients:         2,
-		KeysPerClient:   2,
-		Window:          2,
 	})
 	if err != nil {
 		t.Fatal(err)

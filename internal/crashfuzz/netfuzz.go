@@ -37,19 +37,23 @@ type NetConfig struct {
 	// TestNetCrashCampaign's boundary-coverage counters depend on
 	// countdowns firing inside the response path rather than expiring).
 	StepsPerCrash int
-	// Clients and Window shape the fleet (defaults 3 and 2).
+	// Clients is the fleet size (default 3).
 	Clients int
-	Window  int
-	// IntervalUs is the periodic checkpoint interval in simulated
-	// microseconds (default 200: short intervals put many release
-	// boundaries inside the crash window).
-	IntervalUs int
-	// ProgressSteps is how many un-armed micro-steps run after each
-	// restore (default 150) so the fleet reaches checkpoints and the gate
-	// releases responses between injections — later crashes then land
-	// after releases, not only before the first one.
-	ProgressSteps int
 }
+
+// The net domain's fixed fleet and checkpoint shape.
+const (
+	// netWindow is each client's pipeline depth.
+	netWindow = 2
+	// netInterval is the periodic checkpoint interval: short intervals put
+	// many release boundaries inside the crash window.
+	netInterval = 200 * simclock.Microsecond
+	// netProgressSteps is how many un-armed micro-steps run after each
+	// restore so the fleet reaches checkpoints and the gate releases
+	// responses between injections — later crashes then land after
+	// releases, not only before the first one.
+	netProgressSteps = 150
+)
 
 func (c *NetConfig) fill() {
 	if c.CrashesPerSeed == 0 {
@@ -63,15 +67,6 @@ func (c *NetConfig) fill() {
 	}
 	if c.Clients == 0 {
 		c.Clients = 3
-	}
-	if c.Window == 0 {
-		c.Window = 2
-	}
-	if c.IntervalUs == 0 {
-		c.IntervalUs = 200
-	}
-	if c.ProgressSteps == 0 {
-		c.ProgressSteps = 150
 	}
 }
 
@@ -101,6 +96,7 @@ type NetResult struct {
 
 // netFuzzer is the per-seed world: one gated machine plus its fleet.
 type netFuzzer struct {
+	faultplane.Hooks
 	cfg   NetConfig
 	rng   *rand.Rand
 	res   *NetResult
@@ -108,26 +104,17 @@ type netFuzzer struct {
 	nw    *net.Network
 	fleet *net.Fleet
 
-	oracles  *faultplane.Registry
-	preCrash []func() error
-
 	// lastFired gates PostRound: the legacy silo only ran progress steps
 	// after a fired crash, and the steps advance machine state that the
 	// next countdown's landing spot depends on.
 	lastFired bool
 }
 
-// netDomain adapts the network campaign to the fault-plane engine.
-type netDomain struct {
-	cfg NetConfig
-	res *NetResult
-}
-
-func (d *netDomain) Name() string        { return "net" }
-func (d *netDomain) StreamLabel() string { return "" }
-
-func (d *netDomain) Build(seed uint64, rng *rand.Rand) (faultplane.World, error) {
-	return newNetFuzzer(d.cfg, seed, rng, d.res)
+// netDomain is the network campaign as a fault-plane domain.
+func netDomain(cfg NetConfig, res *NetResult) faultplane.Domain {
+	return faultplane.NewDomain("net", "", func(seed uint64, rng *rand.Rand) (faultplane.World, error) {
+		return newNetFuzzer(cfg, seed, rng, res)
+	})
 }
 
 // RunNet executes the campaign. The oracle after every restore: the fleet's
@@ -139,7 +126,7 @@ func RunNet(cfg NetConfig) (NetResult, error) {
 	var res NetResult
 	st, err := faultplane.RunCampaign(
 		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.CrashesPerSeed},
-		&netDomain{cfg: cfg, res: &res})
+		netDomain(cfg, &res))
 	res.CrashesFired = st.Injections
 	res.Restores = st.Recoveries
 	return res, err
@@ -163,7 +150,7 @@ func (f *netFuzzer) Finish() error {
 func newNetFuzzer(cfg NetConfig, seed uint64, rng *rand.Rand, res *NetResult) (*netFuzzer, error) {
 	mcfg := kernel.DefaultConfig()
 	mcfg.Cores = 4
-	mcfg.CheckpointEvery = simclock.Duration(cfg.IntervalUs) * simclock.Microsecond
+	mcfg.CheckpointEvery = netInterval
 	mcfg.Seed = seed
 	mcfg.Mem.Persist = cfg.Mode
 	mcfg.Mem.CrashSeed = seed
@@ -188,7 +175,7 @@ func newNetFuzzer(cfg NetConfig, seed uint64, rng *rand.Rand, res *NetResult) (*
 	fleet, err := net.NewFleet(nw, srv, net.FleetConfig{
 		Clients:    cfg.Clients,
 		Requests:   0, // unbounded: the campaign, not the fleet, decides when to stop
-		Window:     cfg.Window,
+		Window:     netWindow,
 		ValueBytes: 32,
 	})
 	if err != nil {
@@ -197,86 +184,46 @@ func newNetFuzzer(cfg NetConfig, seed uint64, rng *rand.Rand, res *NetResult) (*
 	m.TakeCheckpoint() // base state: a crash at any event has somewhere to restore to
 	f := &netFuzzer{cfg: cfg, rng: rng, res: res, m: m, nw: nw, fleet: fleet}
 	f.registerOracles()
-	return f, f.checkAudit()
+	return f, checkAudit(m)
 }
 
 // registerOracles wires the external-synchrony invariant set in the legacy
 // check order: audit, then the justification of every acknowledged prefix,
 // then client-observed FIFO, then duplicate acknowledgements.
 func (f *netFuzzer) registerOracles() {
-	f.oracles = faultplane.NewRegistry()
-	f.oracles.Register("audit", f.checkAudit)
-	f.oracles.Register("extsync-justified", f.checkJustified)
-	f.oracles.Register("client-fifo", f.checkFIFO)
-	f.oracles.Register("dup-acks", f.checkDupAcks)
+	r := f.Oracles()
+	r.Register("audit", func() error { return checkAudit(f.m) })
+	r.Register("extsync-justified", func() error { return checkJustified(f.fleet.CheckJustified()) })
+	r.Register("client-fifo", func() error { return checkFIFO(f.fleet.Violations) })
+	r.Register("dup-acks", func() error { return checkDupAcks(f.fleet.DupAcks) })
 }
-
-// Oracles returns the net domain's registry.
-func (f *netFuzzer) Oracles() *faultplane.Registry { return f.oracles }
-
-// AddPreCrash registers a composition hook run at the crash boundary.
-func (f *netFuzzer) AddPreCrash(fn func() error) { f.preCrash = append(f.preCrash, fn) }
 
 // Now reports simulated time for engine trace instants.
 func (f *netFuzzer) Now() simclock.Time { return f.m.Now() }
 
-func (f *netFuzzer) checkAudit() error {
-	if f.m.Auditor == nil {
-		return nil
-	}
-	if la := f.m.LastAudit; !la.Ok() {
-		return fmt.Errorf("audit at %s: %d violation(s), first: %s",
-			la.Where, len(la.Violations), la.Violations[0])
-	}
-	return nil
-}
-
-func (f *netFuzzer) checkJustified() error {
-	bad, err := f.fleet.CheckJustified()
-	if err != nil {
-		return err
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("released-but-unpersisted response: %s", bad[0])
-	}
-	return nil
-}
-
-func (f *netFuzzer) checkFIFO() error {
-	if n := len(f.fleet.Violations); n > 0 {
-		return fmt.Errorf("client FIFO violation: %s", f.fleet.Violations[0])
-	}
-	return nil
-}
-
-func (f *netFuzzer) checkDupAcks() error {
-	if f.fleet.DupAcks > 0 {
-		return fmt.Errorf("%d duplicate acknowledgements after restore", f.fleet.DupAcks)
-	}
-	return nil
-}
-
-// Round arms a random persistence-event countdown, drives fleet
-// micro-steps until it fires, then crash-restores and resynchronizes the
-// fleet; the engine runs the oracle registry next.
+// Round injects one power failure at a random persistence-event
+// countdown; the engine runs the oracle registry next.
 func (f *netFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
-	f.lastFired = false
-	k := 1 + f.rng.Intn(f.cfg.EventWindow)
-	f.m.Memory.ArmCrashAfter(uint64(k))
-	fired := false
-	for step := 0; step < f.cfg.StepsPerCrash && !fired; step++ {
-		var err error
-		fired, err = f.step()
-		if err != nil {
-			f.m.Memory.DisarmCrash()
-			return false, err
-		}
+	var err error
+	f.lastFired, err = f.inject(uint64(1+f.rng.Intn(f.cfg.EventWindow)), f.cfg.StepsPerCrash)
+	return f.lastFired, err
+}
+
+// inject arms a power failure k persistence events ahead and drives up to
+// n fleet micro-steps until it fires. The micro-step scheduler means the
+// failure lands wherever the traffic put persistence events: inside a
+// SET's stores, the ring append, a checkpoint walk, or the post-commit
+// release. A fired failure is followed by the restore and the fleet's
+// resync.
+func (f *netFuzzer) inject(k uint64, n int) (bool, error) {
+	fired, err := armed(f.m, k, n, func() error {
+		_, err := f.fleet.Step()
+		return err
+	})
+	if err != nil || !fired {
+		return false, err
 	}
-	f.m.Memory.DisarmCrash()
-	if !fired {
-		return false, nil
-	}
-	if err := f.runPreCrash(); err != nil {
+	if err := f.RunPreCrash(); err != nil {
 		return false, err
 	}
 	f.m.Crash()
@@ -284,17 +231,7 @@ func (f *netFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
 		return true, fmt.Errorf("restore: %w", err)
 	}
 	f.fleet.ResyncAfterRestore()
-	f.lastFired = true
 	return true, nil
-}
-
-func (f *netFuzzer) runPreCrash() error {
-	for _, fn := range f.preCrash {
-		if err := fn(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // PostRound runs un-armed progress: the fleet reaches checkpoints so the
@@ -303,23 +240,12 @@ func (f *netFuzzer) PostRound(rng *rand.Rand) error {
 	if !f.lastFired {
 		return nil
 	}
-	for step := 0; step < f.cfg.ProgressSteps; step++ {
+	for step := 0; step < netProgressSteps; step++ {
 		if _, err := f.fleet.Step(); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// step runs one fleet micro-step, converting an injected power failure into
-// a clean "fired" signal. The micro-step scheduler means the failure lands
-// wherever the traffic put persistence events: inside a SET's stores, the
-// ring append, a checkpoint walk, or the post-commit release.
-func (f *netFuzzer) step() (bool, error) {
-	return faultplane.CatchCrash(func() error {
-		_, err := f.fleet.Step()
-		return err
-	})
 }
 
 // NetOneShot runs a single parameterized network crash injection — the
@@ -329,32 +255,12 @@ func (f *netFuzzer) step() (bool, error) {
 // apply the external-synchrony oracle. A run where the countdown never
 // fires is a valid (uninteresting) input, not an error.
 func NetOneShot(mode mem.PersistMode, seed, eventK uint64, steps uint16) error {
-	cfg := NetConfig{Mode: mode, Clients: 2, Window: 2, StepsPerCrash: 200}
+	cfg := NetConfig{Mode: mode, Clients: 2, StepsPerCrash: 200}
 	cfg.fill()
-	var res NetResult
-	f, err := newNetFuzzer(cfg, seed, faultplane.Stream(seed, ""), &res)
+	f, err := newNetFuzzer(cfg, seed, faultplane.Stream(seed, ""), &NetResult{})
 	if err != nil {
 		return fmt.Errorf("boot: %w", err)
 	}
-	f.m.Memory.ArmCrashAfter(eventK%uint64(cfg.EventWindow) + 1)
-	n := int(steps)%cfg.StepsPerCrash + 1
-	fired := false
-	for step := 0; step < n && !fired; step++ {
-		fired, err = f.step()
-		if err != nil {
-			f.m.Memory.DisarmCrash()
-			return err
-		}
-	}
-	f.m.Memory.DisarmCrash()
-	if !fired {
-		return nil
-	}
-	f.m.Crash()
-	if err := f.m.Restore(); err != nil {
-		return fmt.Errorf("restore: %w", err)
-	}
-	f.fleet.ResyncAfterRestore()
-	_, err = f.oracles.Check()
-	return err
+	fired, err := f.inject(eventK%uint64(cfg.EventWindow)+1, int(steps)%cfg.StepsPerCrash+1)
+	return checkOneShot(f, fired, err)
 }

@@ -43,18 +43,21 @@ type ReplConfig struct {
 	// coarser than the other domains' micro-steps, so far fewer are
 	// needed to cover the countdown window).
 	StepsPerCrash int
-	// WritesPerRound is how many kvstore SETs precede each checkpoint
-	// (default 6).
-	WritesPerRound int
-	// FullSyncEvery is the replicator's full-tree sync period (default 4,
-	// short so campaigns cross full-sync generations).
-	FullSyncEvery int
 	// Replicas keeps redundant backup-page copies on the primary;
 	// DisableChecksums runs it as the media ablation baseline. Both exist
 	// for composed campaigns that stack media damage on replication crashes.
 	Replicas         int
 	DisableChecksums bool
 }
+
+// The repl domain's fixed traffic and replication shape.
+const (
+	// replWritesPerRound is how many kvstore SETs precede each checkpoint.
+	replWritesPerRound = 6
+	// replFullSyncEvery is the replicator's full-tree sync period, short
+	// so campaigns cross full-sync generations.
+	replFullSyncEvery = 4
+)
 
 func (c *ReplConfig) fill() {
 	if c.CrashesPerSeed == 0 {
@@ -65,12 +68,6 @@ func (c *ReplConfig) fill() {
 	}
 	if c.StepsPerCrash == 0 {
 		c.StepsPerCrash = 40
-	}
-	if c.WritesPerRound == 0 {
-		c.WritesPerRound = 6
-	}
-	if c.FullSyncEvery == 0 {
-		c.FullSyncEvery = 4
 	}
 }
 
@@ -101,6 +98,7 @@ type ReplResult struct {
 }
 
 type replFuzzer struct {
+	faultplane.Hooks
 	cfg   ReplConfig
 	rng   *rand.Rand
 	res   *ReplResult
@@ -115,22 +113,13 @@ type replFuzzer struct {
 	// lastFired gates PostRound: the legacy silo only ran progress rounds
 	// after a fired crash, and progress rounds draw from the stream.
 	lastFired bool
-
-	oracles  *faultplane.Registry
-	preCrash []func() error
 }
 
-// replDomain adapts the replication campaign to the fault-plane engine.
-type replDomain struct {
-	cfg ReplConfig
-	res *ReplResult
-}
-
-func (d *replDomain) Name() string        { return "repl" }
-func (d *replDomain) StreamLabel() string { return "" }
-
-func (d *replDomain) Build(seed uint64, rng *rand.Rand) (faultplane.World, error) {
-	return newReplFuzzer(d.cfg, seed, rng, d.res)
+// replDomain is the replication campaign as a fault-plane domain.
+func replDomain(cfg ReplConfig, res *ReplResult) faultplane.Domain {
+	return faultplane.NewDomain("repl", "", func(seed uint64, rng *rand.Rand) (faultplane.World, error) {
+		return newReplFuzzer(cfg, seed, rng, res)
+	})
 }
 
 // RunRepl executes the campaign. The oracle after every crash: every
@@ -143,7 +132,7 @@ func RunRepl(cfg ReplConfig) (ReplResult, error) {
 	var res ReplResult
 	st, err := faultplane.RunCampaign(
 		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.CrashesPerSeed},
-		&replDomain{cfg: cfg, res: &res})
+		replDomain(cfg, &res))
 	res.CrashesFired = st.Injections
 	res.Restores = st.Recoveries
 	return res, err
@@ -182,7 +171,7 @@ func newReplFuzzer(cfg ReplConfig, seed uint64, rng *rand.Rand, res *ReplResult)
 	if err != nil {
 		return nil, err
 	}
-	rep := repl.Attach(m, nil, repl.Config{FullSyncEvery: uint64(cfg.FullSyncEvery)})
+	rep := repl.Attach(m, nil, repl.Config{FullSyncEvery: replFullSyncEvery})
 	f := &replFuzzer{cfg: cfg, rng: rng, res: res, m: m, srv: srv, rep: rep}
 	f.m.TakeCheckpoint() // base state: replicated as the first full sync
 	f.registerOracles()
@@ -194,16 +183,10 @@ func newReplFuzzer(cfg ReplConfig, seed uint64, rng *rand.Rand, res *ReplResult)
 // probes themselves run inside Round — they must observe the crash instant,
 // before the primary restores.
 func (f *replFuzzer) registerOracles() {
-	f.oracles = faultplane.NewRegistry()
-	f.oracles.Register("audit", f.checkAudit)
-	f.oracles.Register("acked-covered", f.checkAckedCovered)
+	r := f.Oracles()
+	r.Register("audit", func() error { return checkAudit(f.m) })
+	r.Register("acked-covered", f.checkAckedCovered)
 }
-
-// Oracles returns the repl domain's registry.
-func (f *replFuzzer) Oracles() *faultplane.Registry { return f.oracles }
-
-// AddPreCrash registers a composition hook run at the crash boundary.
-func (f *replFuzzer) AddPreCrash(fn func() error) { f.preCrash = append(f.preCrash, fn) }
 
 // Now reports simulated time for engine trace instants.
 func (f *replFuzzer) Now() simclock.Time { return f.m.Now() }
@@ -213,13 +196,6 @@ func (f *replFuzzer) Machine() *kernel.Machine { return f.m }
 
 // Replicator exposes the primary's replicator to composition overlays.
 func (f *replFuzzer) Replicator() *repl.Replicator { return f.rep }
-
-func (f *replFuzzer) checkAudit() error {
-	if la := f.m.LastAudit; f.m.Auditor != nil && !la.Ok() {
-		return fmt.Errorf("audit at %s: %s", la.Where, la.Violations[0])
-	}
-	return nil
-}
 
 // checkAckedCovered holds the restored primary to the replication contract:
 // the primary commits locally before the standby can acknowledge, so a
@@ -232,73 +208,52 @@ func (f *replFuzzer) checkAckedCovered() error {
 	return nil
 }
 
-// step runs one traffic round — a handful of SETs then a checkpoint (which
-// replicates its delta) — converting an injected power failure into a clean
-// "fired" signal. The armed countdown lands the failure inside a SET's
-// stores, the checkpoint walk, or the commit sequence.
-func (f *replFuzzer) step() (fired bool, err error) {
-	return faultplane.CatchCrash(func() error {
-		f.round++
-		for i := 0; i < f.cfg.WritesPerRound; i++ {
-			key := fmt.Sprintf("k%d", f.rng.Intn(24))
-			val := fmt.Sprintf("r%d-%d", f.round, i)
-			if _, _, err := f.srv.Set(f.rng.Intn(2), []byte(key), []byte(val)); err != nil {
-				return err
-			}
-		}
-		f.m.TakeCheckpoint()
-		return nil
-	})
-}
-
-// Round arms a random persistence-event countdown, runs traffic rounds
-// until it fires, then crashes the primary, probes failover on the
-// replication boundaries at the crash instant, and restores; the engine
-// runs the post-restore oracle registry next.
-func (f *replFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
-	f.lastFired = false
-	k := 1 + f.rng.Intn(f.cfg.EventWindow)
-	f.m.Memory.ArmCrashAfter(uint64(k))
-	fired := false
-	for step := 0; step < f.cfg.StepsPerCrash && !fired; step++ {
-		var err error
-		fired, err = f.step()
-		if err != nil {
-			f.m.Memory.DisarmCrash()
-			return false, err
-		}
-	}
-	f.m.Memory.DisarmCrash()
-	if !fired {
-		return false, nil
-	}
-	if err := f.runPreCrash(); err != nil {
-		return false, err
-	}
-	f.m.Crash()
-
-	// Probe failover at the crash instant and on each replication boundary
-	// of a randomly chosen ledger entry. The ledger is the standby's view;
-	// it survives the primary's power failure.
-	acked, err := f.probeFailovers(f.res)
-	if err != nil {
-		return true, err
-	}
-	f.ackedAtCrash = acked
-	if err := f.m.Restore(); err != nil {
-		return true, fmt.Errorf("restore: %w", err)
-	}
-	f.lastFired = true
-	return true, nil
-}
-
-func (f *replFuzzer) runPreCrash() error {
-	for _, fn := range f.preCrash {
-		if err := fn(); err != nil {
+// step runs one traffic round: a handful of SETs then a checkpoint (which
+// replicates its delta). An armed countdown lands the failure inside a
+// SET's stores, the checkpoint walk, or the commit sequence.
+func (f *replFuzzer) step() error {
+	f.round++
+	for i := 0; i < replWritesPerRound; i++ {
+		key := fmt.Sprintf("k%d", f.rng.Intn(24))
+		val := fmt.Sprintf("r%d-%d", f.round, i)
+		if _, _, err := f.srv.Set(f.rng.Intn(2), []byte(key), []byte(val)); err != nil {
 			return err
 		}
 	}
+	f.m.TakeCheckpoint()
 	return nil
+}
+
+// Round injects one power failure at a random persistence-event
+// countdown; the engine runs the post-restore oracle registry next.
+func (f *replFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
+	var err error
+	f.lastFired, err = f.inject(uint64(1+f.rng.Intn(f.cfg.EventWindow)), f.cfg.StepsPerCrash)
+	return f.lastFired, err
+}
+
+// inject arms a power failure k persistence events ahead and runs up to n
+// traffic rounds until it fires. A fired failure crashes the primary,
+// probes failover on the replication boundaries at the crash instant, and
+// restores.
+func (f *replFuzzer) inject(k uint64, n int) (bool, error) {
+	fired, err := armed(f.m, k, n, f.step)
+	if err != nil || !fired {
+		return false, err
+	}
+	if err := f.RunPreCrash(); err != nil {
+		return false, err
+	}
+	f.m.Crash()
+	// The ledger is the standby's view; it survives the primary's power
+	// failure.
+	if f.ackedAtCrash, err = f.probeFailovers(); err != nil {
+		return true, err
+	}
+	if err := f.m.Restore(); err != nil {
+		return true, fmt.Errorf("restore: %w", err)
+	}
+	return true, nil
 }
 
 // PostRound runs un-armed progress after a fired crash: new rounds
@@ -309,16 +264,18 @@ func (f *replFuzzer) PostRound(rng *rand.Rand) error {
 		return nil
 	}
 	for step := 0; step < 3; step++ {
-		if _, err := f.step(); err != nil {
+		if err := f.step(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// probeFailovers applies the replication oracle at several instants around
-// the crash. Returns the acknowledged version at the crash instant.
-func (f *replFuzzer) probeFailovers(res *ReplResult) (uint64, error) {
+// probeFailovers applies the replication oracle at the crash instant and
+// on each replication boundary of a randomly chosen ledger entry. Returns
+// the acknowledged version at the crash instant.
+func (f *replFuzzer) probeFailovers() (uint64, error) {
+	res := f.res
 	now := f.m.Now()
 	probes := []simclock.Time{now}
 	if lg := f.rep.Ledger(); len(lg) > 0 {
@@ -337,56 +294,23 @@ func (f *replFuzzer) probeFailovers(res *ReplResult) (uint64, error) {
 	}
 	ackedAtCrash := f.rep.AckedVersion(now)
 	for _, t := range probes {
-		if err := f.probeOne(t, res); err != nil {
+		promoted, err := probeFailover(f.rep, t, &res.NoAckedAtProbe)
+		if err != nil {
 			return ackedAtCrash, fmt.Errorf("probe t=%d: %w", t, err)
+		}
+		if promoted {
+			res.Failovers++
 		}
 	}
 	return ackedAtCrash, nil
-}
-
-// probeOne checks one failover instant: no acknowledged checkpoint means
-// promotion must refuse, an acknowledged one must promote to exactly the
-// digest the primary recorded, and a retried promotion (the mid-failover
-// crash boundary: the first standby build is abandoned and rebuilt from the
-// same durable ledger) must land bit-identically.
-func (f *replFuzzer) probeOne(t simclock.Time, res *ReplResult) error {
-	acked := f.rep.AckedVersion(t)
-	if acked == 0 {
-		res.NoAckedAtProbe++
-		if _, err := f.rep.FailoverAt(t); err == nil {
-			return fmt.Errorf("promoted a standby with no acknowledged checkpoint")
-		}
-		return nil
-	}
-	fo, err := f.rep.FailoverAt(t)
-	if err != nil {
-		return fmt.Errorf("acknowledged checkpoint v%d lost: %w", acked, err)
-	}
-	if fo.Version != acked {
-		return fmt.Errorf("promoted v%d, acknowledged v%d", fo.Version, acked)
-	}
-	if fo.Digest != fo.ExpectedDigest {
-		return fmt.Errorf("standby digest %016x != primary digest %016x at v%d",
-			fo.Digest, fo.ExpectedDigest, fo.Version)
-	}
-	retry, err := f.rep.FailoverAt(t)
-	if err != nil {
-		return fmt.Errorf("failover retry: %w", err)
-	}
-	if retry.Version != fo.Version || retry.Digest != fo.Digest {
-		return fmt.Errorf("failover retry diverged: v%d/%016x then v%d/%016x",
-			fo.Version, fo.Digest, retry.Version, retry.Digest)
-	}
-	res.Failovers++
-	return nil
 }
 
 // ReplOneShot runs a single parameterized replication crash injection — the
 // entry point of FuzzReplCrashEvent. Boot a replicated machine with the
 // given seed and copy variant, arm a power failure eventK persistence events
 // ahead, run up to steps traffic rounds, and if the failure fired, probe the
-// replication boundaries and restore. A run where the countdown never fires
-// is a valid (uninteresting) input, not an error.
+// replication boundaries, restore, and run the oracle registry. A run where
+// the countdown never fires is a valid (uninteresting) input, not an error.
 func ReplOneShot(mode mem.PersistMode, variant uint8, seed, eventK uint64, steps uint16) error {
 	cfg := ReplConfig{Mode: mode, StepsPerCrash: 24}
 	switch variant % 3 {
@@ -398,35 +322,10 @@ func ReplOneShot(mode mem.PersistMode, variant uint8, seed, eventK uint64, steps
 		cfg.Method, cfg.Hybrid = checkpoint.MethodCOW, true
 	}
 	cfg.fill()
-	var res ReplResult
-	f, err := newReplFuzzer(cfg, seed, faultplane.Stream(seed, ""), &res)
+	f, err := newReplFuzzer(cfg, seed, faultplane.Stream(seed, ""), &ReplResult{})
 	if err != nil {
 		return fmt.Errorf("boot: %w", err)
 	}
-	f.m.Memory.ArmCrashAfter(eventK%uint64(cfg.EventWindow) + 1)
-	n := int(steps)%cfg.StepsPerCrash + 1
-	fired := false
-	for step := 0; step < n && !fired; step++ {
-		fired, err = f.step()
-		if err != nil {
-			f.m.Memory.DisarmCrash()
-			return err
-		}
-	}
-	f.m.Memory.DisarmCrash()
-	if !fired {
-		return nil
-	}
-	f.m.Crash()
-	ackedAtCrash, err := f.probeFailovers(&res)
-	if err != nil {
-		return err
-	}
-	if err := f.m.Restore(); err != nil {
-		return fmt.Errorf("restore: %w", err)
-	}
-	if got := f.m.Ckpt.CommittedVersion(); got < ackedAtCrash {
-		return fmt.Errorf("restored primary at v%d behind acknowledged replica v%d", got, ackedAtCrash)
-	}
-	return nil
+	fired, err := f.inject(eventK%uint64(cfg.EventWindow)+1, int(steps)%cfg.StepsPerCrash+1)
+	return checkOneShot(f, fired, err)
 }

@@ -21,7 +21,6 @@ import (
 	"treesls/internal/cluster"
 	"treesls/internal/faultplane"
 	"treesls/internal/mem"
-	"treesls/internal/simclock"
 )
 
 // Crash classes a reshard injection lands on.
@@ -52,23 +51,12 @@ type ReshardConfig struct {
 	Mode mem.PersistMode
 	// Seeds are the cluster/traffic seeds; each seed gets its own cluster.
 	Seeds []uint64
-	// Shards is the starting cluster size (default 3).
-	Shards int
 	// ReshardsPerSeed is how many crash-injected epochs to run per seed
 	// (default 8: an epoch is the domain's whole unit of work — scan,
 	// stream, commit, announce, plus recovery — so 8 epochs already cover
 	// each of the 4 crash classes twice per seed; the shared 40 would
 	// multiply the most expensive campaign's CI cost fivefold).
 	ReshardsPerSeed int
-	// StepsPerCrash bounds micro-steps while driving an epoch to the
-	// desired crash class (default 4000: reaching a late class like
-	// mid-announce means marching an entire migration through scan and
-	// stream first, micro-step by micro-step).
-	StepsPerCrash int
-	// Clients, KeysPerClient, Window shape the fleet (defaults 2, 2, 2).
-	Clients       int
-	KeysPerClient int
-	Window        int
 	// Replicas keeps redundant backup copies on every shard;
 	// DisableChecksums runs the media ablation baseline. Used by composed
 	// campaigns that stack media faults on reshard epochs.
@@ -76,24 +64,20 @@ type ReshardConfig struct {
 	DisableChecksums bool
 }
 
+// The reshard domain's fixed shape.
+const (
+	// reshardShards is the starting cluster size.
+	reshardShards = 3
+	// reshardStepsPerCrash bounds micro-steps while driving an epoch to the
+	// desired crash class: reaching a late class like mid-announce means
+	// marching an entire migration through scan and stream first,
+	// micro-step by micro-step.
+	reshardStepsPerCrash = 4000
+)
+
 func (c *ReshardConfig) fill() {
-	if c.Shards == 0 {
-		c.Shards = 3
-	}
 	if c.ReshardsPerSeed == 0 {
 		c.ReshardsPerSeed = 8
-	}
-	if c.StepsPerCrash == 0 {
-		c.StepsPerCrash = 4000
-	}
-	if c.Clients == 0 {
-		c.Clients = 2
-	}
-	if c.KeysPerClient == 0 {
-		c.KeysPerClient = 2
-	}
-	if c.Window == 0 {
-		c.Window = 2
 	}
 }
 
@@ -134,39 +118,23 @@ type ReshardResult struct {
 
 // reshardFuzzer is the per-seed world: one elastic cluster plus its fleet.
 type reshardFuzzer struct {
-	cfg     ReshardConfig
-	rng     *rand.Rand
-	res     *ReshardResult
-	c       *cluster.Cluster
-	fleet   *cluster.Fleet
-	migTurn bool
+	clusterBase
+	res *ReshardResult
 
-	// Per-round oracle context, stashed by Round at crash time: the ring
-	// the recovery must converge to is fixed the instant the failure
-	// lands, not when the oracle runs.
+	// Per-epoch oracle context: the rings before and after the epoch,
+	// recorded when it opens, and which one the recovery must converge
+	// to, fixed the instant the failure lands rather than when the oracle
+	// runs.
 	wantForward            bool
 	oldV, newV             uint64
 	oldMembers, newMembers []int
-
-	// lastVictims records which shards the last injection crash-restored;
-	// overlays target faults there.
-	lastVictims []int
-
-	oracles  *faultplane.Registry
-	preCrash []func() error
 }
 
-// reshardDomain adapts the reshard campaign to the fault-plane engine.
-type reshardDomain struct {
-	cfg ReshardConfig
-	res *ReshardResult
-}
-
-func (d *reshardDomain) Name() string        { return "reshard" }
-func (d *reshardDomain) StreamLabel() string { return "" }
-
-func (d *reshardDomain) Build(seed uint64, rng *rand.Rand) (faultplane.World, error) {
-	return newReshardFuzzer(d.cfg, seed, rng, d.res)
+// reshardDomain is the reshard campaign as a fault-plane domain.
+func reshardDomain(cfg ReshardConfig, res *ReshardResult) faultplane.Domain {
+	return faultplane.NewDomain("reshard", "", func(seed uint64, rng *rand.Rand) (faultplane.World, error) {
+		return newReshardFuzzer(cfg, seed, rng, res)
+	})
 }
 
 // RunReshard executes the campaign.
@@ -175,7 +143,7 @@ func RunReshard(cfg ReshardConfig) (ReshardResult, error) {
 	var res ReshardResult
 	st, err := faultplane.RunCampaign(
 		faultplane.Spec{Seeds: cfg.Seeds, RoundsPerSeed: cfg.ReshardsPerSeed},
-		&reshardDomain{cfg: cfg, res: &res})
+		reshardDomain(cfg, &res))
 	res.CrashesFired = st.Injections
 	res.Recoveries = st.Recoveries
 	return res, err
@@ -219,34 +187,19 @@ func reshardTargetName(target int) string {
 	}
 }
 
-func (f *reshardFuzzer) pickTarget() int {
-	return f.rng.Intn(reshardTargetCount)
-}
-
 func newReshardFuzzer(cfg ReshardConfig, seed uint64, rng *rand.Rand, res *ReshardResult) (*reshardFuzzer, error) {
-	c, err := cluster.New(cluster.Config{
-		Shards:           cfg.Shards,
+	b, err := newClusterBase(cluster.Config{
+		Shards:           reshardShards,
 		Gated:            true,
 		Persist:          cfg.Mode,
 		Seed:             seed,
 		Replicas:         cfg.Replicas,
 		DisableChecksums: cfg.DisableChecksums,
-	})
+	}, rng)
 	if err != nil {
 		return nil, err
 	}
-	fleet, err := cluster.NewFleet(c, cluster.FleetConfig{
-		Clients:       cfg.Clients,
-		KeysPerClient: cfg.KeysPerClient,
-		Requests:      0, // unbounded: the campaign decides when to stop
-		Window:        cfg.Window,
-		ValueBytes:    32,
-		Seed:          int64(seed),
-	})
-	if err != nil {
-		return nil, err
-	}
-	f := &reshardFuzzer{cfg: cfg, rng: rng, res: res, c: c, fleet: fleet}
+	f := &reshardFuzzer{clusterBase: b, res: res}
 	f.registerOracles()
 	return f, nil
 }
@@ -256,8 +209,8 @@ func newReshardFuzzer(cfg ReshardConfig, seed uint64, rng *rand.Rand, res *Resha
 // coverage, acknowledgement justification, sole ownership, client FIFO,
 // duplicate acks.
 func (f *reshardFuzzer) registerOracles() {
-	f.oracles = faultplane.NewRegistry()
-	f.oracles.Register("ring-convergence", func() error {
+	r := f.Oracles()
+	r.Register("ring-convergence", func() error {
 		if f.wantForward {
 			if err := checkRing(f.c, f.newV, f.newMembers); err != nil {
 				return fmt.Errorf("post-announce crash did not roll forward: %w", err)
@@ -269,27 +222,15 @@ func (f *reshardFuzzer) registerOracles() {
 		}
 		return nil
 	})
-	f.oracles.Register("migration-settled", func() error {
+	r.Register("migration-settled", func() error {
 		if f.c.MigrationInFlight() {
 			return fmt.Errorf("migration still in flight after recovery")
 		}
 		return nil
 	})
-	f.oracles.Register("cut-verified", func() error {
-		return f.c.VerifyCut(f.c.Coord.Newest())
-	})
-	f.oracles.Register("released-covered", f.c.ReleasedCovered)
-	f.oracles.Register("extsync-justified", func() error {
-		bad, err := f.fleet.CheckJustified()
-		if err != nil {
-			return err
-		}
-		if len(bad) > 0 {
-			return fmt.Errorf("released-but-uncovered response: %s", bad[0])
-		}
-		return nil
-	})
-	f.oracles.Register("sole-owner", func() error {
+	f.registerCut()
+	r.Register("extsync-justified", func() error { return checkJustified(f.fleet.CheckJustified()) })
+	r.Register("sole-owner", func() error {
 		twoOwner, err := f.fleet.CheckSoleOwner()
 		if err != nil {
 			return err
@@ -299,57 +240,8 @@ func (f *reshardFuzzer) registerOracles() {
 		}
 		return nil
 	})
-	f.oracles.Register("client-fifo", func() error {
-		if n := len(f.fleet.Violations); n > 0 {
-			return fmt.Errorf("client FIFO violation: %s", f.fleet.Violations[0])
-		}
-		return nil
-	})
-	f.oracles.Register("dup-acks", func() error {
-		if f.fleet.DupAcks > 0 {
-			return fmt.Errorf("%d duplicate acknowledgements after recovery", f.fleet.DupAcks)
-		}
-		return nil
-	})
-}
-
-// Oracles returns the reshard domain's registry.
-func (f *reshardFuzzer) Oracles() *faultplane.Registry { return f.oracles }
-
-// AddPreCrash registers a composition hook run at the crash boundary —
-// after the epoch reached its crash class, before the failure is injected.
-func (f *reshardFuzzer) AddPreCrash(fn func() error) { f.preCrash = append(f.preCrash, fn) }
-
-// Now reports simulated time for engine trace instants.
-func (f *reshardFuzzer) Now() simclock.Time { return f.c.Shards[0].M.Now() }
-
-// Cluster exposes the live cluster to composition overlays.
-func (f *reshardFuzzer) Cluster() *cluster.Cluster { return f.c }
-
-// Victims reports the shard indices the last injection crash-restored.
-func (f *reshardFuzzer) Victims() []int { return f.lastVictims }
-
-// stepOnce advances the world by one micro-action, interleaving migration
-// progress with traffic exactly like the scenario harness: a round step if
-// a round is in flight, alternating migration/fleet steps otherwise, and a
-// round only opens for blocked gates when no epoch holds the ring.
-func (f *reshardFuzzer) stepOnce() error {
-	if f.c.CurrentPhase() != cluster.PhaseIdle {
-		return f.c.Step()
-	}
-	if f.c.MigrationInFlight() && f.migTurn {
-		f.migTurn = false
-		return f.c.MigStep()
-	}
-	f.migTurn = true
-	st, err := f.fleet.Step()
-	if err != nil {
-		return err
-	}
-	if st == cluster.StepBlocked && !f.c.MigrationInFlight() {
-		f.c.StartRound()
-	}
-	return nil
+	r.Register("client-fifo", func() error { return checkFIFO(f.fleet.Violations) })
+	r.Register("dup-acks", func() error { return checkDupAcks(f.fleet.DupAcks) })
 }
 
 // classOf maps the live migration status to a crash class.
@@ -374,7 +266,7 @@ func (f *reshardFuzzer) startEpoch() (int, error) {
 	add := f.rng.Intn(2) == 0
 	if len(members) <= 2 {
 		add = true
-	} else if len(members) >= f.cfg.Shards+2 {
+	} else if len(members) >= reshardShards+2 {
 		add = false
 	}
 	if add {
@@ -391,7 +283,7 @@ func (f *reshardFuzzer) startEpoch() (int, error) {
 // after the injection.
 func (f *reshardFuzzer) Round(rng *rand.Rand, round int) (bool, error) {
 	class := round % classCount
-	target := f.pickTarget()
+	target := f.rng.Intn(reshardTargetCount)
 	if err := f.oneEpoch(class, target); err != nil {
 		return false, fmt.Errorf("%s, %s: %w", className(class), reshardTargetName(target), attributeCutDigest(err))
 	}
@@ -406,51 +298,47 @@ func (f *reshardFuzzer) oneEpoch(class, target int) error {
 	// Recovery can leave a re-driven round in flight; an epoch only opens
 	// on an idle protocol.
 	for step := 0; f.c.CurrentPhase() != cluster.PhaseIdle; step++ {
-		if step >= f.cfg.StepsPerCrash {
+		if step >= reshardStepsPerCrash {
 			return fmt.Errorf("round never drained to idle")
 		}
-		if err := f.stepOnce(); err != nil {
+		if _, err := f.fleet.Advance(); err != nil {
 			return err
 		}
 	}
-	oldV, oldMembers := f.c.Ring.Version(), f.c.Ring.Members()
-	dest, err := f.startEpoch()
+	dest, err := f.open(f.startEpoch)
 	if err != nil {
 		return err
 	}
-	st := f.c.MigrationStatus()
-	if st.Add {
+	if f.c.MigrationStatus().Add {
 		res.Adds++
 	} else {
 		res.Removes++
 	}
-	newV, newMembers := st.NewRing, ringAfter(oldMembers, dest, st.Add)
 
 	// Drive to the crash class. Every class is reachable: an epoch starts
 	// in MigScan and marches scan -> stream -> commit -> announce -> done.
 	reached := false
-	for step := 0; step < f.cfg.StepsPerCrash; step++ {
+	for step := 0; step < reshardStepsPerCrash; step++ {
 		if classOf(f.c.MigrationStatus()) == class {
 			reached = true
 			break
 		}
-		if err := f.stepOnce(); err != nil {
+		if _, err := f.fleet.Advance(); err != nil {
 			return err
 		}
 	}
 	if !reached {
-		return fmt.Errorf("crash class never reached within %d steps", f.cfg.StepsPerCrash)
+		return fmt.Errorf("crash class never reached within %d steps", reshardStepsPerCrash)
 	}
 	// Jitter inside the class window so the crash lands on varying
 	// micro-actions, not always the window's first.
 	for f.rng.Intn(3) != 0 && classOf(f.c.MigrationStatus()) == class {
-		if err := f.stepOnce(); err != nil {
+		if _, err := f.fleet.Advance(); err != nil {
 			return err
 		}
 	}
 
-	st = f.c.MigrationStatus()
-	switch classOf(st) {
+	switch classOf(f.c.MigrationStatus()) {
 	case classMidStream:
 		res.MidStream++
 	case classInstalledUncut:
@@ -460,60 +348,9 @@ func (f *reshardFuzzer) oneEpoch(class, target int) error {
 	default:
 		res.PostCommit++
 	}
-	// The convergence obligation is fixed at crash time: announced (or
-	// complete) rolls forward, anything earlier rolls back whole.
-	f.wantForward = !st.Active || st.Announced
-	f.oldV, f.oldMembers = oldV, oldMembers
-	f.newV, f.newMembers = newV, newMembers
-
-	f.lastVictims = f.lastVictims[:0]
-	src := oldMembers[0]
-	if src == dest && len(oldMembers) > 1 {
-		src = oldMembers[1]
-	}
-	switch target {
-	case reshardTargetPower:
-		for i := range f.c.Shards {
-			f.lastVictims = append(f.lastVictims, i)
-		}
-	case reshardTargetCoord:
-	case reshardTargetSource:
-		f.lastVictims = append(f.lastVictims, src)
-	default:
-		f.lastVictims = append(f.lastVictims, dest)
-	}
-	if err := f.runPreCrash(); err != nil {
+	if err := f.inject(target, dest); err != nil {
 		return err
 	}
-
-	switch target {
-	case reshardTargetPower:
-		res.PowerCrashes++
-		if _, err := f.c.PowerFail(); err != nil {
-			return err
-		}
-		f.fleet.ResyncAll()
-	case reshardTargetCoord:
-		res.CoordCrashes++
-		if err := f.c.FailCoordinator(); err != nil {
-			return err
-		}
-	case reshardTargetSource:
-		res.SourceCrashes++
-		// A shard that held keys before the epoch: the first old member
-		// that is not the destination.
-		if err := f.c.FailShard(src); err != nil {
-			return err
-		}
-		f.fleet.ResyncShard(src)
-	default:
-		res.DestCrashes++
-		if err := f.c.FailShard(dest); err != nil {
-			return err
-		}
-		f.fleet.ResyncShard(dest)
-	}
-
 	if f.wantForward {
 		res.RolledForward++
 	} else {
@@ -522,20 +359,49 @@ func (f *reshardFuzzer) oneEpoch(class, target int) error {
 	return nil
 }
 
-func (f *reshardFuzzer) runPreCrash() error {
-	for _, fn := range f.preCrash {
-		if err := fn(); err != nil {
-			return err
-		}
+// open runs start to open an epoch and records the ring before it and the
+// ring it commits to. It returns the epoch's destination shard.
+func (f *reshardFuzzer) open(start func() (int, error)) (int, error) {
+	oldV, oldMembers := f.c.Ring.Version(), f.c.Ring.Members()
+	dest, err := start()
+	if err != nil {
+		return 0, err
 	}
-	return nil
+	st := f.c.MigrationStatus()
+	f.oldV, f.oldMembers = oldV, oldMembers
+	f.newV, f.newMembers = st.NewRing, ringAfter(oldMembers, dest, st.Add)
+	return dest, nil
+}
+
+// inject fixes the convergence obligation at the crash instant (announced
+// or complete rolls forward, anything earlier rolls back whole), then
+// fails target in the epoch whose destination is dest.
+func (f *reshardFuzzer) inject(target, dest int) error {
+	st := f.c.MigrationStatus()
+	f.wantForward = !st.Active || st.Announced
+	switch target {
+	case reshardTargetPower:
+		return f.crash(victimPower, &f.res.PowerCrashes)
+	case reshardTargetCoord:
+		return f.crash(victimCoord, &f.res.CoordCrashes)
+	case reshardTargetSource:
+		// A shard that held keys before the epoch: the first old member
+		// that is not the destination.
+		src := f.oldMembers[0]
+		if src == dest && len(f.oldMembers) > 1 {
+			src = f.oldMembers[1]
+		}
+		return f.crash(src, &f.res.SourceCrashes)
+	default:
+		return f.crash(dest, &f.res.DestCrashes)
+	}
 }
 
 // PostRound lets the world breathe between epochs so the next one starts
 // from settled traffic rather than the recovery's doorstep.
 func (f *reshardFuzzer) PostRound(rng *rand.Rand) error {
 	for i, n := 0, 20+f.rng.Intn(40); i < n; i++ {
-		if err := f.stepOnce(); err != nil {
+		if _, err := f.fleet.Advance(); err != nil {
 			return err
 		}
 	}
@@ -586,77 +452,30 @@ func checkRing(c *cluster.Cluster, v uint64, members []int) error {
 // convergence. A countdown that outlives the step budget is a valid
 // (uninteresting) input.
 func ReshardOneShot(mode mem.PersistMode, seed, eventK uint64, target uint8, steps uint16) error {
-	cfg := ReshardConfig{Mode: mode}
-	cfg.fill()
-	var res ReshardResult
-	f, err := newReshardFuzzer(cfg, seed, faultplane.Stream(seed, ""), &res)
+	f, err := newReshardFuzzer(ReshardConfig{Mode: mode}, seed, faultplane.Stream(seed, ""), &ReshardResult{})
 	if err != nil {
 		return fmt.Errorf("boot: %w", err)
 	}
 	// Warm-up: populate the stores so the epoch has keys to move.
 	for i := 0; i < 60; i++ {
-		if err := f.stepOnce(); err != nil {
+		if _, err := f.fleet.Advance(); err != nil {
 			return err
 		}
 	}
-	oldV, oldMembers := f.c.Ring.Version(), f.c.Ring.Members()
-	var dest int
-	if seed%2 == 0 {
-		dest, err = f.c.StartAddShard()
-	} else {
-		dest = oldMembers[int(seed/2)%len(oldMembers)]
-		err = f.c.StartRemoveShard(dest)
-	}
+	dest, err := f.open(func() (int, error) {
+		if seed%2 == 0 {
+			return f.c.StartAddShard()
+		}
+		members := f.c.Ring.Members()
+		dest := members[int(seed/2)%len(members)]
+		return dest, f.c.StartRemoveShard(dest)
+	})
 	if err != nil {
 		return err
 	}
-	st := f.c.MigrationStatus()
-	newV, newMembers := st.NewRing, ringAfter(oldMembers, dest, st.Add)
-
-	deadline := f.c.Events() + eventK%96 + 1
-	n := int(steps)%cfg.StepsPerCrash + 1
-	fired := false
-	for step := 0; step < n; step++ {
-		if f.c.Events() >= deadline {
-			fired = true
-			break
-		}
-		if err := f.stepOnce(); err != nil {
-			return err
-		}
+	fired, err := f.runTo(f.c.Events()+eventK%96+1, int(steps)%reshardStepsPerCrash+1)
+	if err != nil || !fired {
+		return err
 	}
-	if !fired {
-		return nil
-	}
-	st = f.c.MigrationStatus()
-	f.wantForward = !st.Active || st.Announced
-	f.oldV, f.oldMembers = oldV, oldMembers
-	f.newV, f.newMembers = newV, newMembers
-	switch int(target) % reshardTargetCount {
-	case reshardTargetPower:
-		if _, err := f.c.PowerFail(); err != nil {
-			return err
-		}
-		f.fleet.ResyncAll()
-	case reshardTargetCoord:
-		if err := f.c.FailCoordinator(); err != nil {
-			return err
-		}
-	case reshardTargetSource:
-		src := oldMembers[0]
-		if src == dest && len(oldMembers) > 1 {
-			src = oldMembers[1]
-		}
-		if err := f.c.FailShard(src); err != nil {
-			return err
-		}
-		f.fleet.ResyncShard(src)
-	default:
-		if err := f.c.FailShard(dest); err != nil {
-			return err
-		}
-		f.fleet.ResyncShard(dest)
-	}
-	_, err = f.oracles.Check()
-	return err
+	return checkOneShot(f, true, f.inject(int(target)%reshardTargetCount, dest))
 }

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
 	"testing"
 )
 
@@ -20,25 +17,7 @@ func TestClusterScalingGate(t *testing.T) {
 	}
 	t.Logf("\n%s", txt)
 
-	var buf bytes.Buffer
-	if err := WriteClusterJSON(&buf, s.Name, rows); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Rows []ClusterRow `json:"rows"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("BENCH_cluster.json does not round-trip: %v", err)
-	}
-	if len(doc.Rows) != len(rows) {
-		t.Fatalf("JSON has %d rows, want %d", len(doc.Rows), len(rows))
-	}
-	if out := os.Getenv("BENCH_CLUSTER_OUT"); out != "" {
-		if err := os.WriteFile(out, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", out)
-	}
+	writeBenchJSON(t, "BENCH_CLUSTER_OUT", benchDoc[ClusterRow]{Figure: "cluster-scaling", Scale: s.Name, Rows: rows})
 
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3 (shards 1, 2, 4)", len(rows))

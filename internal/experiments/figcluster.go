@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"treesls/internal/cluster"
 	"treesls/internal/simclock"
@@ -101,17 +99,4 @@ func measureClusterPoint(shards, clients, requests int) (ClusterRow, error) {
 	row.P50Us = percentile(fleet.Latencies, 0.50).Micros()
 	row.P95Us = percentile(fleet.Latencies, 0.95).Micros()
 	return row, nil
-}
-
-// WriteClusterJSON emits the rows as the BENCH_cluster.json document the
-// CI job archives next to BENCH_net.json.
-func WriteClusterJSON(w io.Writer, scale string, rows []ClusterRow) error {
-	doc := struct {
-		Figure string       `json:"figure"`
-		Scale  string       `json:"scale"`
-		Rows   []ClusterRow `json:"rows"`
-	}{Figure: "cluster-scaling", Scale: scale, Rows: rows}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

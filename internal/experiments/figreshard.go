@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"treesls/internal/cluster"
 	"treesls/internal/simclock"
@@ -28,33 +26,11 @@ type ReshardRow struct {
 	SimMs    float64 `json:"sim_ms"`
 }
 
-// reshardDriver steps one gated cluster + unbounded fleet the way the
-// scenario harness does: rounds one micro-action at a time, migration and
-// traffic interleaved, a round opening for blocked gates only when no
-// epoch holds the ring.
+// reshardDriver drives one gated cluster + unbounded fleet through
+// cluster.(*Fleet).Advance, the step policy the scenario harness uses.
 type reshardDriver struct {
-	c       *cluster.Cluster
-	fleet   *cluster.Fleet
-	migTurn bool
-}
-
-func (d *reshardDriver) step() error {
-	if d.c.CurrentPhase() != cluster.PhaseIdle {
-		return d.c.Step()
-	}
-	if d.c.MigrationInFlight() && d.migTurn {
-		d.migTurn = false
-		return d.c.MigStep()
-	}
-	d.migTurn = true
-	st, err := d.fleet.Step()
-	if err != nil {
-		return err
-	}
-	if st == cluster.StepBlocked && !d.c.MigrationInFlight() {
-		d.c.StartRound()
-	}
-	return nil
+	c     *cluster.Cluster
+	fleet *cluster.Fleet
 }
 
 // runUntilAcked drives until the fleet has acknowledged `target` requests
@@ -65,7 +41,7 @@ func (d *reshardDriver) runUntilAcked(target uint64) error {
 			return fmt.Errorf("experiments: reshard window stalled at %d/%d acks",
 				d.fleet.TotalAcked(), target)
 		}
-		if err := d.step(); err != nil {
+		if _, err := d.fleet.Advance(); err != nil {
 			return err
 		}
 	}
@@ -142,7 +118,7 @@ func ReshardPause(s Scale) ([]ReshardRow, string, uint64, error) {
 	// and the ring flips when the commit cut is announced. An epoch only
 	// opens on an idle protocol, so drain any round the window left.
 	for c.CurrentPhase() != cluster.PhaseIdle {
-		if err := d.step(); err != nil {
+		if _, err := d.fleet.Advance(); err != nil {
 			return nil, "", 0, err
 		}
 	}
@@ -154,7 +130,7 @@ func ReshardPause(s Scale) ([]ReshardRow, string, uint64, error) {
 		if steps > 1_000_000 {
 			return nil, "", 0, fmt.Errorf("experiments: migration epoch never completed")
 		}
-		if err := d.step(); err != nil {
+		if _, err := d.fleet.Advance(); err != nil {
 			return nil, "", 0, err
 		}
 	}
@@ -191,18 +167,4 @@ func ReshardPause(s Scale) ([]ReshardRow, string, uint64, error) {
 	txt := fmt.Sprintf("Elastic reshard: online 4->5 scale-out under load (%d keys moved)\n",
 		c.Stats.KeysMoved) + table(header, cells)
 	return rows, txt, c.Stats.KeysMoved, nil
-}
-
-// WriteReshardJSON emits the rows as the BENCH_reshard.json document the CI
-// job archives next to BENCH_cluster.json.
-func WriteReshardJSON(w io.Writer, scale string, keysMoved uint64, rows []ReshardRow) error {
-	doc := struct {
-		Figure    string       `json:"figure"`
-		Scale     string       `json:"scale"`
-		KeysMoved uint64       `json:"keys_moved"`
-		Rows      []ReshardRow `json:"rows"`
-	}{Figure: "reshard-pause", Scale: scale, KeysMoved: keysMoved, Rows: rows}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

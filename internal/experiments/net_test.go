@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
 	"testing"
 )
 
@@ -21,25 +18,7 @@ func TestNetLatencyGate(t *testing.T) {
 	}
 	t.Logf("\n%s", txt)
 
-	var buf bytes.Buffer
-	if err := WriteNetJSON(&buf, s.Name, rows); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Rows []NetRow `json:"rows"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("BENCH_net.json does not round-trip: %v", err)
-	}
-	if len(doc.Rows) != len(rows) {
-		t.Fatalf("JSON has %d rows, want %d", len(doc.Rows), len(rows))
-	}
-	if out := os.Getenv("BENCH_NET_OUT"); out != "" {
-		if err := os.WriteFile(out, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", out)
-	}
+	writeBenchJSON(t, "BENCH_NET_OUT", benchDoc[NetRow]{Figure: "net-latency", Scale: s.Name, Rows: rows})
 
 	intervals := []int{500, 1000, 2000, 5000}
 	var ungatedP50s []float64

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
 	"testing"
 )
 
@@ -22,26 +19,8 @@ func TestReshardPauseGate(t *testing.T) {
 	}
 	t.Logf("\n%s", txt)
 
-	var buf bytes.Buffer
-	if err := WriteReshardJSON(&buf, s.Name, keysMoved, rows); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		KeysMoved uint64       `json:"keys_moved"`
-		Rows      []ReshardRow `json:"rows"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("BENCH_reshard.json does not round-trip: %v", err)
-	}
-	if len(doc.Rows) != len(rows) || doc.KeysMoved != keysMoved {
-		t.Fatalf("JSON lost rows: %d/%d keys=%d/%d", len(doc.Rows), len(rows), doc.KeysMoved, keysMoved)
-	}
-	if out := os.Getenv("BENCH_RESHARD_OUT"); out != "" {
-		if err := os.WriteFile(out, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", out)
-	}
+	writeBenchJSON(t, "BENCH_RESHARD_OUT", benchDoc[ReshardRow]{
+		Figure: "reshard-pause", Scale: s.Name, KeysMoved: &keysMoved, Rows: rows})
 
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3 (before, during, after)", len(rows))

@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 )
 
@@ -20,25 +17,7 @@ func TestWalkScalingGate(t *testing.T) {
 	}
 	t.Logf("\n%s", txt)
 
-	var buf bytes.Buffer
-	if err := WriteScalingJSON(&buf, s.Name, rows); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Rows []ScalingRow `json:"rows"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("BENCH_ckpt.json does not round-trip: %v", err)
-	}
-	if len(doc.Rows) != len(rows) {
-		t.Fatalf("JSON has %d rows, want %d", len(doc.Rows), len(rows))
-	}
-	if out := os.Getenv("BENCH_CKPT_OUT"); out != "" {
-		if err := os.WriteFile(out, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", out)
-	}
+	writeBenchJSON(t, "BENCH_CKPT_OUT", benchDoc[ScalingRow]{Figure: "walk-scaling", Scale: s.Name, Rows: rows})
 
 	for _, hybrid := range []bool{false, true} {
 		for _, cores := range []int{2, 4, 8} {

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
 	"testing"
 )
 
@@ -19,25 +16,7 @@ func TestScrubOverheadGate(t *testing.T) {
 	}
 	t.Logf("\n%s", txt)
 
-	var buf bytes.Buffer
-	if err := WriteScrubJSON(&buf, s.Name, rows); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Rows []ScrubRow `json:"rows"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("BENCH_scrub.json does not round-trip: %v", err)
-	}
-	if len(doc.Rows) != len(rows) {
-		t.Fatalf("JSON has %d rows, want %d", len(doc.Rows), len(rows))
-	}
-	if out := os.Getenv("BENCH_SCRUB_OUT"); out != "" {
-		if err := os.WriteFile(out, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", out)
-	}
+	writeBenchJSON(t, "BENCH_SCRUB_OUT", benchDoc[ScrubRow]{Figure: "scrub-overhead", Scale: s.Name, Rows: rows})
 
 	sizes := []int{s.KVOps / 8, s.KVOps / 2, s.KVOps}
 	for _, replicas := range []int{0, 2} {

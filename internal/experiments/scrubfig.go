@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"treesls/internal/apps/kvstore"
 	"treesls/internal/kernel"
@@ -102,19 +100,6 @@ func ScrubOverhead(s Scale) ([]ScrubRow, string, error) {
 		})
 	}
 	return rows, "Scrub overhead vs resident state (extension; §8 'Data Reliability')\n" + table(header, cells), nil
-}
-
-// WriteScrubJSON emits the rows as the BENCH_scrub.json document the CI
-// bench-regression job archives.
-func WriteScrubJSON(w io.Writer, scale string, rows []ScrubRow) error {
-	doc := struct {
-		Figure string     `json:"figure"`
-		Scale  string     `json:"scale"`
-		Rows   []ScrubRow `json:"rows"`
-	}{Figure: "scrub-overhead", Scale: scale, Rows: rows}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }
 
 // FindScrubRow returns the row for (replicas, keys), or false.

@@ -163,7 +163,7 @@ func (m *Memory) scrambleLine(k lineKey, h uint64) {
 		sh = wl.shadow[:]
 	}
 	for i := 0; i < LineSize/WordSize; i++ {
-		pat := splitmix64(h + uint64(i)) | 1
+		pat := splitmix64(h+uint64(i)) | 1
 		for b := 0; b < WordSize; b++ {
 			line[i*WordSize+b] ^= byte(pat >> (8 * uint(b)))
 			if sh != nil {
@@ -203,7 +203,7 @@ func (m *Memory) preWrite(p PageID, off, n int) {
 		return
 	}
 	first := (off + LineSize - 1) / LineSize // first line fully covered
-	last := (off + n) / LineSize            // one past the last fully covered
+	last := (off + n) / LineSize             // one past the last fully covered
 	for l := first; l < last; l++ {
 		k := lineKey{frame: p.Frame, line: uint16(l)}
 		if _, ok := m.poison[k]; ok {
