@@ -1,0 +1,247 @@
+package checkpoint_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"treesls/internal/apps/kvstore"
+	"treesls/internal/caps"
+	"treesls/internal/checkpoint"
+	"treesls/internal/kernel"
+	"treesls/internal/mem"
+	"treesls/internal/repl"
+)
+
+// TestReplDeltaMatchesFullDiff pins the replicator's in-place capture to
+// the reference: on every round, across {eADR, ADR} × {COW, stop-and-copy,
+// hybrid} × 2 seeds, the shipped delta is byte-for-byte the DiffImages of
+// two full captures. The schedule covers full syncs, the first round after
+// a crash and restore, objects becoming unreachable (Dels), pages swapped
+// out, and silent rot on a restore-source page whose version stays the same
+// (the case a (frame, version) skip would miss). At the end every retained
+// ledger delta must still encode to its original bytes: the image never
+// writes into a slice a shipped delta shares.
+func TestReplDeltaMatchesFullDiff(t *testing.T) {
+	type variant struct {
+		name   string
+		method checkpoint.CopyMethod
+		hybrid bool
+	}
+	for _, pm := range []struct {
+		name string
+		mode mem.PersistMode
+	}{{"eadr", mem.ModeEADR}, {"adr", mem.ModeADR}} {
+		for _, v := range []variant{
+			{"cow", checkpoint.MethodCOW, false},
+			{"stopcopy", checkpoint.MethodStopAndCopy, false},
+			{"hybrid", checkpoint.MethodCOW, true},
+		} {
+			for _, seed := range []uint64{1, 2} {
+				pm, v, seed := pm, v, seed
+				t.Run(fmt.Sprintf("%s/%s/seed%d", pm.name, v.name, seed), func(t *testing.T) {
+					cfg := kernel.DefaultConfig()
+					cfg.Cores = 2
+					cfg.CheckpointEvery = 0
+					cfg.Seed = seed
+					cfg.Mem.Persist = pm.mode
+					cfg.Mem.CrashSeed = seed
+					cfg.Checkpoint.Method = v.method
+					cfg.Checkpoint.HybridCopy = v.hybrid
+					swapped := runReplDeltaSchedule(t, cfg, seed)
+					// Stop-and-copy pages stay writable, so none is ever cold.
+					if swapped == 0 && v.method == checkpoint.MethodCOW {
+						t.Fatalf("no page was swapped out; the swap round tested nothing")
+					}
+				})
+			}
+		}
+	}
+}
+
+// runReplDeltaSchedule runs the schedule on one machine configuration and
+// returns how many pages it swapped out.
+func runReplDeltaSchedule(t *testing.T, cfg kernel.Config, seed uint64) int {
+	const fullSyncEvery = 4
+	m := kernel.New(cfg)
+	srv, err := kvstore.NewServer(m, kvstore.ServerConfig{
+		Name: "kv", Threads: 2, HeapPages: 64, Buckets: 32,
+	})
+	if err != nil {
+		t.Fatalf("kvstore: %v", err)
+	}
+	rep := repl.Attach(m, nil, repl.Config{FullSyncEvery: fullSyncEvery})
+	rng := rand.New(rand.NewSource(int64(seed)))
+
+	var prev *checkpoint.ReplImage // full capture at the previous round
+	shipped := map[*checkpoint.Delta][]byte{}
+	// round takes a checkpoint, checks its delta against the reference and
+	// returns the delta.
+	round := func(what string, writes int) *checkpoint.Delta {
+		t.Helper()
+		for i := 0; i < writes; i++ {
+			k := rng.Intn(64)
+			val := bytes.Repeat([]byte{byte(rng.Intn(256))}, 8+rng.Intn(200))
+			if _, _, err := srv.Set(i%2, []byte(fmt.Sprintf("key%02d", k)), val); err != nil {
+				t.Fatalf("%s: set: %v", what, err)
+			}
+		}
+		m.TakeCheckpoint()
+		led := rep.Ledger()
+		e := led[len(led)-1]
+		if e.Version != m.Ckpt.CommittedVersion() {
+			t.Fatalf("%s: newest ledger entry is v%d, committed v%d", what, e.Version, m.Ckpt.CommittedVersion())
+		}
+		cur := checkpoint.FullCapture(m.Ckpt, m.SwapReadSlot)
+		base := prev
+		if e.Full {
+			base = nil
+		}
+		got := checkpoint.EncodeDelta(e.Delta)
+		if want := checkpoint.EncodeDelta(checkpoint.DiffImages(base, cur)); !bytes.Equal(got, want) {
+			t.Fatalf("%s (v%d, full=%v): delta encodes to %d bytes, reference diff to %d; they differ",
+				what, e.Version, e.Full, len(got), len(want))
+		}
+		if len(got) != e.Delta.PayloadBytes() || len(got) != e.Bytes {
+			t.Fatalf("%s: encoded %d bytes, PayloadBytes %d, ledger Bytes %d",
+				what, len(got), e.Delta.PayloadBytes(), e.Bytes)
+		}
+		shipped[e.Delta] = got
+		prev = cur
+		return e.Delta
+	}
+	// incremental takes plain rounds until the next one is not a periodic
+	// full sync, so a targeted round's delta is incremental.
+	incremental := func() {
+		for (m.Ckpt.CommittedVersion()+1)%fullSyncEvery == 0 {
+			round("pad", 4)
+		}
+	}
+
+	if d := round("first", 20); !d.Full {
+		t.Fatalf("first round was not a full sync")
+	}
+	sawPeriodicFull := false
+	for i := 0; i < fullSyncEvery; i++ {
+		d := round("steady", 4+rng.Intn(8))
+		sawPeriodicFull = sawPeriodicFull || d.Full
+	}
+	if !sawPeriodicFull {
+		t.Fatalf("%d rounds with FullSyncEvery=%d took no periodic full sync", fullSyncEvery, fullSyncEvery)
+	}
+
+	// An exiting process leaves objects unreachable: their keys go as Dels.
+	incremental()
+	p, err := m.NewProcess("tmp", 1)
+	if err != nil {
+		t.Fatalf("NewProcess: %v", err)
+	}
+	if _, _, err := p.Mmap(2, caps.PMODefault); err != nil {
+		t.Fatalf("Mmap: %v", err)
+	}
+	round("spawn", 2)
+	incremental()
+	if err := m.ExitProcess("tmp"); err != nil {
+		t.Fatalf("ExitProcess: %v", err)
+	}
+	if d := round("exit", 2); d.Full || len(d.Dels) == 0 {
+		t.Fatalf("exit round: full=%v with %d dels, want an incremental delta with dels", d.Full, len(d.Dels))
+	}
+
+	// Swapped-out pages change key kind: ReplPage goes, ReplSwap comes.
+	incremental()
+	swapped, err := m.EvictColdPages(8)
+	if err != nil {
+		t.Fatalf("evict: %v", err)
+	}
+	d := round("swap", 0)
+	if swapped > 0 && !hasKind(d, checkpoint.ReplSwap) {
+		t.Fatalf("swap round: %d pages evicted but the delta puts no swap entry", swapped)
+	}
+	round("after-swap", 6)
+
+	// A restore drops the image: the next round is a full sync.
+	m.Crash()
+	if err := m.Restore(); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if d := round("after-restore", 6); !d.Full {
+		t.Fatalf("first round after a restore was not a full sync")
+	}
+	round("steady", 6)
+
+	// Silent rot on a restore-source page whose version stays put: only a
+	// byte compare ships it. Writes stop here, so the rotted page is never
+	// read back into the workload.
+	incremental()
+	key, src := restoreSourcePage(t, m, prev)
+	m.Memory.InjectRot(src, 0, mem.PageSize, seed)
+	if d := round("rot", 0); !putsKey(d, key) {
+		t.Fatalf("rot round: rotted page %v is not in the delta", key)
+	}
+
+	for _, e := range rep.Ledger() {
+		want, ok := shipped[e.Delta]
+		if !ok {
+			t.Fatalf("ledger v%d holds a delta no round shipped", e.Version)
+		}
+		if !bytes.Equal(checkpoint.EncodeDelta(e.Delta), want) {
+			t.Fatalf("retained delta v%d changed after it was shipped", e.Version)
+		}
+	}
+	return swapped
+}
+
+// restoreSourcePage picks a page entry of img and returns its key with the
+// NVM frame a capture reads it from. It prefers, in key order, a page whose
+// source is a versioned backup copy (stop-and-copy keeps those across
+// rounds); under COW every committed source is a version-zero frame that
+// the runtime shares, and the first page is taken.
+func restoreSourcePage(t *testing.T, m *kernel.Machine, img *checkpoint.ReplImage) (checkpoint.ReplKey, mem.PageID) {
+	t.Helper()
+	var keys []checkpoint.ReplKey
+	for k := range img.Entries {
+		if k.Kind == checkpoint.ReplPage {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) == 0 {
+		t.Fatalf("image holds no page entries")
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].ObjID != keys[j].ObjID {
+			return keys[i].ObjID < keys[j].ObjID
+		}
+		return keys[i].Page < keys[j].Page
+	})
+	for _, k := range keys {
+		if src, ver := checkpoint.ReplSourcePage(m.Ckpt, k.ObjID, k.Page); !src.IsNil() && ver != 0 {
+			return k, src
+		}
+	}
+	src, _ := checkpoint.ReplSourcePage(m.Ckpt, keys[0].ObjID, keys[0].Page)
+	if src.IsNil() {
+		t.Fatalf("page entry %v has no restore source", keys[0])
+	}
+	return keys[0], src
+}
+
+func hasKind(d *checkpoint.Delta, kind byte) bool {
+	for _, p := range d.Puts {
+		if p.Key.Kind == kind {
+			return true
+		}
+	}
+	return false
+}
+
+func putsKey(d *checkpoint.Delta, k checkpoint.ReplKey) bool {
+	for _, p := range d.Puts {
+		if p.Key == k {
+			return true
+		}
+	}
+	return false
+}

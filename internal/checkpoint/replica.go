@@ -3,14 +3,14 @@ package checkpoint
 // Checkpoint replication (the off-box extension of §8 "Data Reliability"):
 // the backup capability tree — the state a crash at this instant would
 // restore — is serialized into a *replication image*, a flat map from stable
-// keys (object ID, page index) to canonical byte records. Images from
-// consecutive committed rounds diff into deltas whose size is proportional
-// to the round's write set (the same property the tree-structured
-// incremental walk gives local checkpoints), and a delta stream folds back
-// into an image that InstallImage materializes as a standby machine's
-// backup tree. The digest contract: a standby built from a folded image
-// restores to exactly the primary's audit BackupDigest at the image's
-// version.
+// keys (object ID, page index) to canonical byte records. The primary keeps
+// one image and brings it up to date in place each committed round, which
+// yields the round's delta: its size is proportional to the round's write
+// set (the same property the tree-structured incremental walk gives local
+// checkpoints). A delta stream folds back into an image that InstallImage
+// materializes as a standby machine's backup tree. The digest contract: a
+// standby built from a folded image restores to exactly the primary's audit
+// BackupDigest at the image's version.
 //
 // The walk order, the restore-source rules, and the per-kind field sets
 // mirror obs/audit.BackupDigest — anything the digest covers, the image
@@ -72,6 +72,12 @@ type ReplImage struct {
 	RootID uint64
 	// Entries maps stable keys to canonical records.
 	Entries map[ReplKey][]byte
+
+	// CaptureReplDelta's working state, reused across rounds: the keys and the
+	// objects the last walk visited, and the object-record encode buffer.
+	visited []ReplKey
+	objs    map[uint64]bool
+	buf     []byte
 }
 
 // Delta is the difference between two replication images: the records that
@@ -209,35 +215,95 @@ type replPageMeta struct {
 	Slot   uint64 // swap slot, for replMarkSwapped
 }
 
-// CaptureReplImage serializes the backup tree at the current committed
-// version. swapRead supplies swapped-out page content by slot (the audit
-// digest only marks swapped pages, but a standby must hold the bytes); it
-// may be nil when the machine never swaps. Capture is pure Go-side work —
-// simulated cost is charged by the caller per *delta* entry, matching the
+// CaptureReplDelta brings img up to date with the backup tree at the
+// current committed version and returns the delta from img's previous
+// contents: a Full delta (every entry, From 0) when full is set or img is
+// empty, otherwise the entries whose bytes changed as Puts and the keys the
+// walk no longer reaches as Dels, both in key order — exactly the delta
+// that diffing two full captures yields.
+//
+// The walk visits every entry once and byte-compares its current content
+// (a page straight from NVM, an object record encoded into img's reused
+// buffer) with img's. It never skips an entry by frame or version: media rot
+// or a scrub repair changes a page's bytes under an unchanged version, and
+// the standby must receive them. Only entries that differ are copied, and
+// always into a fresh slice, because earlier deltas share img's slices.
+//
+// swapRead supplies swapped-out page content by slot (the audit digest only
+// marks swapped pages, but a standby must hold the bytes); it may be nil
+// when the machine never swaps. Capture is pure Go-side work — simulated
+// cost is charged by the caller per delta entry, matching the
 // incremental-walk philosophy (unchanged state costs a tree visit, not a
 // copy).
-func (m *Manager) CaptureReplImage(swapRead func(slot uint64) []byte) *ReplImage {
-	img := &ReplImage{
-		Version: m.committed,
-		NextID:  m.savedNextID,
-		Entries: make(map[ReplKey][]byte),
+func (m *Manager) CaptureReplDelta(img *ReplImage, full bool, swapRead func(slot uint64) []byte) *Delta {
+	d := &Delta{Version: m.committed, NextID: m.savedNextID, Full: full || len(img.Entries) == 0}
+	if !d.Full {
+		d.From = img.Version
 	}
-	if m.rootORoot == nil || m.committed == 0 {
-		return img
+	if img.Entries == nil {
+		img.Entries = make(map[ReplKey][]byte)
 	}
-	img.RootID = m.rootORoot.ObjID
-	seen := make(map[uint64]bool)
-	var visit func(r *caps.ORoot)
-	visit = func(r *caps.ORoot) {
-		if r == nil || seen[r.ObjID] {
+	img.Version, img.NextID, img.RootID = m.committed, m.savedNextID, 0
+	img.visited = img.visited[:0]
+	emit := func(k ReplKey, cur []byte) {
+		img.visited = append(img.visited, k)
+		if old, ok := img.Entries[k]; ok && bytes.Equal(old, cur) {
+			if d.Full {
+				d.Puts = append(d.Puts, ReplRecord{Key: k, Data: old})
+			}
 			return
 		}
-		seen[r.ObjID] = true
+		cur = bytes.Clone(cur)
+		img.Entries[k] = cur
+		d.Puts = append(d.Puts, ReplRecord{Key: k, Data: cur})
+	}
+	if m.rootORoot != nil && m.committed != 0 {
+		img.RootID = m.rootORoot.ObjID
+		d.RootID = img.RootID
+		m.walkRepl(img, swapRead, emit)
+	}
+	// The walk emits each key at most once, so every key it missed is
+	// stale exactly when the image holds more keys than it visited.
+	if len(img.visited) < len(img.Entries) {
+		live := make(map[ReplKey]bool, len(img.visited))
+		for _, k := range img.visited {
+			live[k] = true
+		}
+		for k := range img.Entries {
+			if !live[k] {
+				delete(img.Entries, k)
+				if !d.Full {
+					d.Dels = append(d.Dels, k)
+				}
+			}
+		}
+	}
+	sort.Slice(d.Puts, func(i, j int) bool { return replKeyLess(d.Puts[i].Key, d.Puts[j].Key) })
+	sort.Slice(d.Dels, func(i, j int) bool { return replKeyLess(d.Dels[i], d.Dels[j]) })
+	return d
+}
+
+// walkRepl visits the committed backup tree in the audit digest's order and
+// passes every replication entry to emit with its current bytes. Object
+// records are encoded into img's reused buffer and pages are NVM's live
+// frames, so emit must copy whatever it keeps.
+func (m *Manager) walkRepl(img *ReplImage, swapRead func(slot uint64) []byte, emit func(ReplKey, []byte)) {
+	e := recEncoder{buf: img.buf}
+	if img.objs == nil {
+		img.objs = make(map[uint64]bool)
+	}
+	clear(img.objs)
+	var visit func(r *caps.ORoot)
+	visit = func(r *caps.ORoot) {
+		if r == nil || img.objs[r.ObjID] {
+			return
+		}
+		img.objs[r.ObjID] = true
 		snap, _ := r.LatestCommitted(m.committed)
 		if snap == nil {
 			return // unrestorable root; the digest marks it, nothing to ship
 		}
-		var e recEncoder
+		e.buf = e.buf[:0]
 		e.byte(byte(r.Kind))
 		switch s := snap.(type) {
 		case *caps.CapGroupSnap:
@@ -280,38 +346,35 @@ func (m *Manager) CaptureReplImage(swapRead func(slot uint64) []byte) *ReplImage
 		case *caps.PMOSnap:
 			e.byte(byte(s.Type))
 			e.u64(s.SizePages)
-			var metas []replPageMeta
+			// The page count precedes the page metadata; patch it in
+			// once the walk has counted.
+			at, n := len(e.buf), uint64(0)
+			e.u64(0)
 			s.Pages.Walk(func(idx uint64, cp *caps.CkptPage) bool {
 				if cp.Born > m.committed {
 					return true // stillborn: not part of restorable state
 				}
+				n++
+				e.u64(idx)
 				switch src := replSource(cp, m.committed); src {
 				case -1:
 					slot := cp.Swap - 1
-					metas = append(metas, replPageMeta{Idx: idx, Marker: replMarkSwapped, Slot: slot})
+					e.byte(replMarkSwapped)
+					e.u64(slot)
 					var content []byte
 					if swapRead != nil {
 						content = swapRead(slot)
 					}
-					img.Entries[ReplKey{ObjID: r.ObjID, Page: idx, Kind: ReplSwap}] = content
+					emit(ReplKey{ObjID: r.ObjID, Page: idx, Kind: ReplSwap}, content)
 				case -2:
-					metas = append(metas, replPageMeta{Idx: idx, Marker: replMarkNoSource})
+					e.byte(replMarkNoSource)
 				default:
-					metas = append(metas, replPageMeta{Idx: idx, Marker: replMarkContent})
-					content := make([]byte, mem.PageSize)
-					copy(content, m.memory.Data(cp.Page[src]))
-					img.Entries[ReplKey{ObjID: r.ObjID, Page: idx, Kind: ReplPage}] = content
+					e.byte(replMarkContent)
+					emit(ReplKey{ObjID: r.ObjID, Page: idx, Kind: ReplPage}, m.memory.Data(cp.Page[src]))
 				}
 				return true
 			})
-			e.u64(uint64(len(metas)))
-			for _, pm := range metas {
-				e.u64(pm.Idx)
-				e.byte(pm.Marker)
-				if pm.Marker == replMarkSwapped {
-					e.u64(pm.Slot)
-				}
-			}
+			binary.LittleEndian.PutUint64(e.buf[at:], n)
 		case *caps.IPCConnSnap:
 			e.root(s.ClientRoot)
 			e.root(s.ServerRoot)
@@ -338,40 +401,10 @@ func (m *Manager) CaptureReplImage(swapRead func(slot uint64) []byte) *ReplImage
 			e.root(s.HandlerRoot)
 			defer func() { visit(s.HandlerRoot) }()
 		}
-		img.Entries[ReplKey{ObjID: r.ObjID, Kind: ReplObject}] = e.buf
+		emit(ReplKey{ObjID: r.ObjID, Kind: ReplObject}, e.buf)
 	}
 	visit(m.rootORoot)
-	return img
-}
-
-// DiffImages computes the delta turning prev into cur. prev == nil (or an
-// empty image) yields a Full delta. Puts and Dels are in deterministic key
-// order.
-func DiffImages(prev, cur *ReplImage) *Delta {
-	d := &Delta{Version: cur.Version, NextID: cur.NextID, RootID: cur.RootID}
-	if prev == nil || len(prev.Entries) == 0 {
-		d.Full = true
-	} else {
-		d.From = prev.Version
-	}
-	for k, v := range cur.Entries {
-		if !d.Full {
-			if old, ok := prev.Entries[k]; ok && bytes.Equal(old, v) {
-				continue
-			}
-		}
-		d.Puts = append(d.Puts, ReplRecord{Key: k, Data: v})
-	}
-	if !d.Full {
-		for k := range prev.Entries {
-			if _, ok := cur.Entries[k]; !ok {
-				d.Dels = append(d.Dels, k)
-			}
-		}
-	}
-	sort.Slice(d.Puts, func(i, j int) bool { return replKeyLess(d.Puts[i].Key, d.Puts[j].Key) })
-	sort.Slice(d.Dels, func(i, j int) bool { return replKeyLess(d.Dels[i], d.Dels[j]) })
-	return d
+	img.buf = e.buf
 }
 
 // FoldDelta applies d to img in place (creating the entry map if needed) and

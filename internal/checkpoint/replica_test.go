@@ -3,10 +3,74 @@ package checkpoint
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"testing"
 
 	"treesls/internal/caps"
+	"treesls/internal/mem"
 )
+
+// FullCapture serializes the whole backup tree at the current committed
+// version: the in-place capture run against an empty image.
+func FullCapture(m *Manager, swapRead func(slot uint64) []byte) *ReplImage {
+	img := &ReplImage{}
+	m.CaptureReplDelta(img, true, swapRead)
+	return img
+}
+
+// ReplSourcePage returns the NVM frame a capture reads for page idx of PMO
+// objID at the committed version, with that copy's version; the nil page
+// when it reads none.
+func ReplSourcePage(m *Manager, objID, idx uint64) (mem.PageID, uint64) {
+	r := m.roots[objID]
+	if r == nil {
+		return mem.NilPage, 0
+	}
+	snap, _ := r.LatestCommitted(m.committed)
+	ps, ok := snap.(*caps.PMOSnap)
+	if !ok {
+		return mem.NilPage, 0
+	}
+	cp, ok := ps.Pages.Get(idx)
+	if !ok {
+		return mem.NilPage, 0
+	}
+	if src := replSource(cp, m.committed); src >= 0 {
+		return cp.Page[src], cp.Ver[src]
+	}
+	return mem.NilPage, 0
+}
+
+// DiffImages is the reference delta: it computes the delta turning prev
+// into cur from two full captures. prev == nil (or an empty image) yields a
+// Full delta. Puts and Dels are in deterministic key order.
+// CaptureReplDelta must produce exactly this delta from a retained image.
+func DiffImages(prev, cur *ReplImage) *Delta {
+	d := &Delta{Version: cur.Version, NextID: cur.NextID, RootID: cur.RootID}
+	if prev == nil || len(prev.Entries) == 0 {
+		d.Full = true
+	} else {
+		d.From = prev.Version
+	}
+	for k, v := range cur.Entries {
+		if !d.Full {
+			if old, ok := prev.Entries[k]; ok && bytes.Equal(old, v) {
+				continue
+			}
+		}
+		d.Puts = append(d.Puts, ReplRecord{Key: k, Data: v})
+	}
+	if !d.Full {
+		for k := range prev.Entries {
+			if _, ok := cur.Entries[k]; !ok {
+				d.Dels = append(d.Dels, k)
+			}
+		}
+	}
+	sort.Slice(d.Puts, func(i, j int) bool { return replKeyLess(d.Puts[i].Key, d.Puts[j].Key) })
+	sort.Slice(d.Dels, func(i, j int) bool { return replKeyLess(d.Dels[i], d.Dels[j]) })
+	return d
+}
 
 // buildReplicaWorld populates a harness tree with one of every object kind
 // so the replication codec's every arm is exercised.
@@ -32,7 +96,7 @@ func TestCaptureDiffFoldRoundTrip(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
 	pmo := buildReplicaWorld(t, h)
 	h.checkpoint()
-	img1 := h.mgr.CaptureReplImage(nil)
+	img1 := FullCapture(h.mgr, nil)
 	if img1.Version != 1 || img1.RootID == 0 || len(img1.Entries) == 0 {
 		t.Fatalf("capture: v%d root %d, %d entries", img1.Version, img1.RootID, len(img1.Entries))
 	}
@@ -40,7 +104,7 @@ func TestCaptureDiffFoldRoundTrip(t *testing.T) {
 	h.writePage(t, pmo, 0, []byte("changed"))
 	h.writePage(t, pmo, 5, []byte("new page"))
 	h.checkpoint()
-	img2 := h.mgr.CaptureReplImage(nil)
+	img2 := FullCapture(h.mgr, nil)
 
 	full := DiffImages(nil, img2)
 	if !full.Full || len(full.Dels) != 0 || len(full.Puts) != len(img2.Entries) {
@@ -75,13 +139,13 @@ func TestDiffTombstones(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
 	pmo := buildReplicaWorld(t, h)
 	h.checkpoint()
-	img1 := h.mgr.CaptureReplImage(nil)
+	img1 := FullCapture(h.mgr, nil)
 	// Dropping a page makes its content key vanish from the next image.
 	if s := pmo.RemovePage(2); s != nil {
 		h.mgr.DeferFreePage(s.Page)
 	}
 	h.checkpoint()
-	img2 := h.mgr.CaptureReplImage(nil)
+	img2 := FullCapture(h.mgr, nil)
 	inc := DiffImages(img1, img2)
 	if len(inc.Dels) == 0 {
 		t.Fatalf("removed page produced no tombstones")
@@ -120,7 +184,7 @@ func TestInstallImageGuards(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
 	buildReplicaWorld(t, h)
 	h.checkpoint()
-	img := h.mgr.CaptureReplImage(nil)
+	img := FullCapture(h.mgr, nil)
 	// Non-fresh manager: the primary itself refuses an install.
 	if err := h.mgr.InstallImage(h.lane(), img, nil); err == nil {
 		t.Fatalf("InstallImage on a non-fresh manager must fail")
@@ -158,7 +222,7 @@ func TestInstallImageRoundTrip(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
 	buildReplicaWorld(t, h)
 	h.checkpoint()
-	img := h.mgr.CaptureReplImage(nil)
+	img := FullCapture(h.mgr, nil)
 
 	h2 := newHarness(t, DefaultConfig(), 1)
 	if err := h2.mgr.InstallImage(h2.lane(), img, nil); err != nil {
@@ -168,7 +232,7 @@ func TestInstallImageRoundTrip(t *testing.T) {
 		t.Fatalf("installed manager committed v%d, want v%d", h2.mgr.CommittedVersion(), img.Version)
 	}
 	// The installed backup tree captures back to the identical image.
-	img2 := h2.mgr.CaptureReplImage(nil)
+	img2 := FullCapture(h2.mgr, nil)
 	if !reflect.DeepEqual(img.Entries, img2.Entries) {
 		t.Fatalf("capture(install(img)) != img (%d vs %d entries)", len(img.Entries), len(img2.Entries))
 	}

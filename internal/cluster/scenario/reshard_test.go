@@ -168,6 +168,7 @@ func TestReshardCrashSweep(t *testing.T) {
 		for _, target := range reshardTargets(base) {
 			target := target
 			t.Run(fmt.Sprintf("%s/%s", base.Name, TargetName(target)), func(t *testing.T) {
+				t.Parallel()
 				skipped := 0
 				for k := uint64(1); k <= total; k += stride {
 					sc := base

@@ -1,14 +1,15 @@
 // Package repl replicates committed checkpoints to a hot standby over the
 // simulated network, extending TreeSLS's whole-system persistence across
-// machines: after every local checkpoint commit, the primary captures the
-// round's replication image (stable-ID-addressed object records and backup
-// pages), diffs it against the previous round, and streams the delta over a
-// flow-controlled point-to-point link; the standby applies the delta into
-// its own folded image and acknowledges once durable. A periodic full-tree
-// sync bootstraps a fresh standby or heals a lagging one. Failover builds a
-// standby machine from the acknowledged delta log, installs the folded
-// image as a committed checkpoint, and restores it — by construction its
-// audit digest equals the primary's last *acknowledged* checkpoint.
+// machines: after every local checkpoint commit, the primary brings its
+// retained replication image (stable-ID-addressed object records and backup
+// pages) up to date in place, which yields the round's delta, and streams
+// the delta over a flow-controlled point-to-point link; the standby applies
+// the delta into its own folded image and acknowledges once durable. A
+// periodic full-tree sync bootstraps a fresh standby or heals a lagging one.
+// Failover builds a standby machine from the acknowledged delta log,
+// installs the folded image as a committed checkpoint, and restores it — by
+// construction its audit digest equals the primary's last *acknowledged*
+// checkpoint.
 //
 // Durability modes (the ReplMode knob):
 //
@@ -79,17 +80,11 @@ type Config struct {
 	// bootstrap/heal path); the first delta is always a full sync.
 	// Default 16.
 	FullSyncEvery uint64
-	// WindowBytes caps un-acked payload on the link (flow control);
-	// 0 = unlimited. Default 256 KiB.
-	WindowBytes int
 }
 
 func (c *Config) fill() {
 	if c.FullSyncEvery == 0 {
 		c.FullSyncEvery = 16
-	}
-	if c.WindowBytes == 0 {
-		c.WindowBytes = 256 << 10
 	}
 }
 
@@ -148,8 +143,11 @@ type Replicator struct {
 	// a function of both wire and apply work.
 	standbyLane simclock.Lane
 
-	lastImage *checkpoint.ReplImage
-	ledger    []LedgerEntry
+	// image is the replication image of the newest shipped round (what the
+	// standby holds once it applies that delta), updated in place by each
+	// round's capture; nil makes the next round a full sync.
+	image  *checkpoint.ReplImage
+	ledger []LedgerEntry
 	// releasedTo is the highest version the ack pump has released
 	// (remote mode).
 	releasedTo uint64
@@ -174,6 +172,10 @@ type Replicator struct {
 // clear of real core lanes).
 const standbyLaneID = 96
 
+// replWindow bounds un-acked delta payload on the replication link (flow
+// control): a send that would overrun it waits for earlier acks.
+const replWindow = 256 << 10
+
 // Attach wires a replicator to a primary machine. driver may be nil (no
 // gated network); in remote mode a non-nil driver is switched to deferred
 // release and an ack pump is registered on the machine.
@@ -183,7 +185,7 @@ func Attach(m *kernel.Machine, driver *extsync.Driver, cfg Config) *Replicator {
 		cfg:     cfg,
 		primary: m,
 		driver:  driver,
-		link:    net.NewLink(m.Model, cfg.WindowBytes),
+		link:    net.NewLink(m.Model, replWindow),
 		ob:      m.Obs,
 	}
 	r.standbyLane.SetID(standbyLaneID)
@@ -214,21 +216,19 @@ func (r *Replicator) Link() *net.Link { return r.link }
 // Ledger returns the replicated-round records (oldest retained first).
 func (r *Replicator) Ledger() []LedgerEntry { return r.ledger }
 
-// OnCheckpoint implements checkpoint.Callback: capture, diff, ship, ack.
+// OnCheckpoint implements checkpoint.Callback: capture the delta, ship, ack.
 // It runs on the checkpoint leader lane immediately after the local commit
 // (and after the extsync driver's own callback, which in remote mode only
 // records the covered ring prefix).
 func (r *Replicator) OnCheckpoint(version uint64, lane *simclock.Lane) {
 	model := r.primary.Model
-	img := r.primary.Ckpt.CaptureReplImage(r.primary.SwapReadSlot)
-	full := r.lastImage == nil ||
+	full := r.image == nil ||
 		(r.cfg.FullSyncEvery > 0 && version%r.cfg.FullSyncEvery == 0)
-	prev := r.lastImage
-	if full {
-		prev = nil
+	if r.image == nil {
+		r.image = &checkpoint.ReplImage{}
 	}
-	delta := checkpoint.DiffImages(prev, img)
-	payload := checkpoint.EncodeDelta(delta)
+	delta := r.primary.Ckpt.CaptureReplDelta(r.image, full, r.primary.SwapReadSlot)
+	payload := delta.PayloadBytes()
 
 	// Extraction cost on the primary: reading each shipped page out of
 	// NVM, summing each shipped record, a radix visit per tombstone, and
@@ -250,7 +250,7 @@ func (r *Replicator) OnCheckpoint(version uint64, lane *simclock.Lane) {
 		typ = net.FrameFullSync
 	}
 	stallsBefore := r.link.Stats.Stalls
-	depart, arrive := r.link.Send(typ, len(payload), lane.Now())
+	depart, arrive := r.link.Send(typ, payload, lane.Now())
 
 	// Standby apply: the lane rides to the arrival, writes the shipped
 	// pages, sums the records, commits.
@@ -274,18 +274,17 @@ func (r *Replicator) OnCheckpoint(version uint64, lane *simclock.Lane) {
 	r.ledger = append(r.ledger, LedgerEntry{
 		Version:   version,
 		Full:      full,
-		Bytes:     len(payload),
+		Bytes:     payload,
 		Depart:    depart,
 		Arrive:    arrive,
 		AckArrive: ackArrive,
 		Digest:    digest,
 		Delta:     delta,
 	})
-	r.lastImage = img
 	r.gc()
 
 	r.Stats.Deltas++
-	r.Stats.BytesSent += uint64(len(payload))
+	r.Stats.BytesSent += uint64(payload)
 	r.Stats.Acks++
 	if full {
 		r.Stats.FullSyncs++
@@ -293,8 +292,8 @@ func (r *Replicator) OnCheckpoint(version uint64, lane *simclock.Lane) {
 	if r.ob.MetricsOn() {
 		r.mDeltas.Inc()
 		r.mAcks.Inc()
-		r.mBytes.Add(uint64(len(payload)))
-		r.mReplBytes.Observe(int64(len(payload)))
+		r.mBytes.Add(uint64(payload))
+		r.mReplBytes.Observe(int64(payload))
 		r.mLag.ObserveDur(ackArrive.Sub(lane.Now()))
 		if full {
 			r.mFullSyncs.Inc()
@@ -304,7 +303,7 @@ func (r *Replicator) OnCheckpoint(version uint64, lane *simclock.Lane) {
 	if r.ob.TraceOn() {
 		r.ob.Trace.Span(lane.ID(), depart, arrive, "repl", "repl-delta",
 			obs.I("version", int64(version)),
-			obs.I("bytes", int64(len(payload))),
+			obs.I("bytes", int64(payload)),
 			obs.I("puts", int64(len(delta.Puts))),
 			obs.I("dels", int64(len(delta.Dels))),
 			obs.I("full", b2i(full)))
@@ -324,7 +323,7 @@ func b2i(b bool) int64 {
 // primary's state rolled back to `version`, so the next delta must be a
 // full sync (the standby may hold rounds the restored primary never took).
 func (r *Replicator) OnRestore(version uint64, lane *simclock.Lane) {
-	r.lastImage = nil
+	r.image = nil
 	// Every replicated version was locally committed first, so a restore
 	// can never roll below an acked version; the truncation is a safety
 	// net for degraded restores.

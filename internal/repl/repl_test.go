@@ -80,6 +80,14 @@ func (w *world) round(t testing.TB, rng *rand.Rand, writes int) {
 	w.m.TakeCheckpoint()
 }
 
+// capture serializes m's whole backup tree: the replicator's in-place
+// capture run against an empty image.
+func capture(m *kernel.Machine) *checkpoint.ReplImage {
+	img := &checkpoint.ReplImage{}
+	m.Ckpt.CaptureReplDelta(img, true, m.SwapReadSlot)
+	return img
+}
+
 // settleAcks idles the primary past the newest standby ack, so a failover
 // at Now() promotes the latest committed round.
 func (w *world) settleAcks() {
@@ -124,8 +132,8 @@ func TestDeterministicFailover(t *testing.T) {
 				// standby's own replication capture must reproduce the
 				// primary's entry-for-entry (including swap content,
 				// which the digest only marks).
-				pi := w.m.Ckpt.CaptureReplImage(w.m.SwapReadSlot)
-				si := fo.Machine.Ckpt.CaptureReplImage(fo.Machine.SwapReadSlot)
+				pi := capture(w.m)
+				si := capture(fo.Machine)
 				if !reflect.DeepEqual(pi.Entries, si.Entries) {
 					t.Fatalf("standby capture differs from primary capture (%d vs %d entries)",
 						len(pi.Entries), len(si.Entries))
@@ -209,7 +217,7 @@ func TestReplDeltaProperty(t *testing.T) {
 				for i := base; i < len(led); i++ {
 					img = checkpoint.FoldDelta(img, led[i].Delta)
 				}
-				cur := w.m.Ckpt.CaptureReplImage(w.m.SwapReadSlot)
+				cur := capture(w.m)
 				if img.Version != cur.Version || img.RootID != cur.RootID || img.NextID != cur.NextID {
 					t.Fatalf("round %d: folded header (v%d root %d next %d) != capture (v%d root %d next %d)",
 						r, img.Version, img.RootID, img.NextID, cur.Version, cur.RootID, cur.NextID)
@@ -248,7 +256,7 @@ func TestFailoverWithSwappedPages(t *testing.T) {
 	}
 	w.round(t, rng, 3)
 	w.settleAcks()
-	cur := w.m.Ckpt.CaptureReplImage(w.m.SwapReadSlot)
+	cur := capture(w.m)
 	swaps := 0
 	for k, data := range cur.Entries {
 		if k.Kind == checkpoint.ReplSwap {
@@ -268,7 +276,7 @@ func TestFailoverWithSwappedPages(t *testing.T) {
 	if fo.Digest != fo.ExpectedDigest {
 		t.Fatalf("digest %#x != acknowledged %#x", fo.Digest, fo.ExpectedDigest)
 	}
-	si := fo.Machine.Ckpt.CaptureReplImage(fo.Machine.SwapReadSlot)
+	si := capture(fo.Machine)
 	if !reflect.DeepEqual(cur.Entries, si.Entries) {
 		t.Fatalf("standby swap/page content differs from primary")
 	}
