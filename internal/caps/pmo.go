@@ -132,9 +132,6 @@ func (p *PMO) RemovePage(idx uint64) *PageSlot {
 // NumPages returns the number of materialized pages.
 func (p *PMO) NumPages() int { return p.pages.Len() }
 
-// RadixNodes returns the node count of the runtime radix tree (cost model).
-func (p *PMO) RadixNodes() int { return p.pages.Nodes() }
-
 // ForEachPage visits all materialized pages in index order.
 func (p *PMO) ForEachPage(fn func(idx uint64, s *PageSlot) bool) {
 	p.pages.Walk(fn)

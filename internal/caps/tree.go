@@ -25,9 +25,6 @@ func (t *Tree) allocID() uint64 {
 // objects.
 func (t *Tree) NextID() uint64 { return t.nextID }
 
-// SetNextID restores the ID counter (restore path only).
-func (t *Tree) SetNextID(v uint64) { t.nextID = v }
-
 // NewCapGroup creates a cap group and installs a capability for it into
 // parent (use t.Root for top-level processes).
 func (t *Tree) NewCapGroup(parent *CapGroup, name string) *CapGroup {

@@ -524,7 +524,7 @@ func TestReplicaRepairsCorruptBackup(t *testing.T) {
 	r := pmo.ORoot()
 	snap := r.Backup[0].(*caps.PMOSnap)
 	cp, _ := snap.Pages.Get(0)
-	copy(h.mem.Data(cp.Page[0]), []byte("CORRUPTED!"))
+	h.mem.WriteRaw(cp.Page[0], 0, []byte("CORRUPTED!"))
 
 	h.crash()
 	tree := h.restore(t)

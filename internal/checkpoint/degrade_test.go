@@ -38,8 +38,8 @@ func corruptWithReplica(t *testing.T, h *harness, p mem.PageID) {
 	if !ok {
 		t.Fatalf("page %v has no replica; corruption would be undetectable", p)
 	}
-	copy(h.mem.Data(p), []byte("CORRUPTED!"))
-	copy(h.mem.Data(rep.copy), []byte("ALSO BAD!!"))
+	h.mem.WriteRaw(p, 0, []byte("CORRUPTED!"))
+	h.mem.WriteRaw(rep.copy, 0, []byte("ALSO BAD!!"))
 }
 
 // TestDegradedRestoreFallsBackToOlderVersion corrupts the newest backup of a

@@ -548,6 +548,9 @@ func (m *Manager) ActiveListLen() int { return len(m.active) }
 // before the first checkpoint).
 func (m *Manager) RootORoot() *caps.ORoot { return m.rootORoot }
 
+// NumRoots reports how many ORoots the directory holds.
+func (m *Manager) NumRoots() int { return len(m.roots) }
+
 // ForEachRoot visits every ORoot in the directory in ascending object-ID
 // order — a deterministic iteration for digests and audits over the
 // otherwise unordered directory map.

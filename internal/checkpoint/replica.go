@@ -78,6 +78,19 @@ type ReplImage struct {
 	visited []ReplKey
 	objs    map[uint64]bool
 	buf     []byte
+
+	// pages records, for each ReplPage entry, the source frame and its
+	// write generation (mem.Memory.Gen) when the entry was last captured
+	// from memory, the device the stamps belong to. An entry whose source
+	// still matches both holds the frame's bytes without a compare.
+	memory *mem.Memory
+	pages  map[ReplKey]pageStamp
+}
+
+// pageStamp is a page entry's source frame and write generation.
+type pageStamp struct {
+	page mem.PageID
+	gen  uint64
 }
 
 // Delta is the difference between two replication images: the records that
@@ -224,10 +237,13 @@ type replPageMeta struct {
 //
 // The walk visits every entry once and byte-compares its current content
 // (a page straight from NVM, an object record encoded into img's reused
-// buffer) with img's. It never skips an entry by frame or version: media rot
-// or a scrub repair changes a page's bytes under an unchanged version, and
-// the standby must receive them. Only entries that differ are copied, and
-// always into a fresh slice, because earlier deltas share img's slices.
+// buffer) with img's. The one exception is a page entry whose source frame
+// and write generation both match what img recorded at its last capture:
+// every change to a frame's bytes bumps its generation (media rot and scrub
+// repairs included), so that entry is unchanged without a compare. No entry
+// is ever skipped by version, which rot and repairs leave unchanged. Only
+// entries that differ are copied, and always into a fresh slice, because
+// earlier deltas share img's slices.
 //
 // swapRead supplies swapped-out page content by slot (the audit digest only
 // marks swapped pages, but a standby must hold the bytes); it may be nil
@@ -243,11 +259,14 @@ func (m *Manager) CaptureReplDelta(img *ReplImage, full bool, swapRead func(slot
 	if img.Entries == nil {
 		img.Entries = make(map[ReplKey][]byte)
 	}
+	if img.memory != m.memory || img.pages == nil {
+		img.memory, img.pages = m.memory, make(map[ReplKey]pageStamp)
+	}
 	img.Version, img.NextID, img.RootID = m.committed, m.savedNextID, 0
 	img.visited = img.visited[:0]
-	emit := func(k ReplKey, cur []byte) {
+	emit := func(k ReplKey, cur []byte, same bool) {
 		img.visited = append(img.visited, k)
-		if old, ok := img.Entries[k]; ok && bytes.Equal(old, cur) {
+		if old, ok := img.Entries[k]; ok && (same || bytes.Equal(old, cur)) {
 			if d.Full {
 				d.Puts = append(d.Puts, ReplRecord{Key: k, Data: old})
 			}
@@ -272,6 +291,7 @@ func (m *Manager) CaptureReplDelta(img *ReplImage, full bool, swapRead func(slot
 		for k := range img.Entries {
 			if !live[k] {
 				delete(img.Entries, k)
+				delete(img.pages, k)
 				if !d.Full {
 					d.Dels = append(d.Dels, k)
 				}
@@ -284,10 +304,12 @@ func (m *Manager) CaptureReplDelta(img *ReplImage, full bool, swapRead func(slot
 }
 
 // walkRepl visits the committed backup tree in the audit digest's order and
-// passes every replication entry to emit with its current bytes. Object
-// records are encoded into img's reused buffer and pages are NVM's live
-// frames, so emit must copy whatever it keeps.
-func (m *Manager) walkRepl(img *ReplImage, swapRead func(slot uint64) []byte, emit func(ReplKey, []byte)) {
+// passes every replication entry to emit with its current bytes, and with
+// same set when the entry is a page whose source frame and generation match
+// img's stamp (which it then refreshes). Object records are encoded into
+// img's reused buffer and pages are NVM's live frames, so emit must copy
+// whatever it keeps.
+func (m *Manager) walkRepl(img *ReplImage, swapRead func(slot uint64) []byte, emit func(k ReplKey, cur []byte, same bool)) {
 	e := recEncoder{buf: img.buf}
 	if img.objs == nil {
 		img.objs = make(map[uint64]bool)
@@ -365,12 +387,16 @@ func (m *Manager) walkRepl(img *ReplImage, swapRead func(slot uint64) []byte, em
 					if swapRead != nil {
 						content = swapRead(slot)
 					}
-					emit(ReplKey{ObjID: r.ObjID, Page: idx, Kind: ReplSwap}, content)
+					emit(ReplKey{ObjID: r.ObjID, Page: idx, Kind: ReplSwap}, content, false)
 				case -2:
 					e.byte(replMarkNoSource)
 				default:
 					e.byte(replMarkContent)
-					emit(ReplKey{ObjID: r.ObjID, Page: idx, Kind: ReplPage}, m.memory.Data(cp.Page[src]))
+					k := ReplKey{ObjID: r.ObjID, Page: idx, Kind: ReplPage}
+					st := pageStamp{page: cp.Page[src], gen: m.memory.Gen(cp.Page[src])}
+					old, ok := img.pages[k]
+					img.pages[k] = st
+					emit(k, m.memory.Data(st.page), ok && old == st)
 				}
 				return true
 			})
@@ -401,7 +427,7 @@ func (m *Manager) walkRepl(img *ReplImage, swapRead func(slot uint64) []byte, em
 			e.root(s.HandlerRoot)
 			defer func() { visit(s.HandlerRoot) }()
 		}
-		emit(ReplKey{ObjID: r.ObjID, Kind: ReplObject}, e.buf)
+		emit(ReplKey{ObjID: r.ObjID, Kind: ReplObject}, e.buf, false)
 	}
 	visit(m.rootORoot)
 	img.buf = e.buf
@@ -418,6 +444,7 @@ func FoldDelta(img *ReplImage, d *Delta) *ReplImage {
 	if img.Entries == nil || d.Full {
 		img.Entries = make(map[ReplKey][]byte, len(d.Puts))
 	}
+	img.pages = nil // the folded entries no longer match any capture stamp
 	for _, p := range d.Puts {
 		img.Entries[p.Key] = p.Data
 	}

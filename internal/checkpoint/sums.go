@@ -10,7 +10,6 @@ package checkpoint
 // scrubbing, and degraded restore".
 
 import (
-	"encoding/binary"
 	"hash/crc32"
 
 	"treesls/internal/caps"
@@ -63,21 +62,23 @@ func (m *Manager) dropSum(p mem.PageID) {
 // silent rot unless cfg.DisableChecksums (pages without a digest — eternal
 // PMO pages — get the poison check only). On failure the page is repaired
 // in place from its replica when §8 replication is on; returns false when
-// the page cannot be proven intact.
+// the page cannot be proven intact. A replica repairs only when it matches
+// its own digest and, if p has one, p's recorded digest too: a replica left
+// behind by an older content of p would otherwise "repair" p back to stale
+// bytes, which checksumPage would then record as correct.
 func (m *Manager) verifySource(lane *simclock.Lane, p mem.PageID) bool {
 	bad := m.memory.CheckRead(p, 0, mem.PageSize) != nil
-	if !bad {
-		if want, ok := m.sums[p]; ok {
-			if lane != nil {
-				lane.Charge(m.model.NVMReadPage + m.model.ChecksumPage)
-			}
-			bad = pageChecksum(m.memory.Data(p)) != want
+	want, hasSum := m.sums[p]
+	if !bad && hasSum {
+		if lane != nil {
+			lane.Charge(m.model.NVMReadPage + m.model.ChecksumPage)
 		}
+		bad = pageChecksum(m.memory.Data(p)) != want
 	}
 	if !bad {
 		return true
 	}
-	if rep, ok := m.replicas[p]; ok {
+	if rep, ok := m.replicas[p]; ok && (!hasSum || rep.sum == want) {
 		if m.memory.CheckRead(rep.copy, 0, mem.PageSize) == nil &&
 			pageChecksum(m.memory.Data(rep.copy)) == rep.sum {
 			d := m.memory.CopyPage(p, rep.copy) // full-page store re-establishes ECC
@@ -100,11 +101,7 @@ func (m *Manager) verifySource(lane *simclock.Lane, p mem.PageID) bool {
 // stored at its snapshot (ORoot.Sum).
 func recordSum(snap caps.Snapshot) uint64 {
 	h := uint64(mem.FNVOffset)
-	var b [8]byte
-	w8 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h = mem.FoldFNV(h, b[:])
-	}
+	w8 := func(v uint64) { h = mem.FoldFNV64(h, v) }
 	wRoot := func(r *caps.ORoot) {
 		if r == nil {
 			w8(^uint64(0))

@@ -174,16 +174,6 @@ func (cut Cut) VersionOf(shard int) (uint64, bool) {
 	return 0, false
 }
 
-// DigestOf returns the digest this cut names for a shard.
-func (cut Cut) DigestOf(shard int) (uint64, bool) {
-	for i, s := range cut.Shards {
-		if s == shard {
-			return cut.Digests[i], true
-		}
-	}
-	return 0, false
-}
-
 // FoldCut computes the cluster digest: an FNV-1a fold over each
 // participant's (shard id, version, digest) in participant order.
 func FoldCut(shards []int, versions, digests []uint64) uint64 {

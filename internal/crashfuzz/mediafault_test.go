@@ -1,6 +1,7 @@
 package crashfuzz
 
 import (
+	"fmt"
 	"testing"
 
 	"treesls/internal/checkpoint"
@@ -127,6 +128,48 @@ func TestMediaReplicaRepair(t *testing.T) {
 	}
 	if res.ReplicaRepairs == 0 {
 		t.Fatal("replicas configured but no repair ever happened")
+	}
+}
+
+// TestMediaReplicaMatrix pins the never-silently-corrupt contract over every
+// copy method × hybrid copy × replica count × persistence mode: with
+// checksums on, no cell may restore a silently corrupt page (a stale replica
+// once "repaired" stop-and-copy backups back to old bytes); with checksums
+// off, every cell must still be convicted.
+func TestMediaReplicaMatrix(t *testing.T) {
+	for _, method := range []checkpoint.CopyMethod{checkpoint.MethodCOW, checkpoint.MethodStopAndCopy} {
+		for _, hybrid := range []bool{false, true} {
+			for _, replicas := range []int{1, 2} {
+				for _, mode := range []mem.PersistMode{mem.ModeEADR, mem.ModeADR} {
+					cfg := MediaConfig{
+						Mode:               mode,
+						Method:             method,
+						HybridCopy:         hybrid,
+						Replicas:           replicas,
+						Seeds:              []uint64{11, 12, 13, 14},
+						InjectionsPerSeed:  10,
+						CrashDuringRestore: true,
+						ScrubEveryN:        2,
+					}
+					cell := fmt.Sprintf("method=%v hybrid=%v replicas=%d mode=%v", method, hybrid, replicas, mode)
+					res, err := RunMedia(cfg)
+					if err != nil {
+						t.Errorf("%s: %v", cell, err)
+					} else if res.SilentCorruptions != 0 {
+						t.Errorf("%s: %d silent corruptions", cell, res.SilentCorruptions)
+					}
+					cfg.DisableChecksums = true
+					base, err := RunMedia(cfg)
+					if err != nil {
+						t.Errorf("%s, checksums off: %v", cell, err)
+					} else if base.SilentCorruptions == 0 {
+						t.Errorf("%s, checksums off: no silent corruption — the baseline proves nothing", cell)
+					}
+					t.Logf("%s: repairs=%d degraded=%d lost=%d; checksums off: silent=%d",
+						cell, res.ReplicaRepairs, res.Degraded, res.Lost, base.SilentCorruptions)
+				}
+			}
+		}
 	}
 }
 

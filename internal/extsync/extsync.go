@@ -134,9 +134,6 @@ func (d *Driver) SetDeliver(fn DeliverFunc) { d.deliver = fn }
 // repl-mode=remote, driven by the replication ack pump).
 func (d *Driver) SetDeferred(on bool) { d.deferred = on }
 
-// Deferred reports whether release is deferred to ReleaseUpTo.
-func (d *Driver) Deferred() bool { return d.deferred }
-
 // pmo resolves the ring PMO in the current runtime tree.
 func (d *Driver) pmo() *caps.PMO {
 	tree := d.m.Ckpt.Tree()

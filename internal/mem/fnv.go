@@ -31,15 +31,22 @@ func FoldFNV(h uint64, b []byte) uint64 {
 			}
 			continue
 		}
-		for i := 0; i < 8; i++ {
-			h ^= w & 0xff
-			h *= fnvPrime
-			w >>= 8
-		}
+		h = FoldFNV64(h, w)
 	}
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= fnvPrime
+	}
+	return h
+}
+
+// FoldFNV64 folds v's eight bytes, least significant first, into the FNV-1a
+// state h: FoldFNV64(h, v) equals FoldFNV(h, b) for b the little-endian
+// encoding of v, without building b.
+func FoldFNV64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ v&0xff) * fnvPrime
+		v >>= 8
 	}
 	return h
 }

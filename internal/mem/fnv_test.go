@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
 	"testing"
@@ -70,6 +71,25 @@ func TestFoldFNVMatchesStdlib(t *testing.T) {
 		// Folding in pieces is folding the whole.
 		if got, want := FoldFNV(FoldFNV(FNVOffset, b[:1001]), b[1001:]), stdFNV(b); got != want {
 			t.Errorf("%s page split at 1001: %#x, want %#x", name, got, want)
+		}
+	}
+}
+
+// TestFoldFNV64MatchesFoldFNV: folding a u64 equals folding its eight
+// little-endian bytes, from the offset basis and from a nonzero state.
+func TestFoldFNV64MatchesFoldFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	vals := []uint64{0, ^uint64(0), 1, 1 << 63}
+	for i := 0; i < 100; i++ {
+		vals = append(vals, rng.Uint64())
+	}
+	for _, v := range vals {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		for _, h := range []uint64{FNVOffset, 0x0123456789abcdef} {
+			if got, want := FoldFNV64(h, v), FoldFNV(h, b[:]); got != want {
+				t.Fatalf("FoldFNV64(%#x, %#x) = %#x, FoldFNV over its bytes = %#x", h, v, got, want)
+			}
 		}
 	}
 }

@@ -156,7 +156,7 @@ func (m *Memory) poisonLine(k lineKey, h uint64) {
 // identically — a later drop of the line must revert to the *damaged*
 // durable bytes, not resurrect clean ones.
 func (m *Memory) scrambleLine(k lineKey, h uint64) {
-	d := m.nvm.data(k.frame)
+	d := m.nvm.write(k.frame)
 	line := d[int(k.line)*LineSize : (int(k.line)+1)*LineSize]
 	var sh []byte
 	if wl, ok := m.wb[k]; ok {

@@ -72,9 +72,24 @@ func (p PageID) String() string {
 // chunkFrames is how many frames one lazily made frame-table chunk covers.
 const chunkFrames = 256
 
-// frameChunk holds the backing bytes of chunkFrames consecutive frames
-// (nil until the frame is first touched).
-type frameChunk [chunkFrames][]byte
+// frameChunk holds chunkFrames consecutive frames: each frame's backing
+// bytes (nil until the frame is first touched) and its host-only
+// change-tracking metadata. The two live in separate arrays so that a read
+// touches only the slice headers, as it would without the metadata.
+type frameChunk struct {
+	b    [chunkFrames][]byte
+	meta [chunkFrames]frameMeta
+}
+
+// frameMeta is one frame's change-tracking metadata. gen is the frame's
+// write generation: every path that changes the frame's bytes bumps it, and
+// it never resets for the lifetime of the Memory. hash caches the FNV-1a of
+// the bytes as of generation hashed-1 (hashed == 0: never computed).
+type frameMeta struct {
+	gen    uint64
+	hash   uint64
+	hashed uint64
+}
 
 // Device is one physical memory device: a fixed number of frames with
 // lazily-materialized backing bytes. The frame table is itself lazy: a
@@ -93,8 +108,9 @@ func newDevice(kind Kind, nFrames int) *Device {
 // NumFrames returns the device capacity in frames.
 func (d *Device) NumFrames() int { return d.nFrames }
 
-// data returns the backing bytes of frame f, materializing them on demand.
-func (d *Device) data(f uint32) []byte {
+// slot returns the chunk holding frame f and f's index in it, materializing
+// the frame's backing bytes on demand.
+func (d *Device) slot(f uint32) (*frameChunk, uint32) {
 	if int(f) >= d.nFrames {
 		panic(fmt.Sprintf("mem: frame %d out of range on %s device (%d frames)", f, d.kind, d.nFrames))
 	}
@@ -103,12 +119,26 @@ func (d *Device) data(f uint32) []byte {
 		c = new(frameChunk)
 		d.chunks[f/chunkFrames] = c
 	}
-	b := c[f%chunkFrames]
-	if b == nil {
-		b = make([]byte, PageSize)
-		c[f%chunkFrames] = b
+	i := f % chunkFrames
+	if c.b[i] == nil {
+		c.b[i] = make([]byte, PageSize)
 	}
-	return b
+	return c, i
+}
+
+// data returns the backing bytes of frame f for reading.
+func (d *Device) data(f uint32) []byte {
+	c, i := d.slot(f)
+	return c.b[i]
+}
+
+// write returns the backing bytes of frame f for a store and bumps the
+// frame's write generation. Every path that changes a frame's bytes must
+// get them here.
+func (d *Device) write(f uint32) []byte {
+	c, i := d.slot(f)
+	c.meta[i].gen++
+	return c.b[i]
 }
 
 // forEachFrame calls fn for every materialized frame at or above from, in
@@ -119,7 +149,7 @@ func (d *Device) forEachFrame(from uint32, fn func(f uint32, b []byte)) {
 		if c == nil {
 			continue
 		}
-		for i, b := range c {
+		for i, b := range c.b {
 			if f := uint32(ci*chunkFrames + i); b != nil && f >= from {
 				fn(f, b)
 			}
@@ -246,17 +276,50 @@ func (m *Memory) Model() *simclock.CostModel { return m.model }
 // exactly this range).
 func (m *Memory) NVMFrames() int { return m.nvm.NumFrames() }
 
-// Data returns the live backing bytes of page p. Callers must charge access
-// costs themselves (or use CopyPage / ReadAt / WriteAt which do).
-func (m *Memory) Data(p PageID) []byte {
+// device returns the device page p lives on.
+func (m *Memory) device(p PageID) *Device {
 	switch p.Kind {
 	case KindNVM:
-		return m.nvm.data(p.Frame)
+		return m.nvm
 	case KindDRAM:
-		return m.dram.data(p.Frame)
+		return m.dram
 	default:
-		panic("mem: Data on nil page")
+		panic("mem: access to nil page")
 	}
+}
+
+// Data returns the live backing bytes of page p, for reading only: every
+// store goes through WriteAt, WriteRaw, CopyPage, ZeroPage or
+// PersistAtomic, which keep the frame's write generation (Gen) current.
+// Callers must charge access costs themselves (or use CopyPage / ReadAt /
+// WriteAt which do).
+func (m *Memory) Data(p PageID) []byte { return m.device(p).data(p.Frame) }
+
+// write returns page p's bytes for a store, bumping its write generation.
+func (m *Memory) write(p PageID) []byte { return m.device(p).write(p.Frame) }
+
+// Gen returns page p's write generation: a counter that every change to the
+// page's bytes increments and that never resets for the lifetime of m. Equal
+// generations of one page mean equal bytes. It is host-only metadata for
+// the simulator's own bookkeeping (audit digests, replication capture); no
+// modeled decision may read it.
+func (m *Memory) Gen(p PageID) uint64 {
+	c, i := m.device(p).slot(p.Frame)
+	return c.meta[i].gen
+}
+
+// PageHash returns FoldFNV(FNVOffset, Data(p)): the FNV-1a hash of page p's
+// bytes. The hash is cached per frame and recomputed only after the frame
+// was written, so hashing an unchanged page costs a lookup. Like Gen it is
+// host-only metadata and charges nothing.
+func (m *Memory) PageHash(p PageID) uint64 {
+	c, i := m.device(p).slot(p.Frame)
+	fm := &c.meta[i]
+	if fm.hashed != fm.gen+1 {
+		fm.hash = FoldFNV(FNVOffset, c.b[i])
+		fm.hashed = fm.gen + 1
+	}
+	return fm.hash
 }
 
 // AllocDRAM takes one DRAM frame from the free list. It returns the nil page
@@ -270,7 +333,7 @@ func (m *Memory) AllocDRAM() PageID {
 	m.dramFree = m.dramFree[:n-1]
 	// A freshly allocated frame must read as zero even if a previous
 	// owner left data in it.
-	clear(m.dram.data(f))
+	clear(m.dram.write(f))
 	return PageID{Kind: KindDRAM, Frame: f}
 }
 
@@ -290,7 +353,7 @@ func (m *Memory) DRAMFreeFrames() int { return len(m.dramFree) }
 func (m *Memory) CopyPage(dst, src PageID) simclock.Duration {
 	m.preWrite(dst, 0, PageSize)
 	m.track(dst, 0, PageSize)
-	copy(m.Data(dst), m.Data(src))
+	copy(m.write(dst), m.Data(src))
 	if dst.Kind == KindNVM {
 		m.crashEvent()
 	}
@@ -300,13 +363,12 @@ func (m *Memory) CopyPage(dst, src PageID) simclock.Duration {
 // WriteAt writes data into page p at offset off and returns the simulated
 // cost. Partial-page writes are charged per touched cacheline.
 func (m *Memory) WriteAt(p PageID, off int, data []byte) simclock.Duration {
-	d := m.Data(p)
 	if off < 0 || off+len(data) > PageSize {
 		panic(fmt.Sprintf("mem: WriteAt out of page bounds: off=%d len=%d", off, len(data)))
 	}
 	m.preWrite(p, off, len(data))
 	m.track(p, off, len(data))
-	copy(d[off:], data)
+	copy(m.write(p)[off:], data)
 	if p.Kind == KindNVM {
 		m.crashEvent()
 	}
@@ -383,6 +445,6 @@ func (m *Memory) Crash() {
 		m.crashes++ // vary media damage across crashes under eADR too
 	}
 	m.injectCrashFaults()
-	m.dram.forEachFrame(0, func(_ uint32, b []byte) { clear(b) })
+	m.dram.forEachFrame(0, func(f uint32, _ []byte) { clear(m.dram.write(f)) })
 	m.resetDRAMFreeList()
 }

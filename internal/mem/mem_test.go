@@ -26,7 +26,7 @@ func TestPageIDString(t *testing.T) {
 func TestDataRoundTrip(t *testing.T) {
 	m := newTestMemory()
 	p := PageID{Kind: KindNVM, Frame: 3}
-	copy(m.Data(p), []byte("hello"))
+	m.WriteRaw(p, 0, []byte("hello"))
 	if !bytes.Equal(m.Data(p)[:5], []byte("hello")) {
 		t.Error("NVM page did not retain data")
 	}
@@ -62,7 +62,7 @@ func TestCopyPageCosts(t *testing.T) {
 	src := PageID{Kind: KindDRAM, Frame: 0}
 	dstNVM := PageID{Kind: KindNVM, Frame: 0}
 	dstDRAM := PageID{Kind: KindDRAM, Frame: 1}
-	copy(m.Data(src), []byte("payload"))
+	m.WriteRaw(src, 0, []byte("payload"))
 
 	nvmCost := m.CopyPage(dstNVM, src)
 	dramCost := m.CopyPage(dstDRAM, src)
@@ -104,7 +104,7 @@ func TestDRAMAllocFree(t *testing.T) {
 func TestDRAMAllocZeroed(t *testing.T) {
 	m := newTestMemory()
 	p := m.AllocDRAM()
-	copy(m.Data(p), []byte("dirty"))
+	m.WriteRaw(p, 0, []byte("dirty"))
 	m.FreeDRAM(p)
 	q := m.AllocDRAM()
 	if q.Frame == p.Frame {
@@ -120,8 +120,8 @@ func TestCrashSemantics(t *testing.T) {
 	m := newTestMemory()
 	nvm := PageID{Kind: KindNVM, Frame: 5}
 	dram := m.AllocDRAM()
-	copy(m.Data(nvm), []byte("persistent"))
-	copy(m.Data(dram), []byte("volatile"))
+	m.WriteRaw(nvm, 0, []byte("persistent"))
+	m.WriteRaw(dram, 0, []byte("volatile"))
 
 	m.Crash()
 

@@ -250,7 +250,7 @@ func (m *Memory) WriteRaw(p PageID, off int, data []byte) {
 	}
 	m.preWrite(p, off, len(data))
 	m.track(p, off, len(data))
-	copy(m.Data(p)[off:], data)
+	copy(m.write(p)[off:], data)
 	if p.Kind == KindNVM {
 		m.crashEvent()
 	}
@@ -271,7 +271,7 @@ func (m *Memory) ReadRaw(p PageID, off int, buf []byte) {
 func (m *Memory) ZeroPage(p PageID) {
 	m.preWrite(p, 0, PageSize)
 	m.track(p, 0, PageSize)
-	clear(m.Data(p))
+	clear(m.write(p))
 	if p.Kind == KindNVM {
 		m.crashEvent()
 	}
@@ -290,7 +290,7 @@ func (m *Memory) PersistAtomic(p PageID, off int, data []byte) simclock.Duration
 		panic(fmt.Sprintf("mem: PersistAtomic out of page bounds: off=%d len=%d", off, len(data)))
 	}
 	m.preWrite(p, off, len(data))
-	d := m.Data(p)
+	d := m.write(p)
 	copy(d[off:], data)
 	if m.mode != ModeADR || p.Kind != KindNVM {
 		return 0
@@ -331,17 +331,16 @@ func splitmix64(x uint64) uint64 {
 func (m *Memory) applyCrashDamage() {
 	for k, wl := range m.wb {
 		m.Stats.CrashLinesAtRisk++
-		d := m.nvm.data(k.frame)
-		line := d[int(k.line)*LineSize : (int(k.line)+1)*LineSize]
 		h := splitmix64(m.crashSeed ^ splitmix64(uint64(m.crashes)<<48|uint64(k.frame)<<16|uint64(k.line)))
-		switch {
-		case h%100 < 25:
-			// The line happened to be written back in time.
-		case h%100 < 70:
+		if h%100 < 25 {
+			continue // the line happened to be written back in time
+		}
+		line := m.nvm.write(k.frame)[int(k.line)*LineSize : (int(k.line)+1)*LineSize]
+		if h%100 < 70 {
 			// Dropped: the cache line never reached the DIMM.
 			copy(line, wl.shadow[:])
 			m.Stats.CrashLinesDropped++
-		default:
+		} else {
 			// Torn: each aligned 8-byte word independently made it
 			// or reverted (word stores are atomic on the bus).
 			w := splitmix64(h)

@@ -19,11 +19,13 @@
 //
 // Digests are 64-bit FNV-1a over a canonical byte encoding; identical seeds
 // must produce identical digests (the determinism regression test relies on
-// byte-for-byte stability).
+// byte-for-byte stability). The encoding is two-level: a content page enters
+// as its own 64-bit FNV-1a hash (mem.PageHash), cached per frame until the
+// frame is next written, so a digest re-reads only the pages written since
+// the last one.
 package audit
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"treesls/internal/alloc"
@@ -43,11 +45,7 @@ func newDigest() *digest { return &digest{h: mem.FNVOffset} }
 func (d *digest) byte(b byte) { d.h = mem.FoldFNV(d.h, []byte{b}) }
 
 // u64 folds v's eight bytes, least significant first.
-func (d *digest) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	d.h = mem.FoldFNV(d.h, b[:])
-}
+func (d *digest) u64(v uint64) { d.h = mem.FoldFNV64(d.h, v) }
 
 func (d *digest) bytes(b []byte) {
 	d.u64(uint64(len(b)))
@@ -61,7 +59,7 @@ func (d *digest) str(s string) {
 
 // Page-slot markers in the canonical encoding.
 const (
-	markContent  = 0 // followed by the page content bytes
+	markContent  = 0 // followed by the page's content hash (mem.PageHash)
 	markSwapped  = 1 // page lives on the swap device
 	markNil      = 2 // slot exists but holds no page
 	markNoSource = 3 // backup entry with no recoverable source
@@ -69,8 +67,9 @@ const (
 )
 
 // StateDigest hashes the logical state reachable from the runtime capability
-// tree. Reads go through mem.Memory.Data, which is free in simulated time —
-// auditing never perturbs lane clocks.
+// tree. Page content enters as its cached FNV-1a hash (mem.PageHash), which
+// is recomputed from the bytes only after the page was written and is free
+// in simulated time — auditing never perturbs lane clocks.
 func StateDigest(tree *caps.Tree, memory *mem.Memory) uint64 {
 	d := newDigest()
 	tree.Walk(func(o caps.Object) {
@@ -126,7 +125,7 @@ func StateDigest(tree *caps.Tree, memory *mem.Memory) uint64 {
 					d.byte(markNil)
 				default:
 					d.byte(markContent)
-					d.bytes(memory.Data(s.Page))
+					d.u64(memory.PageHash(s.Page))
 				}
 				return true
 			})
@@ -213,7 +212,7 @@ func backupDigest(m *checkpoint.Manager, memory *mem.Memory, includeEternal bool
 	if root == nil || committed == 0 {
 		return d.h
 	}
-	seen := make(map[uint64]bool)
+	seen := make(map[uint64]bool, m.NumRoots())
 	var visit func(r *caps.ORoot)
 	visit = func(r *caps.ORoot) {
 		if r == nil || seen[r.ObjID] {
@@ -289,7 +288,7 @@ func backupDigest(m *checkpoint.Manager, memory *mem.Memory, includeEternal bool
 					d.byte(markNoSource)
 				default:
 					d.byte(markContent)
-					d.bytes(memory.Data(cp.Page[src]))
+					d.u64(memory.PageHash(cp.Page[src]))
 				}
 				return true
 			})
@@ -326,9 +325,6 @@ func rootID(r *caps.ORoot) uint64 {
 	}
 	return r.ObjID
 }
-
-// PageDigest hashes one page's content (helper for tests).
-func PageDigest(b []byte) uint64 { return mem.FoldFNV(mem.FNVOffset, b) }
 
 // Result is one audit's outcome.
 type Result struct {
@@ -467,7 +463,7 @@ func (a *Auditor) checkBackupReachable(res *Result, where string, committed uint
 	bad := func(format string, args ...any) {
 		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
 	}
-	seen := make(map[uint64]bool)
+	seen := make(map[uint64]bool, a.Ckpt.NumRoots())
 	var visit func(r *caps.ORoot)
 	visit = func(r *caps.ORoot) {
 		if r == nil || seen[r.ObjID] {
