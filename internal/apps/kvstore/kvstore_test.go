@@ -1,12 +1,14 @@
 package kvstore
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"treesls/internal/baseline/disk"
 	"treesls/internal/baseline/wal"
+	"treesls/internal/extsync"
 	"treesls/internal/kernel"
 	"treesls/internal/simclock"
 )
@@ -209,4 +211,71 @@ func TestWALConfigChargesCriticalPath(t *testing.T) {
 	if log.Stats.Records != 1 {
 		t.Errorf("wal records = %d", log.Stats.Records)
 	}
+}
+
+// peek reads key straight from the store, bypassing the response path, so
+// it works while the extsync ring is full.
+func peek(t *testing.T, s *Server, key string) string {
+	t.Helper()
+	p, err := s.proc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var val []byte
+	if _, err := s.m.Run(p, p.MainThread(), func(e *kernel.Env) error {
+		var err error
+		val, _, err = s.store().Get(e, []byte(key))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return string(val)
+}
+
+// TestRingFullSetHasNoEffect: a SET whose response the full extsync ring
+// refuses fails with ErrRingFull and leaves the store untouched — the old
+// value survives the refusal, the next checkpoint, and a crash and restore.
+func TestRingFullSetHasNoEffect(t *testing.T) {
+	cfg := kernel.DefaultConfig()
+	cfg.CheckpointEvery = 0
+	m := kernel.New(cfg)
+	d, err := extsync.NewDriver(m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetDeliver(func(uint64, []byte, simclock.Time) {})
+	s, err := NewServer(m, ServerConfig{Name: "kv", Threads: 1, HeapPages: 64, Buckets: 16, Ext: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kv := range [][2]string{{"k", "old"}, {"other", "x"}} {
+		if _, _, err := s.Set(0, []byte(kv[0]), []byte(kv[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, err = s.Set(0, []byte("k"), []byte("new"))
+	if !errors.Is(err, extsync.ErrRingFull) {
+		t.Fatalf("third SET on a 2-slot ring: err = %v, want ErrRingFull", err)
+	}
+	if d.Stats.Full != 1 {
+		t.Errorf("Stats.Full = %d, want 1", d.Stats.Full)
+	}
+	if got := peek(t, s, "k"); got != "old" {
+		t.Fatalf("refused SET applied: k = %q", got)
+	}
+	get := func(when string) {
+		t.Helper()
+		_, v, ok, err := s.Get(0, []byte("k"))
+		if err != nil || !ok || string(v) != "old" {
+			t.Fatalf("%s: Get(k) = %q, %v, %v; want \"old\"", when, v, ok, err)
+		}
+	}
+	m.TakeCheckpoint()
+	get("after the checkpoint")
+	m.TakeCheckpoint()
+	m.Crash()
+	if err := m.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	get("after crash and restore")
 }

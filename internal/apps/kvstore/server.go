@@ -137,6 +137,17 @@ func (s *Server) SetAtNotify(arrival simclock.Time, tid int, key, val []byte,
 	res, err := s.m.RunAt(arrival, p, p.Thread(tid), func(e *kernel.Env) error {
 		e.Syscall() // request arrives via IPC from netd
 		e.Charge(s.cfg.PerOpCompute)
+		resp := []byte("+OK")
+		if s.cfg.EchoValue {
+			resp = val
+		}
+		// A SET whose response the ring cannot take must have no effect.
+		// The refused Send charges and counts the refusal as it would
+		// after the write, and returns the ErrRingFull error.
+		if s.cfg.Ext != nil && s.cfg.Ext.Full() {
+			_, err := s.cfg.Ext.Send(e.Lane, resp)
+			return err
+		}
 		if err := s.store().Set(e, key, val); err != nil {
 			return err
 		}
@@ -144,10 +155,6 @@ func (s *Server) SetAtNotify(arrival simclock.Time, tid int, key, val []byte,
 			s.cfg.WAL.Append(e.Lane, len(key)+len(val))
 		}
 		if s.cfg.Ext != nil {
-			resp := []byte("+OK")
-			if s.cfg.EchoValue {
-				resp = val
-			}
 			seq, err := s.cfg.Ext.Send(e.Lane, resp)
 			if err != nil {
 				return err

@@ -111,13 +111,12 @@ func RebuildTree(root *CapGroup, nextID uint64) *Tree {
 // as inter-object references (VM regions to PMOs, IPC endpoints,
 // notification waiters), mirroring how the checkpoint walk reaches state.
 func (t *Tree) Walk(fn func(Object)) {
-	visited := make(map[uint64]bool)
+	visited := NewIDSet(t.nextID)
 	var visit func(Object)
 	visit = func(o Object) {
-		if o == nil || visited[o.ID()] {
+		if o == nil || !visited.Add(o.ID()) {
 			return
 		}
-		visited[o.ID()] = true
 		fn(o)
 		// Typed pointers must be nil-checked before converting to the
 		// Object interface (a typed nil would slip past visit's guard).

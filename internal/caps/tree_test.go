@@ -1,6 +1,7 @@
 package caps
 
 import (
+	"math/rand"
 	"testing"
 
 	"treesls/internal/mem"
@@ -197,5 +198,25 @@ func TestIRQNotification(t *testing.T) {
 	irq.Raise()
 	if !irq.Ack() || !irq.Ack() || irq.Ack() {
 		t.Error("pending count wrong")
+	}
+}
+
+// TestIDSetMatchesMap checks the bitset against a map over random IDs, from
+// both a zero-value set and one whose size hint is far too small: Add must
+// report first insertion exactly as the map does.
+func TestIDSetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, s := range []IDSet{{}, NewIDSet(3)} {
+		ref := map[uint64]bool{}
+		for i := 0; i < 4000; i++ {
+			id := uint64(rng.Intn(1000))
+			if i%97 == 0 {
+				id = uint64(rng.Intn(1 << 16)) // far past the hint
+			}
+			if got, want := s.Add(id), !ref[id]; got != want {
+				t.Fatalf("step %d: Add(%d) = %v, want %v", i, id, got, want)
+			}
+			ref[id] = true
+		}
 	}
 }

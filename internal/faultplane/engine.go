@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"time"
 
 	"treesls/internal/alloc"
 	"treesls/internal/mem"
@@ -119,7 +120,8 @@ type Stats struct {
 // a returned nil error means zero violations.
 func RunCampaign(spec Spec, d Domain) (Stats, error) {
 	st := Stats{Domain: d.Name()}
-	defer func() { emitStats(&st) }()
+	start := time.Now()
+	defer func() { emitStats(&st, time.Since(start)) }()
 	var mRounds, mInjections, mRecoveries, mChecks, mConvictions *obs.Counter
 	if spec.Obs.MetricsOn() {
 		reg := spec.Obs.Metrics

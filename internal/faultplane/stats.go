@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"sync"
+	"time"
 )
 
 // CampaignStatsEnv names the environment variable that, when set to a file
@@ -15,14 +16,29 @@ const CampaignStatsEnv = "CAMPAIGN_STATS"
 
 var statsMu sync.Mutex
 
-// emitStats appends st to $CAMPAIGN_STATS if set. Emission is best-effort:
-// a stats write must never fail a campaign.
-func emitStats(st *Stats) {
+// emittedStats is one campaign-stats.json line: the campaign's Stats plus
+// the host time it took. The host fields exist only in the emitted line, so
+// the Stats a campaign returns, and every golden built from them, stay
+// deterministic.
+type emittedStats struct {
+	*Stats
+	HostMS             float64 `json:"host_ms"`
+	HostUSPerInjection float64 `json:"host_us_per_injection"`
+}
+
+// emitStats appends st, with host the campaign's wall time, to
+// $CAMPAIGN_STATS if set. Emission is best-effort: a stats write must never
+// fail a campaign.
+func emitStats(st *Stats, host time.Duration) {
 	path := os.Getenv(CampaignStatsEnv)
 	if path == "" {
 		return
 	}
-	line, err := json.Marshal(st)
+	e := emittedStats{Stats: st, HostMS: float64(host.Microseconds()) / 1e3}
+	if st.Injections > 0 {
+		e.HostUSPerInjection = float64(host.Microseconds()) / float64(st.Injections)
+	}
+	line, err := json.Marshal(e)
 	if err != nil {
 		return
 	}

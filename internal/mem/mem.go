@@ -12,8 +12,8 @@
 //
 // Frame allocation policy is split: NVM frames are owned by the buddy system
 // in internal/alloc (whose metadata is itself crash-consistent); DRAM frames
-// are owned by a simple free list here, because DRAM state is rebuilt from
-// scratch after a failure and needs no crash consistency.
+// are owned by a simple watermark and free list here, because DRAM state is
+// rebuilt from scratch after a failure and needs no crash consistency.
 package mem
 
 import (
@@ -165,7 +165,13 @@ type Memory struct {
 	nvm   *Device
 	dram  *Device
 
-	dramFree []uint32 // free DRAM frames (LIFO)
+	// DRAM frame ownership: dramNext is the lowest frame never handed out
+	// since the last reset, and dramFree holds the frames freed since
+	// then, reused LIFO before the watermark advances. Together they hand
+	// out the same frames as one LIFO stack pre-filled with every frame,
+	// lowest on top, without building it.
+	dramFree []uint32
+	dramNext uint32
 
 	// Relaxed-persistency state (see persist.go). wb is the per-line
 	// write buffer of unfenced NVM stores; it stays empty under eADR.
@@ -264,9 +270,7 @@ func New(cfg Config, model *simclock.CostModel) *Memory {
 
 func (m *Memory) resetDRAMFreeList() {
 	m.dramFree = m.dramFree[:0]
-	for f := m.dram.NumFrames() - 1; f >= 0; f-- {
-		m.dramFree = append(m.dramFree, uint32(f))
-	}
+	m.dramNext = 0
 }
 
 // Model returns the machine cost model.
@@ -322,15 +326,20 @@ func (m *Memory) PageHash(p PageID) uint64 {
 	return fm.hash
 }
 
-// AllocDRAM takes one DRAM frame from the free list. It returns the nil page
-// when DRAM is exhausted (callers fall back to keeping the page on NVM).
+// AllocDRAM takes one DRAM frame: the most recently freed one, else the
+// lowest never handed out. It returns the nil page when DRAM is exhausted
+// (callers fall back to keeping the page on NVM).
 func (m *Memory) AllocDRAM() PageID {
-	n := len(m.dramFree)
-	if n == 0 {
+	var f uint32
+	if n := len(m.dramFree); n > 0 {
+		f = m.dramFree[n-1]
+		m.dramFree = m.dramFree[:n-1]
+	} else if int(m.dramNext) < m.dram.NumFrames() {
+		f = m.dramNext
+		m.dramNext++
+	} else {
 		return NilPage
 	}
-	f := m.dramFree[n-1]
-	m.dramFree = m.dramFree[:n-1]
 	// A freshly allocated frame must read as zero even if a previous
 	// owner left data in it.
 	clear(m.dram.write(f))
@@ -346,7 +355,9 @@ func (m *Memory) FreeDRAM(p PageID) {
 }
 
 // DRAMFreeFrames reports how many DRAM frames are currently free.
-func (m *Memory) DRAMFreeFrames() int { return len(m.dramFree) }
+func (m *Memory) DRAMFreeFrames() int {
+	return len(m.dramFree) + m.dram.NumFrames() - int(m.dramNext)
+}
 
 // CopyPage copies one full page from src to dst and returns the simulated
 // cost (read of src + write of dst).

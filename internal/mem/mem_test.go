@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"treesls/internal/simclock"
@@ -98,6 +99,62 @@ func TestDRAMAllocFree(t *testing.T) {
 	}
 	if p := m.AllocDRAM(); p.IsNil() {
 		t.Error("allocation after free failed")
+	}
+}
+
+// TestDRAMWatermarkMatchesFullList runs random AllocDRAM/FreeDRAM/Crash
+// sequences against a reference that keeps every free frame in one LIFO
+// list, filled at boot and at every crash with the highest frame at the
+// bottom. Both must hand out the same frames, report the same
+// DRAMFreeFrames, and run out (NilPage) at the same step.
+func TestDRAMWatermarkMatchesFullList(t *testing.T) {
+	const frames = 48
+	m := New(Config{NVMFrames: 8, DRAMFrames: frames}, simclock.DefaultCostModel())
+	var ref []uint32
+	refReset := func() {
+		ref = ref[:0]
+		for f := frames - 1; f >= 0; f-- {
+			ref = append(ref, uint32(f))
+		}
+	}
+	refReset()
+	rng := rand.New(rand.NewSource(5))
+	var live []PageID
+	exhausted := 0
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(100); {
+		case op < 1:
+			m.Crash()
+			refReset()
+			live = live[:0]
+		case op < 55 || len(live) == 0:
+			p := m.AllocDRAM()
+			want := NilPage
+			if n := len(ref); n > 0 {
+				want = PageID{Kind: KindDRAM, Frame: ref[n-1]}
+				ref = ref[:n-1]
+			}
+			if p != want {
+				t.Fatalf("step %d: AllocDRAM = %v, reference %v", step, p, want)
+			}
+			if p.IsNil() {
+				exhausted++
+			} else {
+				live = append(live, p)
+			}
+		default:
+			i := rng.Intn(len(live))
+			m.FreeDRAM(live[i])
+			ref = append(ref, live[i].Frame)
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		if got := m.DRAMFreeFrames(); got != len(ref) {
+			t.Fatalf("step %d: DRAMFreeFrames = %d, reference %d", step, got, len(ref))
+		}
+	}
+	if exhausted == 0 {
+		t.Fatal("the sequence never exhausted DRAM")
 	}
 }
 

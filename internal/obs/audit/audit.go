@@ -71,6 +71,13 @@ const (
 // is recomputed from the bytes only after the page was written and is free
 // in simulated time — auditing never perturbs lane clocks.
 func StateDigest(tree *caps.Tree, memory *mem.Memory) uint64 {
+	return stateDigest(tree, memory, nil)
+}
+
+// stateDigest is StateDigest's walk. When page is non-nil it is also called
+// for every page slot of every reachable PMO, in walk order, so the
+// auditor's page-placement check shares the digest's one walk.
+func stateDigest(tree *caps.Tree, memory *mem.Memory, page func(pmo *caps.PMO, idx uint64, s *caps.PageSlot)) uint64 {
 	d := newDigest()
 	tree.Walk(func(o caps.Object) {
 		d.byte(byte(o.Kind()))
@@ -126,6 +133,9 @@ func StateDigest(tree *caps.Tree, memory *mem.Memory) uint64 {
 				default:
 					d.byte(markContent)
 					d.u64(memory.PageHash(s.Page))
+				}
+				if page != nil {
+					page(v, idx, s)
 				}
 				return true
 			})
@@ -192,7 +202,7 @@ func restoreSource(cp *caps.CkptPage, committed uint64) int {
 // snapshot slot order), so the visit order — and the digest — is
 // deterministic.
 func BackupDigest(m *checkpoint.Manager, memory *mem.Memory) uint64 {
-	return backupDigest(m, memory, true)
+	return backupDigest(m, memory, true, nil)
 }
 
 // RestorableDigest hashes only the state a restore ROLLS BACK to: eternal
@@ -202,28 +212,33 @@ func BackupDigest(m *checkpoint.Manager, memory *mem.Memory) uint64 {
 // promises to reproduce is covered. The cluster cut protocol announces this
 // digest — it must verify bit-identically after any recovery to the cut.
 func RestorableDigest(m *checkpoint.Manager, memory *mem.Memory) uint64 {
-	return backupDigest(m, memory, false)
+	return backupDigest(m, memory, false, nil)
 }
 
-func backupDigest(m *checkpoint.Manager, memory *mem.Memory, includeEternal bool) uint64 {
+// backupDigest is the backup digests' DFS. When missing is non-nil it is
+// also called, in DFS order, for every reachable root that has no committed
+// snapshot, so the auditor's restorability check shares the digest's walk.
+func backupDigest(m *checkpoint.Manager, memory *mem.Memory, includeEternal bool, missing func(r *caps.ORoot)) uint64 {
 	d := newDigest()
 	committed := m.CommittedVersion()
 	root := m.RootORoot()
 	if root == nil || committed == 0 {
 		return d.h
 	}
-	seen := make(map[uint64]bool, m.NumRoots())
+	var seen caps.IDSet
 	var visit func(r *caps.ORoot)
 	visit = func(r *caps.ORoot) {
-		if r == nil || seen[r.ObjID] {
+		if r == nil || !seen.Add(r.ObjID) {
 			return
 		}
-		seen[r.ObjID] = true
 		snap, ver := r.LatestCommitted(committed)
 		d.byte(byte(r.Kind))
 		d.u64(r.ObjID)
 		if snap == nil {
 			d.byte(markNoSource)
+			if missing != nil {
+				missing(r)
+			}
 			return
 		}
 		_ = ver // version numbers differ across checkpoint cadences; content is what matters
@@ -353,6 +368,11 @@ type Auditor struct {
 	// Checks counts audits run; TotalViolations accumulates across them.
 	Checks          uint64
 	TotalViolations uint64
+
+	// owners maps each live runtime frame to the PMO holding it, for the
+	// alias check. Every Check of a live tree clears and refills it, so
+	// its buckets are reused instead of rebuilt.
+	owners map[mem.PageID]uint64
 }
 
 // Check runs every invariant against the current state and computes both
@@ -400,14 +420,17 @@ func (a *Auditor) Check(tree *caps.Tree, where string) Result {
 	})
 
 	// Invariant 4: every object reachable from the backup root must have
-	// a committed snapshot (restorability).
-	if committed > 0 {
-		a.checkBackupReachable(&res, where, committed)
-	}
+	// a committed snapshot (restorability). The backup digest's DFS
+	// reaches exactly those roots, so it reports them as it folds.
+	res.BackupDigest = backupDigest(m, a.Mem, true, func(r *caps.ORoot) {
+		bad("%s: object %d (%v) reachable from backup root but has no committed snapshot",
+			where, r.ObjID, r.Kind)
+	})
 
-	// Invariant 5: runtime page placement bookkeeping.
+	// Invariant 5: runtime page placement bookkeeping, checked by the
+	// runtime digest's walk.
 	if tree != nil {
-		a.checkRuntimePages(&res, where, tree)
+		res.RuntimeDigest = a.checkRuntimePages(&res, where, tree)
 	}
 
 	// Invariant 6: the buddy allocator's free lists are structurally sound.
@@ -415,10 +438,6 @@ func (a *Auditor) Check(tree *caps.Tree, where string) Result {
 		bad("%s: allocator: %v", where, err)
 	}
 
-	res.BackupDigest = BackupDigest(m, a.Mem)
-	if tree != nil {
-		res.RuntimeDigest = StateDigest(tree, a.Mem)
-	}
 	a.Checks++
 	a.TotalViolations += uint64(len(res.Violations))
 	return res
@@ -457,94 +476,50 @@ func (a *Auditor) checkPMOSnap(res *Result, where string, r *caps.ORoot, snap *c
 	})
 }
 
-// checkBackupReachable verifies every root reachable from the backup root
-// holds a committed snapshot — the precondition of restore discovery.
-func (a *Auditor) checkBackupReachable(res *Result, where string, committed uint64) {
-	bad := func(format string, args ...any) {
-		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-	}
-	seen := make(map[uint64]bool, a.Ckpt.NumRoots())
-	var visit func(r *caps.ORoot)
-	visit = func(r *caps.ORoot) {
-		if r == nil || seen[r.ObjID] {
-			return
-		}
-		seen[r.ObjID] = true
-		snap, _ := r.LatestCommitted(committed)
-		if snap == nil {
-			bad("%s: object %d (%v) reachable from backup root but has no committed snapshot",
-				where, r.ObjID, r.Kind)
-			return
-		}
-		switch s := snap.(type) {
-		case *caps.CapGroupSnap:
-			for _, bc := range s.Slots {
-				visit(bc.Root)
-			}
-		case *caps.VMSpaceSnap:
-			for i := range s.Regions {
-				visit(s.Regions[i].PMORoot)
-			}
-		case *caps.IPCConnSnap:
-			visit(s.ClientRoot)
-			visit(s.ServerRoot)
-		case *caps.NotificationSnap:
-			for _, w := range s.Waiters {
-				visit(w)
-			}
-		case *caps.IRQNotificationSnap:
-			visit(s.HandlerRoot)
-		}
-	}
-	visit(a.Ckpt.RootORoot())
-}
-
 // checkRuntimePages validates runtime page placement: mapped slots hold
 // pages, no two slots alias a frame, and the manager's DRAM-cache count
-// matches the tree.
-func (a *Auditor) checkRuntimePages(res *Result, where string, tree *caps.Tree) {
+// matches the tree. It checks each page as the runtime digest's walk
+// reaches it, and returns that digest.
+func (a *Auditor) checkRuntimePages(res *Result, where string, tree *caps.Tree) uint64 {
 	bad := func(format string, args ...any) {
 		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
 	}
-	owners := make(map[mem.PageID]uint64)
+	if a.owners == nil {
+		a.owners = make(map[mem.PageID]uint64)
+	}
+	clear(a.owners)
 	dram := 0
-	tree.Walk(func(o caps.Object) {
-		pmo, ok := o.(*caps.PMO)
-		if !ok {
+	digest := stateDigest(tree, a.Mem, func(pmo *caps.PMO, idx uint64, s *caps.PageSlot) {
+		if s.SwappedOut {
+			if !s.Page.IsNil() {
+				bad("%s: PMO %d page %d swapped out but still holds frame %d",
+					where, pmo.ID(), idx, s.Page.Frame)
+			}
 			return
 		}
-		pmo.ForEachPage(func(idx uint64, s *caps.PageSlot) bool {
-			if s.SwappedOut {
-				if !s.Page.IsNil() {
-					bad("%s: PMO %d page %d swapped out but still holds frame %d",
-						where, pmo.ID(), idx, s.Page.Frame)
-				}
-				return true
-			}
-			if s.Page.IsNil() {
-				bad("%s: PMO %d page %d mapped but holds no frame", where, pmo.ID(), idx)
-				return true
-			}
-			// Media invariant: a live runtime page must never carry poison
-			// past a protocol boundary. Restore either verifies an adopted
-			// source or rewrites the frame whole (which clears poison), so
-			// poison here means a machine-check would fire on normal access.
-			if a.Mem.Poisoned(s.Page, 0, mem.PageSize) {
-				bad("%s: PMO %d page %d live runtime frame %v is poisoned",
-					where, pmo.ID(), idx, s.Page)
-			}
-			if prev, dup := owners[s.Page]; dup {
-				bad("%s: frame %v aliased by PMO %d page %d and object %d",
-					where, s.Page, pmo.ID(), idx, prev)
-			}
-			owners[s.Page] = pmo.ID()
-			if s.Page.Kind == mem.KindDRAM {
-				dram++
-			}
-			return true
-		})
+		if s.Page.IsNil() {
+			bad("%s: PMO %d page %d mapped but holds no frame", where, pmo.ID(), idx)
+			return
+		}
+		// Media invariant: a live runtime page must never carry poison
+		// past a protocol boundary. Restore either verifies an adopted
+		// source or rewrites the frame whole (which clears poison), so
+		// poison here means a machine-check would fire on normal access.
+		if a.Mem.Poisoned(s.Page, 0, mem.PageSize) {
+			bad("%s: PMO %d page %d live runtime frame %v is poisoned",
+				where, pmo.ID(), idx, s.Page)
+		}
+		if prev, dup := a.owners[s.Page]; dup {
+			bad("%s: frame %v aliased by PMO %d page %d and object %d",
+				where, s.Page, pmo.ID(), idx, prev)
+		}
+		a.owners[s.Page] = pmo.ID()
+		if s.Page.Kind == mem.KindDRAM {
+			dram++
+		}
 	})
 	if cached := a.Ckpt.CachedPages(); dram != cached {
 		bad("%s: %d DRAM pages in the tree but manager counts %d cached", where, dram, cached)
 	}
+	return digest
 }
