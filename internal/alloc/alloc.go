@@ -445,6 +445,10 @@ func (a *Allocator) markRolledBack(start uint32, order int) {
 // belonged to the crashed epoch.
 func (a *Allocator) WasRolledBack(f uint32) bool { return a.rolledBack[f] }
 
+// IsFree reports whether NVM frame f is free: no live structure may point
+// into it.
+func (a *Allocator) IsFree(f uint32) bool { return a.buddy.IsFree(f) }
+
 // CheckInvariants validates buddy free-list structure.
 func (a *Allocator) CheckInvariants() error { return a.buddy.CheckInvariants() }
 

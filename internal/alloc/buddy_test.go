@@ -198,3 +198,59 @@ func TestBuddyRandomOps(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBuddyIsFree: IsFree agrees with a per-frame record of what is in use
+// through random Alloc/AllocExact/Free sequences, on a device whose frame
+// count is neither a power of two nor a multiple of the record chunk, with
+// the metadata area reserved.
+func TestBuddyIsFree(t *testing.T) {
+	const frames = 2*recChunkFrames + 333
+	rng := rand.New(rand.NewSource(7))
+	b := NewBuddy(frames, ReservedMetaFrames)
+	used := make([]bool, frames)
+	for f := 0; f < ReservedMetaFrames; f++ {
+		used[f] = true
+	}
+	type block struct {
+		start uint32
+		order int
+	}
+	var live []block
+	mark := func(bl block, v bool) {
+		for f := bl.start; f < bl.start+1<<bl.order; f++ {
+			used[f] = v
+		}
+	}
+	for step := 0; step < 3000; step++ {
+		switch op := rng.Intn(3); {
+		case op == 0 && len(live) > 0:
+			i := rng.Intn(len(live))
+			b.Free(live[i].start, live[i].order)
+			mark(live[i], false)
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		case op == 1:
+			bl := block{order: rng.Intn(4)}
+			bl.start = uint32(rng.Intn(frames)) &^ (1<<bl.order - 1)
+			if b.AllocExact(bl.start, bl.order) == nil {
+				mark(bl, true)
+				live = append(live, bl)
+			}
+		default:
+			bl := block{order: rng.Intn(6)}
+			var err error
+			if bl.start, err = b.Alloc(bl.order); err == nil {
+				mark(bl, true)
+				live = append(live, bl)
+			}
+		}
+		for f := range used {
+			if b.IsFree(uint32(f)) == used[f] {
+				t.Fatalf("step %d: IsFree(%d) = %v with the frame in use = %v", step, f, !used[f], used[f])
+			}
+		}
+	}
+	if b.IsFree(frames) {
+		t.Fatal("IsFree reports a frame past the device as free")
+	}
+}

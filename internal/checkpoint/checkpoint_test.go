@@ -26,9 +26,24 @@ type harness struct {
 
 func newHarness(t *testing.T, cfg Config, nCores int) *harness {
 	t.Helper()
+	return buildHarness(cfg, nCores, false)
+}
+
+// newNVMJournalHarness is newHarness with the journal kept in its NVM frame,
+// as on a booted machine: every journal record is persistence events that
+// an armed crash can land on, the allocator's frees included.
+func newNVMJournalHarness(cfg Config, nCores int) *harness {
+	return buildHarness(cfg, nCores, true)
+}
+
+func buildHarness(cfg Config, nCores int, nvmJournal bool) *harness {
 	model := simclock.DefaultCostModel()
 	m := mem.New(mem.Config{NVMFrames: 4096, DRAMFrames: 256}, model)
-	j := journal.New(model, nil)
+	var jm *mem.Memory
+	if nvmJournal {
+		jm = m
+	}
+	j := journal.New(model, jm)
 	a := alloc.New(m, j)
 	tree := caps.NewTree()
 	h := &harness{model: model, mem: m, jrnl: j, alloc: a, tree: tree}

@@ -22,7 +22,7 @@ func FullCapture(m *Manager, swapRead func(slot uint64) []byte) *ReplImage {
 // objID at the committed version, with that copy's version; the nil page
 // when it reads none.
 func ReplSourcePage(m *Manager, objID, idx uint64) (mem.PageID, uint64) {
-	r := m.roots[objID]
+	r := m.lookupRoot(objID)
 	if r == nil {
 		return mem.NilPage, 0
 	}

@@ -60,15 +60,16 @@ func (m *Manager) Restore(lane *simclock.Lane) (*caps.Tree, uint64, error) {
 	if _, err := m.alloc.Recover(); err != nil {
 		return nil, 0, fmt.Errorf("checkpoint: allocator recovery: %w", err)
 	}
-	// Sever every backup-tree reference into a frame the rollback just
-	// reclaimed, before anything can allocate (and so recycle) those
-	// frames. The rolled-back set itself is volatile and the op log is
-	// already truncated: if this restore crashes mid-walk, the re-entered
-	// restore's own Recover finds an empty log and would trust any pointer
-	// still standing — while the allocator hands the same frame to someone
-	// else. This pass performs no persistence events, so no crash can
-	// strand it half-done.
-	m.severRolledBack()
+	// Sever every backup-tree reference into a free frame — one the
+	// rollback just reclaimed, or one a crashed post-commit collection
+	// (deferred frees, unreachable sweep) had already released — before
+	// anything can allocate (and so recycle) those frames. The rolled-back
+	// set itself is volatile and the op log is already truncated: if this
+	// restore crashes mid-walk, the re-entered restore's own Recover finds
+	// an empty log and would trust any pointer still standing — while the
+	// allocator hands the same frame to someone else. This pass performs
+	// no persistence events, so no crash can strand it half-done.
+	m.severFreed()
 	if !m.HasCheckpoint() {
 		return nil, 0, ErrNoCheckpoint
 	}
@@ -507,11 +508,14 @@ func (m *Manager) restorePMOPages(lane *simclock.Lane, pmo *caps.PMO, snap *caps
 	return fail
 }
 
-// severRolledBack unlinks every checkpoint-page slot that points into a
-// frame reclaimed by the allocator rollback. The frames are already free —
-// only the stale pointers are cleared, never the frames themselves. Pure
+// severFreed unlinks every checkpoint-page slot that points into a free
+// frame. Two kinds of frame qualify: those the allocator rollback
+// reclaimed, and those a crash stopped the post-commit collection after
+// releasing — their slots stay filed under the roots the next sweep will
+// visit again, which must not free them twice. The frames are already free
+// — only the stale pointers are cleared, never the frames themselves. Pure
 // metadata mutation: no journal, flush, or fence, hence no crash window.
-func (m *Manager) severRolledBack() {
+func (m *Manager) severFreed() {
 	for _, r := range m.roots {
 		for bi := range r.Backup {
 			snap, ok := r.Backup[bi].(*caps.PMOSnap)
@@ -521,7 +525,7 @@ func (m *Manager) severRolledBack() {
 			snap.Pages.Walk(func(_ uint64, cp *caps.CkptPage) bool {
 				for i := 0; i < 2; i++ {
 					p := cp.Page[i]
-					if p.IsNil() || p.Kind != mem.KindNVM || !m.alloc.WasRolledBack(p.Frame) {
+					if p.IsNil() || p.Kind != mem.KindNVM || !m.alloc.IsFree(p.Frame) {
 						continue
 					}
 					m.dropReplica(p)
