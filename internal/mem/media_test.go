@@ -139,12 +139,12 @@ func TestCrashFaultInjectionDeterministicAndProtected(t *testing.T) {
 		t.Fatalf("injection not deterministic: %d/%d vs %d/%d",
 			a.Stats.PoisonedLines, a.PoisonedLineCount(), b.Stats.PoisonedLines, b.PoisonedLineCount())
 	}
-	for k := range a.poison {
-		if k.frame < 2 {
-			t.Fatalf("random injection hit protected frame %d", k.frame)
+	for f, mask := range a.poison {
+		if f < 2 {
+			t.Fatalf("random injection hit protected frame %d", f)
 		}
-		if _, ok := b.poison[k]; !ok {
-			t.Fatalf("poison sets diverge at %v", k)
+		if b.poison[f] != mask {
+			t.Fatalf("poison sets diverge on frame %d: %#x vs %#x", f, mask, b.poison[f])
 		}
 	}
 	// Same config, different seed: damage pattern should differ.
@@ -156,8 +156,8 @@ func TestCrashFaultInjectionDeterministicAndProtected(t *testing.T) {
 	c.Crash()
 	c.Crash()
 	same := true
-	for k := range a.poison {
-		if _, ok := c.poison[k]; !ok {
+	for f, mask := range a.poison {
+		if c.poison[f] != mask {
 			same = false
 		}
 	}

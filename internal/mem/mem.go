@@ -173,15 +173,19 @@ type Memory struct {
 	dramFree []uint32
 	dramNext uint32
 
-	// Relaxed-persistency state (see persist.go). wb is the per-line
-	// write buffer of unfenced NVM stores; it stays empty under eADR.
-	// wbFlushed lists the lines flushed since the last fence, so Fence
-	// visits only those; it may hold stale keys (see Fence).
+	// Relaxed-persistency state (see persist.go). wb is the write buffer
+	// of unfenced NVM stores, one entry per frame with a dirty line; it
+	// stays empty under eADR. wbLines counts the dirty lines, wbFlushed
+	// lists each entry holding a line flushed since the last fence once,
+	// so Fence visits only those, and wbSpare keeps drained entries for
+	// reuse.
 	mode      PersistMode
 	crashSeed uint64
 	crashes   uint64 // power failures so far (varies damage across crashes)
-	wb        map[lineKey]*wbLine
-	wbFlushed []lineKey
+	wb        map[uint32]*wbFrame
+	wbLines   int
+	wbFlushed []*wbFrame
+	wbSpare   []*wbFrame
 
 	// Event-granular crash injection.
 	events         uint64
@@ -189,11 +193,13 @@ type Memory struct {
 	crashCountdown uint64
 
 	// Media-fault state (see media.go): poisoned (uncorrectable) NVM
-	// lines, the injector config, and the metadata region exempt from
-	// random crash-time injection.
+	// lines as a line mask per frame (only nonzero masks are kept) and
+	// their count, the injector config, and the metadata region exempt
+	// from random crash-time injection.
 	media        MediaFaultConfig
 	mediaProtect uint32
-	poison       map[lineKey]struct{}
+	poison       map[uint32]uint64
+	poisonLines  int
 
 	// Stats counts device traffic for the experiment reports.
 	Stats Stats
@@ -262,7 +268,7 @@ func New(cfg Config, model *simclock.CostModel) *Memory {
 		media:     cfg.Media,
 	}
 	if m.mode == ModeADR {
-		m.wb = make(map[lineKey]*wbLine)
+		m.wb = make(map[uint32]*wbFrame)
 	}
 	m.resetDRAMFreeList()
 	return m
