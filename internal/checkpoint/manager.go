@@ -635,20 +635,23 @@ func (m *Manager) fence(lane *simclock.Lane) {
 	}
 }
 
-// commitWordPage is the NVM location of the global version record.
+// commitWordPage and commitMirrorPage are the NVM locations of the global
+// version record's primary and mirror copies, each at offset 0.
 func commitWordPage() mem.PageID {
 	return mem.PageID{Kind: mem.KindNVM, Frame: mem.CommitMetaFrame}
 }
 
+func commitMirrorPage() mem.PageID {
+	return mem.PageID{Kind: mem.KindNVM, Frame: mem.CommitMirrorFrame}
+}
+
 // The commit record is 16 bytes — the version word plus a check word — kept
-// twice on the commit metadata frame: the primary at offset 0 and a mirror
-// one cache line over. The check word turns any torn, rotten or stale-mixed
-// record into a *detected* failure instead of a bogus version; the mirror
-// turns a detected primary failure into a recoverable one.
-const (
-	commitRecSize   = 16
-	commitMirrorOff = mem.LineSize
-)
+// twice: the primary on the commit metadata frame and a mirror on its own
+// frame, so poisoning one whole frame leaves a copy. The check word turns
+// any torn, rotten or stale-mixed record into a *detected* failure instead
+// of a bogus version; the mirror turns a detected primary failure into a
+// recoverable one.
+const commitRecSize = 16
 
 // commitCheck derives the check word guarding commit-record value v: the
 // FNV-1a hash of v's bytes. Unlike the page checksums it is stored in NVM,
@@ -674,21 +677,20 @@ func (m *Manager) persistCommitWord(lane *simclock.Lane, v uint64) {
 	p := commitWordPage()
 	m.memory.WriteRaw(p, 0, b[:])
 	d := m.memory.Flush(p, 0, commitRecSize) + m.memory.Fence()
-	d += m.memory.PersistAtomic(p, commitMirrorOff, b[:])
+	d += m.memory.PersistAtomic(commitMirrorPage(), 0, b[:])
 	if lane != nil {
 		lane.Charge(d)
 	}
 }
 
-// readCommitSlot reads and validates one copy of the commit record. A
-// poisoned line or a failed check word returns ok=false.
-func (m *Manager) readCommitSlot(off int) (uint64, bool) {
-	p := commitWordPage()
-	if m.memory.CheckRead(p, off, commitRecSize) != nil {
+// readCommitSlot reads and validates the copy of the commit record on page
+// p. A poisoned line or a failed check word returns ok=false.
+func (m *Manager) readCommitSlot(p mem.PageID) (uint64, bool) {
+	if m.memory.CheckRead(p, 0, commitRecSize) != nil {
 		return 0, false
 	}
 	var b [commitRecSize]byte
-	m.memory.ReadRaw(p, off, b[:])
+	m.memory.ReadRaw(p, 0, b[:])
 	v := binary.LittleEndian.Uint64(b[0:8])
 	if binary.LittleEndian.Uint64(b[8:16]) != commitCheck(v) {
 		return 0, false
@@ -696,15 +698,14 @@ func (m *Manager) readCommitSlot(off int) (uint64, bool) {
 	return v, true
 }
 
-// rewriteCommitSlot rebuilds one copy of the commit record in place,
-// clearing any poison on its line.
-func (m *Manager) rewriteCommitSlot(off int, v uint64) {
+// rewriteCommitSlot rebuilds the copy of the commit record on page p in
+// place, clearing any poison on its line.
+func (m *Manager) rewriteCommitSlot(p mem.PageID, v uint64) {
 	var b [commitRecSize]byte
 	binary.LittleEndian.PutUint64(b[0:8], v)
 	binary.LittleEndian.PutUint64(b[8:16], commitCheck(v))
-	p := commitWordPage()
-	m.memory.PersistAtomic(p, off, b[:])
-	m.memory.ClearPoison(p, off, commitRecSize)
+	m.memory.PersistAtomic(p, 0, b[:])
+	m.memory.ClearPoison(p, 0, commitRecSize)
 }
 
 // readCommitWord returns the durable committed version from NVM: the
@@ -712,11 +713,11 @@ func (m *Manager) rewriteCommitSlot(off int, v uint64) {
 // from it), else zero — an unreadable commit record fails closed to "no
 // checkpoint" rather than guessing a version.
 func (m *Manager) readCommitWord() uint64 {
-	if v, ok := m.readCommitSlot(0); ok {
+	if v, ok := m.readCommitSlot(commitWordPage()); ok {
 		return v
 	}
-	if v, ok := m.readCommitSlot(commitMirrorOff); ok {
-		m.rewriteCommitSlot(0, v)
+	if v, ok := m.readCommitSlot(commitMirrorPage()); ok {
+		m.rewriteCommitSlot(commitWordPage(), v)
 		m.Stats.MetaRepairs++
 		return v
 	}
@@ -728,14 +729,14 @@ func (m *Manager) readCommitWord() uint64 {
 // primary wins a divergence (the mirror may lag, never lead). Returns the
 // number of copies rewritten.
 func (m *Manager) scrubCommitRecord() int {
-	pv, pok := m.readCommitSlot(0)
-	mv, mok := m.readCommitSlot(commitMirrorOff)
+	pv, pok := m.readCommitSlot(commitWordPage())
+	mv, mok := m.readCommitSlot(commitMirrorPage())
 	switch {
 	case pok && (!mok || mv != pv):
-		m.rewriteCommitSlot(commitMirrorOff, pv)
+		m.rewriteCommitSlot(commitMirrorPage(), pv)
 		return 1
 	case !pok && mok:
-		m.rewriteCommitSlot(0, mv)
+		m.rewriteCommitSlot(commitWordPage(), mv)
 		return 1
 	}
 	return 0

@@ -229,7 +229,7 @@ func TestCommitRecordHealsFromMirror(t *testing.T) {
 // restoring the dual-copy redundancy before it is ever needed.
 func TestScrubResyncsCommitMirror(t *testing.T) {
 	h, _, _ := hotPageTwoBackups(t, DefaultConfig())
-	h.mem.InjectRot(commitWordPage(), commitMirrorOff, commitRecSize, 5)
+	h.mem.InjectRot(commitMirrorPage(), 0, commitRecSize, 5)
 
 	sr := h.mgr.Scrub(h.lane())
 	if sr.MetaRepairs == 0 {

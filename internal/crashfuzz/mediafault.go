@@ -298,17 +298,16 @@ func restoreSlot(cp *caps.CkptPage, committed uint64) int {
 // inject plants one targeted media fault and reports whether it did.
 func (f *mediaFuzzer) inject(res *MediaResult) bool {
 	seed := f.rng.Uint64()
-	commitPage := mem.PageID{Kind: mem.KindNVM, Frame: mem.CommitMetaFrame}
 	switch k := f.rng.Intn(10); k {
 	case 6:
 		// Poison the primary commit record: the restore must heal it
 		// from the mirror, never fail closed while the mirror is intact.
-		f.m.Memory.InjectPoison(commitPage, 0, 16, seed)
+		f.m.Memory.InjectPoison(mem.PageID{Kind: mem.KindNVM, Frame: mem.CommitMetaFrame}, 0, 16, seed)
 		f.primaryFault = true
 	case 7:
 		// Rot the commit-record mirror: latent until a scrub resyncs
 		// it (or the primary is lost before one runs).
-		f.m.Memory.InjectRot(commitPage, mem.LineSize, 16, seed)
+		f.m.Memory.InjectRot(mem.PageID{Kind: mem.KindNVM, Frame: mem.CommitMirrorFrame}, 0, 16, seed)
 		f.mirrorFault = true
 	default:
 		slots := f.appSlots()
