@@ -17,7 +17,7 @@ func stdFNV(b []byte) uint64 {
 func stdFNVFrom(h uint64, b []byte) uint64 {
 	for _, c := range b {
 		h ^= uint64(c)
-		h *= fnvPrime
+		h *= FNVPrime
 	}
 	return h
 }
@@ -89,6 +89,27 @@ func TestFoldFNV64MatchesFoldFNV(t *testing.T) {
 		for _, h := range []uint64{FNVOffset, 0x0123456789abcdef} {
 			if got, want := FoldFNV64(h, v), FoldFNV(h, b[:]); got != want {
 				t.Fatalf("FoldFNV64(%#x, %#x) = %#x, FoldFNV over its bytes = %#x", h, v, got, want)
+			}
+		}
+	}
+}
+
+// TestFoldFNV64MatchesByteLoop pins FoldFNV64 to the textbook byte loop
+// for words of every bit length 0–64, so every count of zero high bytes,
+// from random states.
+func TestFoldFNV64MatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n <= 64; n++ {
+		for i := 0; i < 50; i++ {
+			var v uint64
+			if n > 0 {
+				v = rng.Uint64()>>(64-n) | 1<<(n-1)
+			}
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], v)
+			h := rng.Uint64()
+			if got, want := FoldFNV64(h, v), stdFNVFrom(h, b[:]); got != want {
+				t.Fatalf("FoldFNV64(%#x, %#x) = %#x, byte loop = %#x", h, v, got, want)
 			}
 		}
 	}

@@ -42,7 +42,7 @@ type digest struct{ h uint64 }
 
 func newDigest() *digest { return &digest{h: mem.FNVOffset} }
 
-func (d *digest) byte(b byte) { d.h = mem.FoldFNV(d.h, []byte{b}) }
+func (d *digest) byte(b byte) { d.h = (d.h ^ uint64(b)) * mem.FNVPrime }
 
 // u64 folds v's eight bytes, least significant first.
 func (d *digest) u64(v uint64) { d.h = mem.FoldFNV64(d.h, v) }
