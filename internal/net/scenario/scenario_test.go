@@ -28,8 +28,13 @@ func assertSafe(t *testing.T, sc Script, r Result) {
 	}
 }
 
+// cleanScript is the crash-free gated run.
+func cleanScript() Script {
+	return Script{Name: "clean", Seed: 1, Clients: 4, Requests: 10, Window: 3, Gated: true}
+}
+
 func TestCleanGatedRun(t *testing.T) {
-	sc := Script{Name: "clean", Seed: 1, Clients: 4, Requests: 10, Window: 3, Gated: true}
+	sc := cleanScript()
 	r, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -47,12 +52,10 @@ func TestCleanGatedRun(t *testing.T) {
 	}
 }
 
-// TestScenarioTable runs gated crash scripts across seeds, client counts,
-// window depths, checkpoint intervals, and crash placements. Every one must
-// uphold the invariant: client-visible responses are exactly a prefix of
-// what the restored state justifies.
-func TestScenarioTable(t *testing.T) {
-	scripts := []Script{
+// tableScripts spans seeds, client counts, window depths, checkpoint
+// intervals, and crash placements.
+func tableScripts() []Script {
+	return []Script{
 		{Name: "single-early-crash", Seed: 1, Clients: 2, Requests: 6, Window: 2, Gated: true,
 			CrashAtEvents: []uint64{5}},
 		{Name: "mid-run-crash", Seed: 2, Clients: 3, Requests: 8, Window: 2, Gated: true,
@@ -74,7 +77,13 @@ func TestScenarioTable(t *testing.T) {
 		{Name: "late-crash", Seed: 10, Clients: 2, Requests: 6, Window: 2, Gated: true,
 			CrashAtEvents: []uint64{55}},
 	}
-	for _, sc := range scripts {
+}
+
+// TestScenarioTable runs the gated crash scripts. Every one must uphold the
+// invariant: client-visible responses are exactly a prefix of what the
+// restored state justifies.
+func TestScenarioTable(t *testing.T) {
+	for _, sc := range tableScripts() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			r, err := Run(sc)
@@ -122,17 +131,25 @@ func TestCrashAtEveryEvent(t *testing.T) {
 	}
 }
 
+// ungatedCrashPoints are the event indices the ungated baseline crashes at,
+// one run each.
+var ungatedCrashPoints = []uint64{8, 15, 25, 40, 60}
+
+// ungatedScript is the crash-unsafe baseline crashed once at event k.
+func ungatedScript(k uint64) Script {
+	return Script{Name: "ungated", Seed: 12, Clients: 2, Requests: 6, Window: 2,
+		IntervalUs: 5000, Gated: false, CrashAtEvents: []uint64{k}}
+}
+
 // TestUngatedBaselineConvicted proves the harness has teeth: with the gate
 // off, responses leave at operation end, so crashing between a response and
 // its covering checkpoint must produce at least one acknowledged-but-
 // unjustified request somewhere in the sweep — and the identical gated
 // sweep must produce none.
 func TestUngatedBaselineConvicted(t *testing.T) {
-	crashPoints := []uint64{8, 15, 25, 40, 60}
 	var convictions int
-	for _, k := range crashPoints {
-		sc := Script{Name: "ungated", Seed: 12, Clients: 2, Requests: 6, Window: 2,
-			IntervalUs: 5000, Gated: false, CrashAtEvents: []uint64{k}}
+	for _, k := range ungatedCrashPoints {
+		sc := ungatedScript(k)
 		r, err := Run(sc)
 		if err != nil {
 			t.Fatalf("ungated k=%d: %v", k, err)
