@@ -327,6 +327,19 @@ func chooseRestoreSource(cp *caps.CkptPage, committed uint64, valid func(mem.Pag
 	return src
 }
 
+// nvmSlot is the validity test of a healthy committed tree: any non-nil NVM
+// frame (no allocator rollback has run to reclaim one).
+func nvmSlot(p mem.PageID) bool { return !p.IsNil() && p.Kind == mem.KindNVM }
+
+// RestoreSource applies the restore version rules to one checkpointed page
+// of a healthy committed tree — the copy a restore would read: a slot index
+// (0 or 1), or a negative value when the consistent copy is swapped out
+// (-2) or there is none (-1). Capture, scrub and fault injection share it;
+// the audit digest keeps its own independent copy as the oracle.
+func RestoreSource(cp *caps.CkptPage, committed uint64) int {
+	return chooseRestoreSource(cp, committed, nvmSlot)
+}
+
 // restorePMOPages rebuilds the runtime page set of a PMO by the version
 // rules. For each checkpointed page it selects the consistent source:
 //

@@ -108,12 +108,11 @@ func (m *Manager) scrubPMO(lane *simclock.Lane, r *caps.ORoot, sr *ScrubReport) 
 		return // always-current semantics: no committed redundancy to verify
 	}
 	pmo, _ := r.Runtime.(*caps.PMO)
-	valid := func(p mem.PageID) bool { return !p.IsNil() && p.Kind == mem.KindNVM }
 	snap.Pages.Walk(func(idx uint64, cp *caps.CkptPage) bool {
 		if cp.Born > m.committed {
 			return true // stillborn entry; restore removes it
 		}
-		src := chooseRestoreSource(cp, m.committed, valid)
+		src := RestoreSource(cp, m.committed)
 		if src < 0 {
 			return true // swapped out, or no committed copy to protect
 		}
@@ -133,7 +132,7 @@ func (m *Manager) scrubPMO(lane *simclock.Lane, r *caps.ORoot, sr *ScrubReport) 
 		}
 		alt := 1 - src
 		reps = m.Stats.ReplicaRepair
-		if chosenOK && valid(cp.Page[alt]) && cp.Ver[alt] != 0 && cp.Ver[alt] <= m.committed &&
+		if chosenOK && nvmSlot(cp.Page[alt]) && cp.Ver[alt] != 0 && cp.Ver[alt] <= m.committed &&
 			cp.Page[alt] != cp.Page[src] && !m.verifySource(lane, cp.Page[alt]) {
 			// Corrupt fallback with an intact chosen copy: retire it.
 			p := cp.Page[alt]

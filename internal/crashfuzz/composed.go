@@ -25,6 +25,7 @@ import (
 	"math/rand"
 
 	"treesls/internal/caps"
+	"treesls/internal/checkpoint"
 	"treesls/internal/cluster"
 	"treesls/internal/faultplane"
 	"treesls/internal/kernel"
@@ -211,7 +212,7 @@ func (w *mediaOverlayWorld) plant(m *kernel.Machine, v uint64) {
 	})
 	var eligible []mem.PageID
 	for _, cp := range cps {
-		si := restoreSlot(cp, v)
+		si := checkpoint.RestoreSource(cp, v)
 		if si < 0 || cp.Ver[si] == 0 || cp.Page[si].IsNil() || cp.Page[si].Kind != mem.KindNVM {
 			continue
 		}

@@ -274,27 +274,6 @@ func collectPMOSlots(m *kernel.Machine, pmoID uint64) map[uint64]*caps.CkptPage 
 	return out
 }
 
-// restoreSlot mirrors the restore's version rules (minus swap handling) to
-// pick the slot a clean restore would read for cp — the highest-value
-// injection target.
-func restoreSlot(cp *caps.CkptPage, committed uint64) int {
-	for i := 0; i < 2; i++ {
-		if !cp.Page[i].IsNil() && cp.Page[i].Kind == mem.KindNVM && cp.Ver[i] == committed && cp.Ver[i] != 0 {
-			return i
-		}
-	}
-	if !cp.Page[1].IsNil() && cp.Page[1].Kind == mem.KindNVM && cp.Ver[1] == 0 {
-		return 1
-	}
-	src, best := -1, uint64(0)
-	for i := 0; i < 2; i++ {
-		if !cp.Page[i].IsNil() && cp.Page[i].Kind == mem.KindNVM && cp.Ver[i] != 0 && cp.Ver[i] <= committed && cp.Ver[i] > best {
-			src, best = i, cp.Ver[i]
-		}
-	}
-	return src
-}
-
 // inject plants one targeted media fault and reports whether it did.
 func (f *mediaFuzzer) inject(res *MediaResult) bool {
 	seed := f.rng.Uint64()
@@ -319,7 +298,8 @@ func (f *mediaFuzzer) inject(res *MediaResult) bool {
 		if !ok {
 			return false
 		}
-		si := restoreSlot(cp, f.m.Ckpt.CommittedVersion())
+		// The slot a clean restore would read: the highest-value target.
+		si := checkpoint.RestoreSource(cp, f.m.Ckpt.CommittedVersion())
 		if k >= 8 {
 			// Hit a random slot instead of the chosen source:
 			// exercises fallback verification and quarantine.
