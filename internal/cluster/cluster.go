@@ -58,8 +58,6 @@ type Config struct {
 	Shards int
 	// Cores is the core count of each shard machine (default 2).
 	Cores int
-	// Vnodes is the ring's virtual-node count per shard (0 = default).
-	Vnodes int
 	// Gated routes every shard's responses through its extsync ring,
 	// released only at announced cuts — the cluster-wide external
 	// synchrony contract. Off = the unsafe baseline the conviction tests
@@ -193,17 +191,6 @@ func FoldCut(shards []int, versions, digests []uint64) uint64 {
 	return h.Sum64()
 }
 
-// FoldDigests folds versions/digests for the identity participant set
-// (shard i at position i) — the fixed-membership form, kept because its
-// fold is bit-identical to the pre-elastic cluster digest.
-func FoldDigests(versions, digests []uint64) uint64 {
-	shards := make([]int, len(versions))
-	for i := range shards {
-		shards[i] = i
-	}
-	return FoldCut(shards, versions, digests)
-}
-
 // Coordinator drives cluster epochs. Its announced-cut log models a record
 // appended to the coordinator's own NVM — it survives every failure; the
 // forming state is volatile and a coordinator crash drops it.
@@ -315,7 +302,7 @@ func New(cfg Config) (*Cluster, error) {
 	cfg.fill()
 	c := &Cluster{
 		cfg:    cfg,
-		Ring:   NewRing(cfg.Shards, cfg.Vnodes),
+		Ring:   NewRing(cfg.Shards, 0),
 		Fabric: net.NewFabric(nil, cfg.Shards),
 		Coord:  &Coordinator{forming: make([]report, cfg.Shards)},
 	}
@@ -708,7 +695,7 @@ func (c *Cluster) ringFromCut(cut Cut) *Ring {
 	if c.Ring.Version() == cut.RingVersion {
 		return c.Ring
 	}
-	return NewRingOf(cut.RingMembers, c.cfg.Vnodes, cut.RingVersion)
+	return NewRingOf(cut.RingMembers, 0, cut.RingVersion)
 }
 
 // CutDigestError reports a restored shard whose recomputed restorable

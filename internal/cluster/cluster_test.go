@@ -294,9 +294,11 @@ func TestClusterReplicatedDigests(t *testing.T) {
 	// standby exactly on the newest cut, with the standby's restorable
 	// digest matching the announced one — folded, they reproduce the
 	// announced cluster digest on the standby fleet.
+	shards := make([]int, len(c.Shards))
 	versions := make([]uint64, len(c.Shards))
 	digests := make([]uint64, len(c.Shards))
 	for i, s := range c.Shards {
+		shards[i] = i
 		fo, err := s.Rep.FailoverAt(s.Rep.LastAckAt())
 		if err != nil {
 			t.Fatalf("shard %d: FailoverAt: %v", i, err)
@@ -314,7 +316,7 @@ func TestClusterReplicatedDigests(t *testing.T) {
 				i, digests[i], cut.Epoch, cut.Digests[i])
 		}
 	}
-	if fold := FoldDigests(versions, digests); fold != cut.Cluster {
+	if fold := FoldCut(shards, versions, digests); fold != cut.Cluster {
 		t.Fatalf("standby digest fold %#x != announced cluster digest %#x", fold, cut.Cluster)
 	}
 }

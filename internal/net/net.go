@@ -31,7 +31,6 @@ package net
 
 import (
 	"fmt"
-	"sort"
 
 	"treesls/internal/caps"
 	"treesls/internal/extsync"
@@ -354,18 +353,7 @@ func (n *Network) OnMachineRestore() (int, int) {
 		n.rx[i] = n.rx[i][:0]
 	}
 	dresp := len(n.inflight)
-	if dresp > 0 {
-		// Deterministic sweep (the map is never iterated for effects that
-		// depend on order, but keep the discipline anyway).
-		seqs := make([]uint64, 0, dresp)
-		for s := range n.inflight {
-			seqs = append(seqs, s)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, s := range seqs {
-			delete(n.inflight, s)
-		}
-	}
+	clear(n.inflight)
 	n.cachedTree, n.cachedIRQ = nil, nil
 	n.Stats.DroppedRequests += uint64(dr)
 	n.Stats.DroppedResponses += uint64(dresp)
