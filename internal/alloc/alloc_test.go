@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,11 +10,29 @@ import (
 	"treesls/internal/simclock"
 )
 
-func newTestAllocator() (*Allocator, *simclock.Lane) {
+// newAllocator builds an allocator whose journal lives in its NVM frame, as
+// on a booted machine, so every journal write is a persistence event an
+// armed crash can land on.
+func newAllocator(mode mem.PersistMode) (*Allocator, *mem.Memory, *simclock.Lane) {
 	model := simclock.DefaultCostModel()
-	m := mem.New(mem.Config{NVMFrames: 1024, DRAMFrames: 64}, model)
-	j := journal.New(model, nil)
-	return New(m, j), &simclock.Lane{}
+	m := mem.New(mem.Config{NVMFrames: 1024, DRAMFrames: 64, Persist: mode, CrashSeed: 1}, model)
+	return New(m, journal.New(model, m)), m, &simclock.Lane{}
+}
+
+func newTestAllocator() (*Allocator, *simclock.Lane) {
+	a, _, lane := newAllocator(mem.ModeEADR)
+	return a, lane
+}
+
+// crash cuts power and runs the recovery path a restore runs: the journal
+// re-reads its frame, then the allocator resolves the record and rolls back.
+func crash(t *testing.T, a *Allocator, m *mem.Memory) {
+	t.Helper()
+	m.Crash()
+	a.Journal().OnCrash()
+	if _, err := a.Recover(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestAllocPage(t *testing.T) {
@@ -36,295 +55,291 @@ func TestAllocPage(t *testing.T) {
 	}
 }
 
-func TestSlotLifecycle(t *testing.T) {
-	a, lane := newTestAllocator()
-	s, err := a.AllocSlot(lane, ClassThread)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.IsNil() || s.Class != ClassThread {
-		t.Errorf("slot = %+v", s)
-	}
-	if a.LiveSlots(ClassThread) != 1 {
-		t.Errorf("live = %d", a.LiveSlots(ClassThread))
-	}
-	a.FreeSlot(lane, s)
-	if a.LiveSlots(ClassThread) != 0 {
-		t.Errorf("live after free = %d", a.LiveSlots(ClassThread))
-	}
-}
-
-func TestSlotPacking(t *testing.T) {
-	orig := Slot{Class: ClassRadixNode, Frame: 123456, Index: 37}
-	got := unpackSlot(packSlot(orig))
-	if got != orig {
-		t.Errorf("round trip: %+v -> %+v", orig, got)
-	}
-}
-
 func TestClassGeometry(t *testing.T) {
 	for c := Class(0); c < NumClasses; c++ {
 		if c.Size() <= 0 || c.Size() > mem.PageSize {
-			t.Errorf("class %v has size %d", c, c.Size())
+			t.Errorf("class %d has size %d", c, c.Size())
 		}
-		if c.String() == "" {
-			t.Errorf("class %d unnamed", c)
-		}
-	}
-}
-
-func TestManySlotsSpanPages(t *testing.T) {
-	a, lane := newTestAllocator()
-	spp := mem.PageSize / ClassThread.Size()
-	var slots []Slot
-	for i := 0; i < spp*3+1; i++ {
-		s, err := a.AllocSlot(lane, ClassThread)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slots = append(slots, s)
-	}
-	frames := map[uint32]bool{}
-	for _, s := range slots {
-		frames[s.Frame] = true
-	}
-	if len(frames) != 4 {
-		t.Errorf("slots spread over %d pages, want 4", len(frames))
-	}
-	seen := map[Slot]bool{}
-	for _, s := range slots {
-		if seen[s] {
-			t.Fatalf("slot %+v handed out twice", s)
-		}
-		seen[s] = true
 	}
 }
 
 func TestRollbackRestoresCheckpointState(t *testing.T) {
 	a, lane := newTestAllocator()
 
-	// Pre-checkpoint state: some pages and slots.
-	p1, _ := a.AllocPage(lane)
-	s1, _ := a.AllocSlot(lane, ClassPMO)
-	a.OnCheckpointCommit(lane) // checkpoint: this is the durable state
+	// Pre-checkpoint state: one runtime page.
+	kept, _ := a.AllocPage(lane)
+	a.TruncateLog() // checkpoint commit: this is the durable state
 	freeAtCkpt := a.FreeFrames()
-	liveAtCkpt := a.LiveSlots(ClassPMO)
 
-	// Post-checkpoint churn that must be rolled back.
-	p2, _ := a.AllocPage(lane)
-	_, _ = a.AllocSlot(lane, ClassPMO)
-	a.FreePage(lane, p1)
-	a.FreeSlot(lane, s1)
-	_ = p2
+	// Post-checkpoint allocations that must be rolled back.
+	var runtime []mem.PageID
+	for i := 0; i < 4; i++ {
+		p, err := a.AllocPage(lane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime = append(runtime, p)
+	}
 
 	n, err := a.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 {
-		t.Errorf("rolled back %d ops, want 4", n)
+	if n != len(runtime) {
+		t.Errorf("rolled back %d ops, want %d", n, len(runtime))
 	}
 	if a.FreeFrames() != freeAtCkpt {
 		t.Errorf("free frames %d != checkpoint state %d", a.FreeFrames(), freeAtCkpt)
 	}
-	if a.LiveSlots(ClassPMO) != liveAtCkpt {
-		t.Errorf("live slots %d != checkpoint state %d", a.LiveSlots(ClassPMO), liveAtCkpt)
+	// Exactly the rolled-back frames are in the rolled-back set.
+	last := kept.Frame
+	for _, p := range runtime {
+		if !a.WasRolledBack(p.Frame) || !a.IsFree(p.Frame) {
+			t.Errorf("frame %d not rolled back", p.Frame)
+		}
+		last = max(last, p.Frame)
 	}
-	// p1/s1 must be allocated again (they belong to the checkpoint).
+	if a.WasRolledBack(kept.Frame) || a.IsFree(kept.Frame) {
+		t.Error("checkpointed page rolled back")
+	}
+	if a.WasRolledBack(last + 1) {
+		t.Error("neighbouring frame marked rolled back")
+	}
 	if err := a.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
-	if a.LogLen() != 0 {
-		t.Errorf("log not cleared: %d", a.LogLen())
+	if n, err := a.Recover(); n != 0 || err != nil {
+		t.Errorf("second Recover() = %d, %v: log not cleared", n, err)
 	}
 }
 
 func TestRecoverIdempotentOnCleanState(t *testing.T) {
 	a, lane := newTestAllocator()
 	a.AllocPage(lane)
-	a.OnCheckpointCommit(lane)
+	a.TruncateLog()
 	n, err := a.Recover()
 	if err != nil || n != 0 {
 		t.Errorf("Recover() = %d, %v", n, err)
 	}
 }
 
-func crashingOp(t *testing.T, a *Allocator, op func()) {
-	t.Helper()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("fault plan did not fire")
-		}
-		if _, ok := r.(CrashError); !ok {
-			panic(r)
-		}
-	}()
-	op()
+// allocatorOps are the operations the kernel and the checkpoint manager
+// run. setup prepares what the operation needs before the checkpoint; run
+// performs it once.
+var allocatorOps = []struct {
+	name  string
+	ckpt  bool // checkpoint-owned: survives rollback once committed
+	setup func(*Allocator, *simclock.Lane) mem.PageID
+	run   func(*Allocator, *simclock.Lane, mem.PageID)
+}{
+	{
+		name:  "AllocPage",
+		setup: func(*Allocator, *simclock.Lane) mem.PageID { return mem.NilPage },
+		run:   func(a *Allocator, l *simclock.Lane, _ mem.PageID) { a.AllocPage(l) },
+	},
+	{
+		name:  "AllocPageCkpt",
+		ckpt:  true,
+		setup: func(*Allocator, *simclock.Lane) mem.PageID { return mem.NilPage },
+		run:   func(a *Allocator, l *simclock.Lane, _ mem.PageID) { a.AllocPageCkpt(l) },
+	},
+	{
+		name: "FreePageCkpt",
+		ckpt: true,
+		setup: func(a *Allocator, l *simclock.Lane) mem.PageID {
+			p, _ := a.AllocPageCkpt(l)
+			return p
+		},
+		run: func(a *Allocator, l *simclock.Lane, p mem.PageID) { a.FreePageCkpt(l, p) },
+	},
 }
 
-func TestCrashMidAllocBegun(t *testing.T) {
-	a, lane := newTestAllocator()
-	a.OnCheckpointCommit(lane)
-	free := a.FreeFrames()
-
-	a.SetFaultPlan(&FaultPlan{Point: "buddy-alloc:begun"})
-	crashingOp(t, a, func() { a.AllocPage(lane) })
-
-	if _, err := a.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if a.FreeFrames() != free {
-		t.Errorf("free = %d, want %d", a.FreeFrames(), free)
-	}
-	if err := a.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCrashMidAllocApplied(t *testing.T) {
-	a, lane := newTestAllocator()
-	a.OnCheckpointCommit(lane)
-	free := a.FreeFrames()
-
-	a.SetFaultPlan(&FaultPlan{Point: "buddy-alloc:applied"})
-	crashingOp(t, a, func() { a.AllocPage(lane) })
-
-	// The block was carved out of the buddy but never logged or linked
-	// anywhere: recovery must undo it via the journal.
-	if _, err := a.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if a.FreeFrames() != free {
-		t.Errorf("free = %d, want %d (leak after mid-alloc crash)", a.FreeFrames(), free)
-	}
-}
-
-func TestCrashMidFreeApplied(t *testing.T) {
-	a, lane := newTestAllocator()
-	p, _ := a.AllocPage(lane)
-	a.OnCheckpointCommit(lane)
-	free := a.FreeFrames()
-
-	a.SetFaultPlan(&FaultPlan{Point: "buddy-free:applied"})
-	crashingOp(t, a, func() { a.FreePage(lane, p) })
-
-	if _, err := a.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if a.FreeFrames() != free {
-		t.Errorf("free = %d, want %d (page lost after mid-free crash)", a.FreeFrames(), free)
-	}
-}
-
-func TestCrashMidSlabOps(t *testing.T) {
-	for _, point := range []string{"slab-alloc:begun", "slab-alloc:applied", "slab-free:begun", "slab-free:applied"} {
-		t.Run(point, func(t *testing.T) {
-			a, lane := newTestAllocator()
-			s, _ := a.AllocSlot(lane, ClassNotification)
-			a.OnCheckpointCommit(lane)
-			live := a.LiveSlots(ClassNotification)
-			free := a.FreeFrames()
-
-			a.SetFaultPlan(&FaultPlan{Point: point})
-			crashingOp(t, a, func() {
-				if point == "slab-free:begun" || point == "slab-free:applied" {
-					a.FreeSlot(lane, s)
-				} else {
-					a.AllocSlot(lane, ClassNotification)
+// TestCrashAtEveryAllocatorEvent crashes each allocator operation at every
+// persistence event it fires, in both persistence modes. Recovery must land
+// on the state before the operation — or, for a checkpoint-owned operation
+// whose record had committed, on the state after it — with consistent free
+// lists, no record left pending and an allocator that still allocates.
+func TestCrashAtEveryAllocatorEvent(t *testing.T) {
+	for _, op := range allocatorOps {
+		for _, mode := range []mem.PersistMode{mem.ModeEADR, mem.ModeADR} {
+			var before, after int
+			{
+				a, _, lane := newAllocator(mode)
+				p := op.setup(a, lane)
+				a.TruncateLog()
+				before = a.FreeFrames()
+				op.run(a, lane, p)
+				after = a.FreeFrames()
+			}
+			events := uint64(0)
+			for k := uint64(1); ; k++ {
+				a, m, lane := newAllocator(mode)
+				p := op.setup(a, lane)
+				a.TruncateLog()
+				var fired, committed bool
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							if _, ok := r.(mem.CrashError); !ok {
+								panic(r)
+							}
+							fired = true
+							// The Go-side state at the power failure
+							// shows whether the record had committed.
+							committed = a.Journal().PendingRecord() == nil && a.FreeFrames() == after
+						}
+					}()
+					m.ArmCrashAfter(k)
+					op.run(a, lane, p)
+				}()
+				m.DisarmCrash()
+				if !fired {
+					break
 				}
-			})
+				events = k
+				t.Run(fmt.Sprintf("%s/%s/event=%d", op.name, mode, k), func(t *testing.T) {
+					crash(t, a, m)
+					want := before
+					if op.ckpt && committed {
+						want = after
+					}
+					if got := a.FreeFrames(); got != want {
+						t.Errorf("free frames = %d, want %d (before %d, after %d)", got, want, before, after)
+					}
+					if err := a.CheckInvariants(); err != nil {
+						t.Error(err)
+					}
+					if rec := a.Journal().PendingRecord(); rec != nil {
+						t.Errorf("record %s still pending after recovery", rec.Op)
+					}
+					if _, err := a.AllocPage(lane); err != nil {
+						t.Errorf("allocation after recovery: %v", err)
+					}
+				})
+			}
+			if events == 0 {
+				t.Errorf("%s/%s fired no persistence event", op.name, mode)
+			}
+			t.Logf("%s/%s: %d events", op.name, mode, events)
+		}
+	}
+}
 
-			if _, err := a.Recover(); err != nil {
+// TestRecoverResolvesAppliedRecords builds, by hand, the two journal states
+// no persistence event exposes: MarkApplied publishes atomically and is
+// followed directly by the op-log append (a runtime allocation) or by the
+// commit (a checkpoint-owned free), so a crash can only observe them if
+// power fails between two atomic publishes.
+func TestRecoverResolvesAppliedRecords(t *testing.T) {
+	for _, mode := range []mem.PersistMode{mem.ModeEADR, mem.ModeADR} {
+		t.Run("alloc-not-logged/"+mode.String(), func(t *testing.T) {
+			a, m, lane := newAllocator(mode)
+			before := a.FreeFrames()
+			rec := a.jrnl.Begin(lane, journal.OpBuddyAlloc)
+			f, err := a.buddy.Alloc(0)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if a.LiveSlots(ClassNotification) != live {
-				t.Errorf("live = %d, want %d", a.LiveSlots(ClassNotification), live)
+			rec.Args[0] = uint64(f)
+			a.jrnl.MarkApplied(lane, rec)
+			crash(t, a, m)
+			// Carved out of the buddy but never logged or handed out:
+			// recovery must free it through the journal.
+			if a.FreeFrames() != before || !a.IsFree(f) {
+				t.Errorf("free = %d, want %d (frame %d leaked)", a.FreeFrames(), before, f)
 			}
-			if a.FreeFrames() != free {
-				t.Errorf("free frames = %d, want %d", a.FreeFrames(), free)
+			if !a.WasRolledBack(f) {
+				t.Errorf("frame %d not marked rolled back", f)
+			}
+			if a.Journal().PendingRecord() != nil {
+				t.Error("record still pending after recovery")
+			}
+		})
+		t.Run("ckpt-free/"+mode.String(), func(t *testing.T) {
+			a, m, lane := newAllocator(mode)
+			p, err := a.AllocPageCkpt(lane)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := a.FreeFrames()
+			rec := a.jrnl.Begin(lane, journal.OpBuddyFree, uint64(p.Frame))
+			a.buddy.Free(p.Frame, 0)
+			a.jrnl.MarkApplied(lane, rec)
+			crash(t, a, m)
+			// The free never committed: the page is allocated again.
+			if a.FreeFrames() != before || a.IsFree(p.Frame) {
+				t.Errorf("free = %d, want %d (frame %d lost)", a.FreeFrames(), before, p.Frame)
+			}
+			if a.Journal().PendingRecord() != nil {
+				t.Error("record still pending after recovery")
+			}
+			if err := a.CheckInvariants(); err != nil {
+				t.Error(err)
 			}
 		})
 	}
 }
 
-func TestFaultPlanCountdown(t *testing.T) {
-	a, lane := newTestAllocator()
-	a.SetFaultPlan(&FaultPlan{Point: "buddy-alloc:applied", Countdown: 2})
-	// First two allocations survive, third crashes.
-	if _, err := a.AllocPage(lane); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.AllocPage(lane); err != nil {
-		t.Fatal(err)
-	}
-	crashingOp(t, a, func() { a.AllocPage(lane) })
-}
-
 // Property test: a random operation sequence followed by crash + Recover
-// always lands exactly on the state at the last checkpoint commit.
+// always lands exactly on the state at the last checkpoint commit, plus the
+// checkpoint-owned allocations and frees made since.
 func TestRandomOpsRecoverToCheckpoint(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		a, lane := newTestAllocator()
+		a, m, lane := newAllocator(mem.ModeEADR)
 
-		var pages []mem.PageID
-		var slots []Slot
+		var runtime, owned []mem.PageID
 		// Build up some durable state.
 		for i := 0; i < 50; i++ {
 			p, err := a.AllocPage(lane)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pages = append(pages, p)
-			s, err := a.AllocSlot(lane, Class(rng.Intn(int(NumClasses))))
-			if err != nil {
+			runtime = append(runtime, p)
+			if p, err = a.AllocPageCkpt(lane); err != nil {
 				t.Fatal(err)
 			}
-			slots = append(slots, s)
+			owned = append(owned, p)
 		}
-		a.OnCheckpointCommit(lane)
+		a.TruncateLog()
 		wantFree := a.FreeFrames()
-		wantLive := make([]int, NumClasses)
-		for c := Class(0); c < NumClasses; c++ {
-			wantLive[c] = a.LiveSlots(c)
-		}
 
-		// Random churn after the checkpoint.
+		// Random churn after the checkpoint. Runtime allocations roll
+		// back; checkpoint-owned ones and their frees stand.
+		var rolled []mem.PageID
 		for i := 0; i < 200; i++ {
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0:
 				if p, err := a.AllocPage(lane); err == nil {
-					pages = append(pages, p)
+					rolled = append(rolled, p)
 				}
 			case 1:
-				if len(pages) > 0 {
-					i := rng.Intn(len(pages))
-					a.FreePage(lane, pages[i])
-					pages = append(pages[:i], pages[i+1:]...)
+				if p, err := a.AllocPageCkpt(lane); err == nil {
+					owned = append(owned, p)
+					wantFree--
 				}
 			case 2:
-				if s, err := a.AllocSlot(lane, Class(rng.Intn(int(NumClasses)))); err == nil {
-					slots = append(slots, s)
-				}
-			case 3:
-				if len(slots) > 0 {
-					i := rng.Intn(len(slots))
-					a.FreeSlot(lane, slots[i])
-					slots = append(slots[:i], slots[i+1:]...)
+				if len(owned) > 0 {
+					i := rng.Intn(len(owned))
+					a.FreePageCkpt(lane, owned[i])
+					owned = append(owned[:i], owned[i+1:]...)
+					wantFree++
 				}
 			}
 		}
 
-		if _, err := a.Recover(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		crash(t, a, m)
 		if a.FreeFrames() != wantFree {
 			t.Errorf("seed %d: free = %d, want %d", seed, a.FreeFrames(), wantFree)
 		}
-		for c := Class(0); c < NumClasses; c++ {
-			if a.LiveSlots(c) != wantLive[c] {
-				t.Errorf("seed %d: class %v live = %d, want %d", seed, c, a.LiveSlots(c), wantLive[c])
+		for _, p := range rolled {
+			if !a.IsFree(p.Frame) {
+				t.Errorf("seed %d: post-checkpoint page %d survived the rollback", seed, p.Frame)
+			}
+		}
+		for _, p := range append(runtime, owned...) {
+			if a.IsFree(p.Frame) {
+				t.Errorf("seed %d: page %d lost by the rollback", seed, p.Frame)
 			}
 		}
 		if err := a.CheckInvariants(); err != nil {

@@ -1,15 +1,16 @@
 // Package alloc implements the NVM allocator of the TreeSLS checkpoint
-// manager: a buddy system for page-granularity allocations plus slab
-// allocators for small fixed-size kernel objects (§3 of the paper).
+// manager: a buddy system for page-granularity allocations (§3 of the
+// paper), plus the object size classes the manager's space accounting
+// reads.
 //
 // All allocator metadata conceptually lives in the global metadata area on
 // NVM and therefore survives power failures; what does NOT survive is an
 // in-flight operation, which is protected by the redo/undo journal
-// (internal/journal), and operations performed after the last checkpoint,
-// which are rolled back during recovery via the persistent operation log
-// (the paper identifies them "by comparing system state at crash with the
-// last checkpoint's state"; the log is the equivalent mechanism made
-// explicit).
+// (internal/journal), and runtime pages allocated after the last
+// checkpoint, which are freed again during recovery via the persistent
+// operation log (the paper identifies them "by comparing system state at
+// crash with the last checkpoint's state"; the log is the equivalent
+// mechanism made explicit).
 package alloc
 
 import "fmt"

@@ -6,54 +6,9 @@ import (
 	"treesls/internal/mem"
 )
 
-func TestAllocFramesMultiOrder(t *testing.T) {
-	a, lane := newTestAllocator()
-	start, err := a.AllocFrames(lane, 3) // 8 frames
-	if err != nil {
-		t.Fatal(err)
-	}
-	if start%8 != 0 {
-		t.Errorf("order-3 block misaligned at %d", start)
-	}
-	free := a.FreeFrames()
-	a.FreeFramesBlock(lane, start, 3)
-	if a.FreeFrames() != free+8 {
-		t.Errorf("free = %d, want +8", a.FreeFrames()-free)
-	}
-	if err := a.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMultiOrderRollback(t *testing.T) {
-	a, lane := newTestAllocator()
-	a.OnCheckpointCommit(lane)
-	free := a.FreeFrames()
-	start, err := a.AllocFrames(lane, 4) // 16 frames, post-checkpoint
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = start
-	if _, err := a.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if a.FreeFrames() != free {
-		t.Errorf("free = %d, want %d", a.FreeFrames(), free)
-	}
-	// Every frame of the block is in the rolled-back set.
-	for f := start; f < start+16; f++ {
-		if !a.WasRolledBack(f) {
-			t.Errorf("frame %d not marked rolled back", f)
-		}
-	}
-	if a.WasRolledBack(start + 16) {
-		t.Error("neighbouring frame marked rolled back")
-	}
-}
-
 func TestCkptAllocNotRolledBack(t *testing.T) {
 	a, lane := newTestAllocator()
-	a.OnCheckpointCommit(lane)
+	a.TruncateLog()
 	p, err := a.AllocPageCkpt(lane)
 	if err != nil {
 		t.Fatal(err)
@@ -81,68 +36,9 @@ func mustAllocCkpt(t *testing.T, a *Allocator) mem.PageID {
 	return p
 }
 
-func TestCrashMidSlabGrow(t *testing.T) {
-	a, lane := newTestAllocator()
-	a.OnCheckpointCommit(lane)
-	free := a.FreeFrames()
-	live := a.LiveSlots(ClassThread)
-
-	// Crash exactly after the slab class grew with a fresh buddy page
-	// but before the slot was taken.
-	a.SetFaultPlan(&FaultPlan{Point: "slab-alloc:grown"})
-	crashingOp(t, a, func() { a.AllocSlot(lane, ClassThread) })
-
-	if _, err := a.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if a.FreeFrames() != free {
-		t.Errorf("free = %d, want %d (grown page leaked)", a.FreeFrames(), free)
-	}
-	if a.LiveSlots(ClassThread) != live {
-		t.Errorf("live slots = %d, want %d", a.LiveSlots(ClassThread), live)
-	}
-	// The class still works after recovery.
-	if _, err := a.AllocSlot(lane, ClassThread); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSlabGrowRollbackDeregisters(t *testing.T) {
-	a, lane := newTestAllocator()
-	a.OnCheckpointCommit(lane)
-	free := a.FreeFrames()
-
-	// The first Notification slot grows the class post-checkpoint; the
-	// rollback must free both the slot and the grown page.
-	s, err := a.AllocSlot(lane, ClassNotification)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if a.FreeFrames() != free {
-		t.Errorf("free = %d, want %d", a.FreeFrames(), free)
-	}
-	if a.WasRolledBack(s.Frame) != true {
-		t.Error("grown slab page not in rolled-back set (it was freed)")
-	}
-	// Fresh allocations still work (the class re-grows cleanly).
-	if _, err := a.AllocSlot(lane, ClassNotification); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOutOfNVMPropagates(t *testing.T) {
-	model := newTestAllocator
-	_ = model
 	a, lane := newTestAllocator()
 	// Exhaust the device.
-	for {
-		if _, err := a.AllocFrames(lane, a.buddy.MaxOrder()); err != nil {
-			break
-		}
-	}
 	for {
 		if _, err := a.AllocPage(lane); err != nil {
 			break

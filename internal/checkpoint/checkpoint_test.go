@@ -24,26 +24,14 @@ type harness struct {
 	lanes []*simclock.Lane
 }
 
+// newHarness keeps the journal in its NVM frame, as on a booted machine:
+// every journal record is persistence events that an armed crash can land
+// on, the allocator's frees included.
 func newHarness(t *testing.T, cfg Config, nCores int) *harness {
 	t.Helper()
-	return buildHarness(cfg, nCores, false)
-}
-
-// newNVMJournalHarness is newHarness with the journal kept in its NVM frame,
-// as on a booted machine: every journal record is persistence events that
-// an armed crash can land on, the allocator's frees included.
-func newNVMJournalHarness(cfg Config, nCores int) *harness {
-	return buildHarness(cfg, nCores, true)
-}
-
-func buildHarness(cfg Config, nCores int, nvmJournal bool) *harness {
 	model := simclock.DefaultCostModel()
 	m := mem.New(mem.Config{NVMFrames: 4096, DRAMFrames: 256}, model)
-	var jm *mem.Memory
-	if nvmJournal {
-		jm = m
-	}
-	j := journal.New(model, jm)
+	j := journal.New(model, m)
 	a := alloc.New(m, j)
 	tree := caps.NewTree()
 	h := &harness{model: model, mem: m, jrnl: j, alloc: a, tree: tree}
@@ -92,9 +80,11 @@ func (h *harness) checkpoint() Report {
 	return h.mgr.TakeCheckpoint(h.lanes, 0, nil)
 }
 
-// crash simulates a power failure: DRAM wiped, runtime world discarded.
+// crash simulates a power failure: DRAM wiped, runtime world discarded, the
+// in-flight journal record re-read from NVM.
 func (h *harness) crash() {
 	h.mem.Crash()
+	h.jrnl.OnCrash()
 	h.tree = nil
 }
 
@@ -433,8 +423,8 @@ func TestCommitCrashWindowRedo(t *testing.T) {
 	}
 	// The matching version means the checkpoint committed: the log must
 	// have been truncated (no rollback of the logged page alloc).
-	if h.alloc.LogLen() != 0 {
-		t.Errorf("log len = %d", h.alloc.LogLen())
+	if f := pmo.Lookup(1).Page.Frame; h.alloc.WasRolledBack(f) || h.alloc.IsFree(f) {
+		t.Errorf("logged page %d rolled back after a committed checkpoint", f)
 	}
 }
 
@@ -601,7 +591,7 @@ func TestRemovedPageReclaimed(t *testing.T) {
 	backups := h.mgr.Stats.BackupPages
 
 	slot := pmo.RemovePage(1)
-	h.alloc.FreePage(h.lane(), slot.Page)
+	h.mgr.DeferFreePage(slot.Page)
 	h.checkpoint()
 	if h.mgr.Stats.BackupPages >= backups {
 		t.Errorf("backup pages %d not reclaimed (was %d)", h.mgr.Stats.BackupPages, backups)

@@ -160,7 +160,7 @@ func TestRootOrderAfterInstallImage(t *testing.T) {
 func TestRootOrderAfterCrashInSweep(t *testing.T) {
 	midSweep := 0
 	for k := uint64(1); ; k++ {
-		h := newNVMJournalHarness(DefaultConfig(), 2)
+		h := newHarness(t, DefaultConfig(), 2)
 		var pmos []*caps.PMO
 		for i := 0; i < 3; i++ {
 			_, pmo, _ := h.buildProc(fmt.Sprintf("p%d", i), 4)

@@ -373,9 +373,6 @@ func (c *Cluster) newShard(i int) (*Shard, error) {
 	return s, nil
 }
 
-// Config returns the (defaulted) cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Phase returns the current round phase.
 func (c *Cluster) CurrentPhase() Phase { return c.phase }
 

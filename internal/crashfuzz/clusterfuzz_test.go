@@ -93,7 +93,7 @@ func FuzzClusterCrashEvent(f *testing.F) {
 	f.Add(true, uint64(4), uint64(9), uint8(0), uint16(160))
 	f.Add(true, uint64(6), uint64(29), uint8(2), uint16(400))
 	f.Fuzz(func(t *testing.T, adr bool, seed, eventK uint64, target uint8, steps uint16) {
-		if err := RunOneShot("cluster", adr, seed, eventK, target, steps); err != nil {
+		if err := ClusterOneShot(persistMode(adr), seed, eventK, target, steps); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"treesls/internal/alloc"
 	"treesls/internal/caps"
 	"treesls/internal/kernel"
 	"treesls/internal/mem"
@@ -146,10 +145,6 @@ func TestTornCommitRollsBack(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
 					if _, ok := r.(mem.CrashError); ok {
-						fired = true
-						return
-					}
-					if _, ok := r.(alloc.CrashError); ok {
 						fired = true
 						return
 					}

@@ -24,10 +24,18 @@ func FuzzCrashEvent(f *testing.F) {
 	f.Add(true, uint64(42), uint64(7), uint16(90), false)
 
 	f.Fuzz(func(t *testing.T, adr bool, seed, eventK uint64, steps uint16, serial bool) {
-		if err := RunOneShot("crash", adr, seed, eventK, steps, serial); err != nil {
+		if err := OneShot(persistMode(adr), seed, eventK, steps, serial); err != nil {
 			t.Fatalf("adr=%v seed=%d eventK=%d steps=%d serial=%v: %v", adr, seed, eventK, steps, serial, err)
 		}
 	})
+}
+
+// persistMode maps a fuzz target's adr argument to its persistence model.
+func persistMode(adr bool) mem.PersistMode {
+	if adr {
+		return mem.ModeADR
+	}
+	return mem.ModeEADR
 }
 
 // TestCrashFuzzBothWalks runs matched short campaigns with the serial and

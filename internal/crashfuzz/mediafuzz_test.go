@@ -22,7 +22,7 @@ func FuzzMediaFault(f *testing.F) {
 	f.Add(true, uint64(5), uint64(9), uint64(2), true)
 
 	f.Fuzz(func(t *testing.T, adr bool, seed, injections, crashFaults uint64, duringRestore bool) {
-		if err := RunOneShot("media", adr, seed, injections, crashFaults, duringRestore); err != nil {
+		if err := OneShotMedia(persistMode(adr), seed, injections, crashFaults, duringRestore); err != nil {
 			t.Fatalf("adr=%v seed=%d injections=%d crashFaults=%d duringRestore=%v: %v",
 				adr, seed, injections, crashFaults, duringRestore, err)
 		}

@@ -79,7 +79,7 @@ func FuzzNetCrashEvent(f *testing.F) {
 	f.Add(true, uint64(5), uint64(33), uint16(120))
 	f.Add(true, uint64(6), uint64(57), uint16(180))
 	f.Fuzz(func(t *testing.T, adr bool, seed, eventK uint64, steps uint16) {
-		if err := RunOneShot("net", adr, seed, eventK, steps); err != nil {
+		if err := NetOneShot(persistMode(adr), seed, eventK, steps); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -94,7 +94,7 @@ func FuzzReplCrashEvent(f *testing.F) {
 	f.Add(true, uint8(1), uint64(5), uint64(49), uint16(14))
 	f.Add(true, uint8(2), uint64(6), uint64(88), uint16(22))
 	f.Fuzz(func(t *testing.T, adr bool, variant uint8, seed, eventK uint64, steps uint16) {
-		if err := RunOneShot("repl", adr, variant, seed, eventK, steps); err != nil {
+		if err := ReplOneShot(persistMode(adr), variant, seed, eventK, steps); err != nil {
 			t.Fatal(err)
 		}
 	})

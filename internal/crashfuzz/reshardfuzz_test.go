@@ -95,7 +95,7 @@ func FuzzReshardEvent(f *testing.F) {
 	// Post-commit power loss: the new ring must survive a plain crash.
 	f.Add(false, uint64(6), uint64(90), uint8(0), uint16(900))
 	f.Fuzz(func(t *testing.T, adr bool, seed, eventK uint64, target uint8, steps uint16) {
-		if err := RunOneShot("reshard", adr, seed, eventK, target, steps); err != nil {
+		if err := ReshardOneShot(persistMode(adr), seed, eventK, target, steps); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"time"
 
-	"treesls/internal/alloc"
 	"treesls/internal/mem"
 	"treesls/internal/obs"
 	"treesls/internal/simclock"
@@ -200,18 +199,15 @@ func RunCampaign(spec Spec, d Domain) (Stats, error) {
 }
 
 // CatchCrash runs fn, converting an injected power failure (which surfaces
-// as a mem/alloc CrashError panic) into a clean fired=true. Any other
-// panic propagates.
+// as a mem.CrashError panic) into a clean fired=true. Any other panic
+// propagates.
 func CatchCrash(fn func() error) (fired bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			switch r.(type) {
-			case mem.CrashError, alloc.CrashError:
-				fired = true
-				err = nil
-			default:
+			if _, ok := r.(mem.CrashError); !ok {
 				panic(r)
 			}
+			fired, err = true, nil
 		}
 	}()
 	return false, fn()

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"treesls/internal/alloc"
 	"treesls/internal/mem"
 	"treesls/internal/obs"
 	"treesls/internal/simclock"
@@ -286,10 +285,6 @@ func TestCatchCrash(t *testing.T) {
 	fired, err := CatchCrash(func() error { panic(mem.CrashError{Event: 7}) })
 	if !fired || err != nil {
 		t.Fatalf("mem crash: fired=%v err=%v", fired, err)
-	}
-	fired, err = CatchCrash(func() error { panic(alloc.CrashError{Point: "walk"}) })
-	if !fired || err != nil {
-		t.Fatalf("alloc crash: fired=%v err=%v", fired, err)
 	}
 	boom := errors.New("plain")
 	fired, err = CatchCrash(func() error { return boom })

@@ -1,7 +1,7 @@
 // Package journal implements the redo/undo journal that makes the TreeSLS
 // checkpoint manager failure-resilient (§3 of the paper).
 //
-// The checkpoint manager's own state (buddy/slab metadata, the operation log)
+// The checkpoint manager's own state (buddy metadata, the operation log)
 // is deliberately *not* captured by the capability-tree checkpoint — that
 // would be a bootstrapping problem. Instead it lives on NVM and every
 // in-flight mutation is bracketed by a journal record: Begin persists the
@@ -10,11 +10,11 @@
 // inspects the (at most one, per journal) pending record and asks its owner
 // to redo or undo the half-applied operation.
 //
-// When constructed with a Memory, the journal's durable truth is a reserved
-// NVM frame (mem.JournalMetaFrame): the serialized record body lives in its
-// own cache line, protected by an FNV-1a checksum, and an 8-byte pending
-// flag in a separate line publishes it. The write discipline follows the
-// clwb/sfence idiom of the relaxed ADR persistence model:
+// The journal's durable truth is a reserved NVM frame (mem.JournalMetaFrame):
+// the serialized record body lives in its own cache line, protected by an
+// FNV-1a checksum, and an 8-byte pending flag in a separate line publishes
+// it. The write discipline follows the clwb/sfence idiom of the relaxed ADR
+// persistence model:
 //
 //	Begin:        write body -> flush -> fence -> write flag=1 -> flush -> fence
 //	MarkApplied:  re-persist body (updated args + phase) atomically
@@ -27,13 +27,10 @@
 // Go-level metadata mutations they bracket are themselves indivisible in
 // the simulation; giving the phase flip a crash window would manufacture
 // begun-vs-applied disagreements no real execution could exhibit.
-//
-// Constructed with a nil Memory (unit tests), the Journal object itself is
-// the durable truth and Begin/Commit are atomic, which matches the seed's
-// eADR behaviour.
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -46,23 +43,19 @@ import (
 type Op uint8
 
 // Journal record kinds. The arguments' meaning is owned by the module that
-// wrote the record (the allocator, or the checkpoint committer).
+// wrote the record (the allocator, or the checkpoint committer). The op byte
+// is part of the durable record body and its checksum, so a value is never
+// reused: 3, 4 and 5 belonged to retired slab and log-truncate records.
 const (
 	OpNone Op = iota
-	// OpBuddyAlloc: args = start frame, order.
+	// OpBuddyAlloc: args = frame of the allocated page.
 	OpBuddyAlloc
-	// OpBuddyFree: args = start frame, order.
+	// OpBuddyFree: args = frame of the freed page.
 	OpBuddyFree
-	// OpSlabAlloc: args = class, slot.
-	OpSlabAlloc
-	// OpSlabFree: args = class, slot.
-	OpSlabFree
-	// OpLogTruncate: checkpoint commit truncating the allocator op log.
-	OpLogTruncate
 	// OpCheckpointCommit: the global-version bump (redo-only; the version
 	// word itself flips atomically, the record orders it w.r.t. the log
 	// truncation).
-	OpCheckpointCommit
+	OpCheckpointCommit Op = 6
 )
 
 // String names the op for diagnostics.
@@ -72,12 +65,6 @@ func (o Op) String() string {
 		return "buddy-alloc"
 	case OpBuddyFree:
 		return "buddy-free"
-	case OpSlabAlloc:
-		return "slab-alloc"
-	case OpSlabFree:
-		return "slab-free"
-	case OpLogTruncate:
-		return "log-truncate"
 	case OpCheckpointCommit:
 		return "ckpt-commit"
 	default:
@@ -156,7 +143,7 @@ func DecodeRecord(b []byte) (Record, bool) {
 // flight at a time; the journal enforces that invariant.
 type Journal struct {
 	model  *simclock.CostModel
-	memory *mem.Memory // nil: the Go object is the durable truth
+	memory *mem.Memory
 	page   mem.PageID
 
 	seq     uint64
@@ -173,16 +160,15 @@ type Journal struct {
 	MirrorRepairs uint64
 }
 
-// New creates an empty journal. memory may be nil (unit tests, baselines
-// without a simulated device); when present the journal serializes its
-// in-flight record to the reserved NVM metadata frame and survives power
-// failures through OnCrash.
+// New creates an empty journal over memory: it serializes its in-flight
+// record to the reserved NVM metadata frame and survives power failures
+// through OnCrash.
 func New(model *simclock.CostModel, memory *mem.Memory) *Journal {
-	j := &Journal{model: model, memory: memory}
-	if memory != nil {
-		j.page = mem.PageID{Kind: mem.KindNVM, Frame: mem.JournalMetaFrame}
+	return &Journal{
+		model:  model,
+		memory: memory,
+		page:   mem.PageID{Kind: mem.KindNVM, Frame: mem.JournalMetaFrame},
 	}
-	return j
 }
 
 // SetObserver attaches the observability layer: record lifecycle events
@@ -250,9 +236,6 @@ func decode(b []byte) (Record, bool) {
 // persistBody re-persists the record body atomically (MarkApplied updates
 // args and phase under the same publish).
 func (j *Journal) persistBody(lane *simclock.Lane, r *Record) {
-	if j.memory == nil {
-		return
-	}
 	b := encode(r)
 	d := j.memory.PersistAtomic(j.page, recordOff, b[:])
 	d += j.memory.PersistAtomic(j.page, mirrorBodyOff, b[:])
@@ -264,9 +247,6 @@ func (j *Journal) persistBody(lane *simclock.Lane, r *Record) {
 // persistFlag publishes the pending flag atomically, primary first so the
 // mirror can only lag.
 func (j *Journal) persistFlag(lane *simclock.Lane, v uint64) {
-	if j.memory == nil {
-		return
-	}
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	d := j.memory.PersistAtomic(j.page, flagOff, b[:])
@@ -285,27 +265,25 @@ func (j *Journal) Begin(lane *simclock.Lane, op Op, args ...uint64) *Record {
 	j.seq++
 	r := &Record{Seq: j.seq, Op: op, pending: true}
 	copy(r.Args[:], args)
-	if j.memory != nil {
-		// Body first (own cache line), then the flag that publishes
-		// it. A crash anywhere in this window leaves flag=0 — no
-		// record — and the protected mutation has not run yet.
-		b := encode(r)
-		j.memory.WriteRaw(j.page, recordOff, b[:])
-		d := j.memory.Flush(j.page, recordOff, recordSize)
-		d += j.memory.Fence()
-		var fb [8]byte
-		binary.LittleEndian.PutUint64(fb[:], 1)
-		j.memory.WriteRaw(j.page, flagOff, fb[:])
-		d += j.memory.Flush(j.page, flagOff, 8)
-		d += j.memory.Fence()
-		// The primary is durable; now lay down the mirror. A crash in
-		// this window leaves the mirror stale, which OnCrash tolerates
-		// (the primary always wins when readable).
-		d += j.memory.PersistAtomic(j.page, mirrorBodyOff, b[:])
-		d += j.memory.PersistAtomic(j.page, mirrorFlagOff, fb[:])
-		if lane != nil {
-			lane.Charge(d)
-		}
+	// Body first (own cache line), then the flag that publishes it. A
+	// crash anywhere in this window leaves flag=0 — no record — and the
+	// protected mutation has not run yet.
+	b := encode(r)
+	j.memory.WriteRaw(j.page, recordOff, b[:])
+	d := j.memory.Flush(j.page, recordOff, recordSize)
+	d += j.memory.Fence()
+	var fb [8]byte
+	binary.LittleEndian.PutUint64(fb[:], 1)
+	j.memory.WriteRaw(j.page, flagOff, fb[:])
+	d += j.memory.Flush(j.page, flagOff, 8)
+	d += j.memory.Fence()
+	// The primary is durable; now lay down the mirror. A crash in this
+	// window leaves the mirror stale, which OnCrash tolerates (the
+	// primary always wins when readable).
+	d += j.memory.PersistAtomic(j.page, mirrorBodyOff, b[:])
+	d += j.memory.PersistAtomic(j.page, mirrorFlagOff, fb[:])
+	if lane != nil {
+		lane.Charge(d)
 	}
 	j.current = r
 	j.Records++
@@ -406,11 +384,8 @@ func (j *Journal) rewriteRegion(off int, b []byte) {
 // first, so it is never staler than the mirror); a poisoned or torn primary
 // falls back to the mirror and repairs the primary from it; when both
 // copies of the body are gone the record is truncated, not replayed — the
-// owner's op-log rollback covers a Begun mutation. No-op without a Memory.
+// owner's op-log rollback covers a Begun mutation.
 func (j *Journal) OnCrash() {
-	if j.memory == nil {
-		return
-	}
 	if j.current != nil {
 		j.current.pending = false
 		j.current = nil
@@ -433,7 +408,7 @@ func (j *Journal) OnCrash() {
 	if flag != 1 {
 		return
 	}
-	rec, raw, ok := j.readBody(recordOff)
+	rec, _, ok := j.readBody(recordOff)
 	if !ok {
 		// Primary body torn or poisoned: adopt the mirror if it holds
 		// a valid record for the same publish, and heal the primary.
@@ -453,7 +428,6 @@ func (j *Journal) OnCrash() {
 		j.rewriteRegion(mirrorFlagOff, fb[:])
 		return
 	}
-	_ = raw
 	j.adopt(rec)
 }
 
@@ -473,9 +447,6 @@ func (j *Journal) adopt(rec Record) {
 // from the in-run Go-side truth (the journal object is authoritative while
 // the machine is up). Returns the number of repairs performed.
 func (j *Journal) Scrub() int {
-	if j.memory == nil {
-		return 0
-	}
 	repairs := 0
 	fix := func(primary, mirror, size int, truth []byte) {
 		pBad := j.memory.Poisoned(j.page, primary, size)
@@ -500,7 +471,7 @@ func (j *Journal) Scrub() int {
 			j.memory.ReadRaw(j.page, primary, buf)
 			mbuf := make([]byte, size)
 			j.memory.ReadRaw(j.page, mirror, mbuf)
-			if !bytesEqual(buf, mbuf) {
+			if !bytes.Equal(buf, mbuf) {
 				j.rewriteRegion(mirror, buf)
 				repairs++
 			}
@@ -516,16 +487,4 @@ func (j *Journal) Scrub() int {
 	fix(recordOff, mirrorBodyOff, recordSize, bodyTruth[:])
 	j.MirrorRepairs += uint64(repairs)
 	return repairs
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestBeginCommitLifecycle(t *testing.T) {
-	j := New(simclock.DefaultCostModel(), nil)
+	j, _ := newJournal(mem.ModeEADR)
 	var lane simclock.Lane
 
 	r := j.Begin(&lane, OpBuddyAlloc, 10, 2)
@@ -35,18 +35,18 @@ func TestBeginCommitLifecycle(t *testing.T) {
 }
 
 func TestBeginWhilePendingPanics(t *testing.T) {
-	j := New(simclock.DefaultCostModel(), nil)
-	j.Begin(nil, OpSlabAlloc)
+	j, _ := newJournal(mem.ModeEADR)
+	j.Begin(nil, OpBuddyAlloc)
 	defer func() {
 		if recover() == nil {
 			t.Error("nested Begin did not panic")
 		}
 	}()
-	j.Begin(nil, OpSlabFree)
+	j.Begin(nil, OpBuddyFree)
 }
 
 func TestCommitRetiredPanics(t *testing.T) {
-	j := New(simclock.DefaultCostModel(), nil)
+	j, _ := newJournal(mem.ModeEADR)
 	r := j.Begin(nil, OpBuddyFree)
 	j.Commit(nil, r)
 	defer func() {
@@ -58,8 +58,8 @@ func TestCommitRetiredPanics(t *testing.T) {
 }
 
 func TestRetireClearsPending(t *testing.T) {
-	j := New(simclock.DefaultCostModel(), nil)
-	r := j.Begin(nil, OpLogTruncate)
+	j, _ := newJournal(mem.ModeEADR)
+	r := j.Begin(nil, OpBuddyFree)
 	j.Retire(r)
 	if j.PendingRecord() != nil {
 		t.Error("Retire left record pending")
@@ -73,7 +73,11 @@ func TestRetireClearsPending(t *testing.T) {
 }
 
 func TestOpStrings(t *testing.T) {
-	ops := []Op{OpNone, OpBuddyAlloc, OpBuddyFree, OpSlabAlloc, OpSlabFree, OpLogTruncate, OpCheckpointCommit}
+	// The op byte is part of the durable record body: values never move.
+	if OpBuddyAlloc != 1 || OpBuddyFree != 2 || OpCheckpointCommit != 6 {
+		t.Fatalf("op values moved: %d %d %d", OpBuddyAlloc, OpBuddyFree, OpCheckpointCommit)
+	}
+	ops := []Op{OpNone, OpBuddyAlloc, OpBuddyFree, OpCheckpointCommit}
 	seen := map[string]bool{}
 	for _, o := range ops {
 		s := o.String()
@@ -85,7 +89,7 @@ func TestOpStrings(t *testing.T) {
 }
 
 func TestNilLaneAccepted(t *testing.T) {
-	j := New(simclock.DefaultCostModel(), nil)
+	j, _ := newJournal(mem.ModeEADR)
 	r := j.Begin(nil, OpBuddyAlloc, 1)
 	j.MarkApplied(nil, r)
 	j.Commit(nil, r)
@@ -94,16 +98,16 @@ func TestNilLaneAccepted(t *testing.T) {
 	}
 }
 
-// newNVMJournal builds a journal over a real simulated memory, the
-// configuration every kernel machine uses.
-func newNVMJournal(mode mem.PersistMode) (*Journal, *mem.Memory) {
+// newJournal builds a journal over a small simulated memory, as every
+// kernel machine does.
+func newJournal(mode mem.PersistMode) (*Journal, *mem.Memory) {
 	m := mem.New(mem.Config{NVMFrames: 64, DRAMFrames: 8, Persist: mode, CrashSeed: 1},
 		simclock.DefaultCostModel())
 	return New(simclock.DefaultCostModel(), m), m
 }
 
 func TestNVMRecordSurvivesCrash(t *testing.T) {
-	j, _ := newNVMJournal(mem.ModeADR)
+	j, _ := newJournal(mem.ModeADR)
 	r := j.Begin(nil, OpBuddyAlloc, 3, 1)
 	j.MarkApplied(nil, r)
 	j.OnCrash() // rebuild the Go mirror from the NVM frame
@@ -125,8 +129,8 @@ func TestNVMRecordSurvivesCrash(t *testing.T) {
 }
 
 func TestCommittedRecordLeavesNothingPending(t *testing.T) {
-	j, _ := newNVMJournal(mem.ModeADR)
-	r := j.Begin(nil, OpSlabAlloc, 2, 0, 5)
+	j, _ := newJournal(mem.ModeADR)
+	r := j.Begin(nil, OpBuddyAlloc, 2, 0, 5)
 	j.MarkApplied(nil, r)
 	j.Commit(nil, r)
 	j.OnCrash()
@@ -145,7 +149,7 @@ func TestCommittedRecordLeavesNothingPending(t *testing.T) {
 func TestTornTailHealedFromMirrorByteByByte(t *testing.T) {
 	page := mem.PageID{Kind: mem.KindNVM, Frame: mem.JournalMetaFrame}
 	for off := 0; off < recordSize; off++ {
-		j, m := newNVMJournal(mem.ModeADR)
+		j, m := newJournal(mem.ModeADR)
 		r := j.Begin(nil, OpBuddyAlloc, 7, 2)
 		j.MarkApplied(nil, r)
 		// Flip one bit of one body byte, as a tear inside the record's
@@ -176,7 +180,7 @@ func TestTornTailHealedFromMirrorByteByByte(t *testing.T) {
 // (never replay garbage), and the truncation must be durable.
 func TestTornTailBothCopiesDeadTruncates(t *testing.T) {
 	page := mem.PageID{Kind: mem.KindNVM, Frame: mem.JournalMetaFrame}
-	j, m := newNVMJournal(mem.ModeADR)
+	j, m := newJournal(mem.ModeADR)
 	j.Begin(nil, OpBuddyAlloc, 7, 2)
 	var b [1]byte
 	for _, off := range []int{recordOff, mirrorBodyOff} {
@@ -202,13 +206,13 @@ func TestTornTailBothCopiesDeadTruncates(t *testing.T) {
 // rebuild both from the mirror and recover the pending record.
 func TestPoisonedPrimaryHealedFromMirror(t *testing.T) {
 	page := mem.PageID{Kind: mem.KindNVM, Frame: mem.JournalMetaFrame}
-	j, m := newNVMJournal(mem.ModeADR)
-	r := j.Begin(nil, OpSlabAlloc, 4, 1)
+	j, m := newJournal(mem.ModeADR)
+	r := j.Begin(nil, OpBuddyAlloc, 4, 1)
 	m.InjectPoison(page, flagOff, 8, 11)
 	m.InjectPoison(page, recordOff, recordSize, 12)
 	j.OnCrash()
 	got := j.PendingRecord()
-	if got == nil || got.Seq != r.Seq || got.Op != OpSlabAlloc {
+	if got == nil || got.Seq != r.Seq || got.Op != OpBuddyAlloc {
 		t.Fatalf("poisoned primary not healed from mirror: %+v", got)
 	}
 	if m.PoisonedLineCount() != 0 {
@@ -224,7 +228,7 @@ func TestPoisonedPrimaryHealedFromMirror(t *testing.T) {
 // touching the logical journal state.
 func TestScrubRepairsPoisonedMirror(t *testing.T) {
 	page := mem.PageID{Kind: mem.KindNVM, Frame: mem.JournalMetaFrame}
-	j, m := newNVMJournal(mem.ModeADR)
+	j, m := newJournal(mem.ModeADR)
 	r := j.Begin(nil, OpBuddyFree, 3, 0)
 	j.Commit(nil, r)
 	m.InjectPoison(page, mirrorBodyOff, recordSize, 5)
@@ -253,7 +257,7 @@ func TestScrubRepairsPoisonedMirror(t *testing.T) {
 // persisted but the flag line was dropped at the crash: recovery must see an
 // empty journal.
 func TestDroppedFlagMeansNoRecord(t *testing.T) {
-	j, m := newNVMJournal(mem.ModeADR)
+	j, m := newJournal(mem.ModeADR)
 	j.Begin(nil, OpBuddyFree, 9, 0)
 	// Simulate the flag line dropping: overwrite it with its pre-Begin
 	// content (zero), as applyCrashDamage would.

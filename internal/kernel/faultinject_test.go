@@ -4,37 +4,33 @@ import (
 	"fmt"
 	"testing"
 
-	"treesls/internal/alloc"
 	"treesls/internal/caps"
+	"treesls/internal/mem"
 	"treesls/internal/simclock"
 )
 
-// runToInjectedCrash drives fn until the armed fault plan fires, converting
-// the injected panic into a machine crash (what a real power failure at that
-// micro-step would be).
-func runToInjectedCrash(t *testing.T, m *Machine, fn func() error) {
+// crashAtEvent arms a power failure at the k-th persistence event from now
+// and runs fn. It reports whether the crash fired; if it did, the machine
+// is crashed (what a real power failure at that micro-step would be).
+func crashAtEvent(t *testing.T, m *Machine, k uint64, fn func()) (fired bool) {
 	t.Helper()
-	crashed := func() (hit bool) {
+	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(alloc.CrashError); !ok {
+				if _, ok := r.(mem.CrashError); !ok {
 					panic(r)
 				}
-				hit = true
+				fired = true
 			}
 		}()
-		if err := fn(); err != nil {
-			t.Fatal(err)
-		}
-		return false
+		m.Memory.ArmCrashAfter(k)
+		fn()
+	}()
+	m.Memory.DisarmCrash()
+	if fired {
+		m.Crash()
 	}
-	for i := 0; i < 100000; i++ {
-		if crashed() {
-			m.Crash()
-			return
-		}
-	}
-	t.Fatal("fault plan never fired")
+	return fired
 }
 
 // checkpointedSum reads the durable counter state of the test workload.
@@ -57,103 +53,112 @@ func checkpointedSum(t *testing.T, m *Machine, va uint64, pages int) []byte {
 	return out
 }
 
-// TestCrashDuringCOWBackupAlloc injects a power failure exactly when the
-// fault handler allocates its backup page: the half-done copy-on-write must
-// not corrupt the committed checkpoint.
+// TestCrashDuringCOWBackupAlloc crashes one copy-on-write fault at every
+// persistence event it fires, the backup-page allocation included: the
+// half-done fault must not corrupt the committed checkpoint.
 func TestCrashDuringCOWBackupAlloc(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CheckpointEvery = 0
-	cfg.SkipDefaultServices = true
-	m := New(cfg)
-	p, _ := m.NewProcess("app", 1)
-	va, _, _ := p.Mmap(16, caps.PMODefault)
-	for i := 0; i < 16; i++ {
-		m.Run(p, p.MainThread(), func(e *Env) error {
-			return e.Write(va+uint64(i)*4096, []byte{byte(i + 1)})
-		})
+	setup := func() (*Machine, *Process, uint64) {
+		cfg := DefaultConfig()
+		cfg.CheckpointEvery = 0
+		cfg.SkipDefaultServices = true
+		m := New(cfg)
+		p, _ := m.NewProcess("app", 1)
+		va, _, _ := p.Mmap(16, caps.PMODefault)
+		for i := 0; i < 16; i++ {
+			m.Run(p, p.MainThread(), func(e *Env) error {
+				return e.Write(va+uint64(i)*4096, []byte{byte(i + 1)})
+			})
+		}
+		m.TakeCheckpoint()
+		return m, p, va
 	}
-	m.TakeCheckpoint()
+	m, _, va := setup()
 	want := checkpointedSum(t, m, va, 16)
 
-	m.Alloc.SetFaultPlan(&alloc.FaultPlan{Point: "buddy-alloc-ckpt:begun"})
-	i := 0
-	runToInjectedCrash(t, m, func() error {
-		i++
-		_, err := m.Run(p, p.MainThread(), func(e *Env) error {
-			return e.Write(va+uint64(i%16)*4096, []byte{0xFF})
+	k := uint64(1)
+	for ; ; k++ {
+		m, p, va := setup()
+		fired := crashAtEvent(t, m, k, func() {
+			if _, err := m.Run(p, p.MainThread(), func(e *Env) error {
+				return e.Write(va+5*4096, []byte{0xFF})
+			}); err != nil {
+				t.Fatal(err)
+			}
 		})
-		return err
-	})
-	if err := m.Restore(); err != nil {
-		t.Fatal(err)
-	}
-	got := checkpointedSum(t, m, va, 16)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("page %d = %#x, want %#x (checkpoint corrupted by mid-fault crash)", i, got[i], want[i])
+		if !fired {
+			break
 		}
+		if err := m.Restore(); err != nil {
+			t.Fatalf("event %d: %v", k, err)
+		}
+		got := checkpointedSum(t, m, va, 16)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("event %d: page %d = %#x, want %#x (checkpoint corrupted by mid-fault crash)", k, i, got[i], want[i])
+			}
+		}
+	}
+	if k == 1 {
+		t.Fatal("the COW fault fired no persistence event")
 	}
 }
 
-// TestCrashDuringSTW injects power failures at allocator activity inside
-// the stop-the-world checkpoint itself (hybrid-copy backup allocation);
-// the in-flight round must be discarded and the previous one restored.
+// TestCrashDuringSTW crashes one stop-the-world checkpoint at every
+// persistence event it fires (hybrid-copy migration, COW backups, the
+// commit, the release). Each restore must land on one committed round
+// whole: the previous version with every page at its value, or the new
+// version with every page at the value written before it.
 func TestCrashDuringSTW(t *testing.T) {
-	for countdown := 0; countdown < 4; countdown++ {
-		t.Run(fmt.Sprintf("countdown=%d", countdown), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.CheckpointEvery = 0
-			cfg.SkipDefaultServices = true
-			cfg.Checkpoint.HotThreshold = 1
-			m := New(cfg)
-			p, _ := m.NewProcess("app", 2)
-			va, _, _ := p.Mmap(16, caps.PMODefault)
-			write := func(v byte) {
-				for i := 0; i < 8; i++ {
-					m.Run(p, p.Thread(i), func(e *Env) error {
-						return e.Write(va+uint64(i)*4096, []byte{v})
-					})
-				}
+	const pages = 8
+	setup := func() (*Machine, *Process, uint64, func(byte)) {
+		cfg := DefaultConfig()
+		cfg.CheckpointEvery = 0
+		cfg.SkipDefaultServices = true
+		cfg.Checkpoint.HotThreshold = 1
+		m := New(cfg)
+		p, _ := m.NewProcess("app", 2)
+		va, _, _ := p.Mmap(16, caps.PMODefault)
+		write := func(v byte) {
+			for i := 0; i < pages; i++ {
+				m.Run(p, p.Thread(i), func(e *Env) error {
+					return e.Write(va+uint64(i)*4096, []byte{v})
+				})
 			}
-			write(1)
-			m.TakeCheckpoint()
-			write(2) // faults -> pages become hot
-			m.TakeCheckpoint()
-			write(3)
-			committed := m.Ckpt.CommittedVersion()
+		}
+		write(1)
+		m.TakeCheckpoint()
+		write(2) // faults -> pages become hot
+		m.TakeCheckpoint()
+		write(3)
+		write(4)
+		return m, p, va, write
+	}
 
-			// Crash inside the NEXT checkpoint (backup allocations
-			// during hybrid copy / COW of this round).
-			m.Alloc.SetFaultPlan(&alloc.FaultPlan{Point: "buddy-alloc-ckpt:begun", Countdown: countdown})
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(alloc.CrashError); !ok {
-							panic(r)
-						}
-						m.Crash()
-					}
-				}()
-				write(4) // may fault and trip the plan
-				m.TakeCheckpoint()
-			}()
-			m.Alloc.SetFaultPlan(nil)
-			if !m.Crashed() {
-				t.Skip("plan did not fire at this countdown")
-			}
+	var rolledBack, committed int
+	for k := uint64(1); ; k++ {
+		m, p, va, write := setup()
+		prev := m.Ckpt.CommittedVersion()
+		if !crashAtEvent(t, m, k, func() { m.TakeCheckpoint() }) {
+			break
+		}
+		t.Run(fmt.Sprintf("event=%d", k), func(t *testing.T) {
 			if err := m.Restore(); err != nil {
 				t.Fatal(err)
 			}
-			if got := m.Ckpt.CommittedVersion(); got < committed {
-				t.Fatalf("restored to version %d, older than committed %d", got, committed)
+			var want byte
+			switch v := m.Ckpt.CommittedVersion(); v {
+			case prev:
+				want = 2
+				rolledBack++
+			case prev + 1:
+				want = 4
+				committed++
+			default:
+				t.Fatalf("restored version %d, want %d or %d", v, prev, prev+1)
 			}
-			// State is exactly some committed round: every page holds
-			// the same round's value (2, 3 or 4 — never a torn mix
-			// beyond per-page rounding to a commit).
-			got := checkpointedSum(t, m, va, 8)
-			for i, v := range got {
-				if v < 2 || v > 4 {
-					t.Errorf("page %d = %d, not a committed value", i, v)
+			for i, v := range checkpointedSum(t, m, va, pages) {
+				if v != want {
+					t.Errorf("page %d = %d, want %d: not the restored round's value", i, v, want)
 				}
 			}
 			// The machine continues working.
@@ -163,66 +168,67 @@ func TestCrashDuringSTW(t *testing.T) {
 			}
 		})
 	}
+	if rolledBack == 0 || committed == 0 {
+		t.Fatalf("sweep restored the previous round %d times and the new one %d times; want both",
+			rolledBack, committed)
+	}
+	t.Logf("%d events: %d restored the previous round, %d the new one", rolledBack+committed, rolledBack, committed)
 }
 
-// TestManyRandomCrashPoints sweeps the countdown over allocator activity to
-// crash at many distinct micro-steps; after every restore the machine must
+// TestManyRandomCrashPoints crashes a periodic-checkpoint workload at a
+// spread of persistence-event indices; after every restore the machine must
 // pass its own consistency checks and keep running.
 func TestManyRandomCrashPoints(t *testing.T) {
-	// Slab fault points are exercised by the allocator's own unit tests;
-	// at machine level the page-allocation paths are the live ones.
-	points := []string{"buddy-alloc:begun", "buddy-alloc:applied", "buddy-alloc-ckpt:begun"}
-	for _, point := range points {
-		for countdown := 0; countdown < 3; countdown++ {
-			name := fmt.Sprintf("%s/%d", point, countdown)
-			t.Run(name, func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.CheckpointEvery = simclock.Millisecond
-				cfg.SkipDefaultServices = true
-				m := New(cfg)
-				p, _ := m.NewProcess("app", 2)
-				va, _, _ := p.Mmap(64, caps.PMODefault)
-				// Establish a first checkpoint.
-				m.Run(p, p.MainThread(), func(e *Env) error { return e.Write(va, []byte{1}) })
-				m.TakeCheckpoint()
-
-				m.Alloc.SetFaultPlan(&alloc.FaultPlan{Point: point, Countdown: countdown})
-				fired := false
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							if _, ok := r.(alloc.CrashError); !ok {
-								panic(r)
-							}
-							fired = true
-							m.Crash()
-						}
-					}()
-					for i := 0; i < 2000; i++ {
-						if _, err := m.Run(p, p.Thread(i), func(e *Env) error {
-							return e.Write(va+uint64(i%64)*4096, []byte{byte(i)})
-						}); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}()
-				m.Alloc.SetFaultPlan(nil)
-				if !fired {
-					t.Skipf("%s never reached", name)
-				}
-				if err := m.Restore(); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Alloc.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-				// Machine still works.
-				if _, err := m.Run(m.Process("app"), m.Process("app").MainThread(), func(e *Env) error {
-					return e.Write(va, []byte{42})
+	setup := func() (*Machine, uint64, func()) {
+		cfg := DefaultConfig()
+		cfg.CheckpointEvery = simclock.Millisecond
+		cfg.SkipDefaultServices = true
+		m := New(cfg)
+		p, _ := m.NewProcess("app", 2)
+		va, _, _ := p.Mmap(64, caps.PMODefault)
+		// Establish a first checkpoint.
+		m.Run(p, p.MainThread(), func(e *Env) error { return e.Write(va, []byte{1}) })
+		m.TakeCheckpoint()
+		workload := func() {
+			for i := 0; i < 2000; i++ {
+				if _, err := m.Run(p, p.Thread(i), func(e *Env) error {
+					return e.Write(va+uint64(i%64)*4096, []byte{byte(i)})
 				}); err != nil {
 					t.Fatal(err)
 				}
-			})
+			}
 		}
+		return m, va, workload
+	}
+	m, _, workload := setup()
+	start := m.Memory.Events()
+	workload()
+	total := m.Memory.Events() - start
+	if total == 0 {
+		t.Fatal("workload fired no persistence event")
+	}
+
+	const points = 12
+	for i := uint64(0); i < points; i++ {
+		k := 1 + i*total/points
+		t.Run(fmt.Sprintf("event=%d", k), func(t *testing.T) {
+			m, va, workload := setup()
+			if !crashAtEvent(t, m, k, workload) {
+				t.Fatalf("event %d of %d never reached", k, total)
+			}
+			if err := m.Restore(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Alloc.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			// Machine still works.
+			p := m.Process("app")
+			if _, err := m.Run(p, p.MainThread(), func(e *Env) error {
+				return e.Write(va, []byte{42})
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

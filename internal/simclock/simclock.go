@@ -120,10 +120,9 @@ type CostModel struct {
 
 	// Checkpoint-manager object costs (calibrated against Table 3).
 
-	// SlabAlloc / SlabFree are the costs of one slab-slot (de)allocation,
-	// including the journal record protecting it.
+	// SlabAlloc is the cost of one slab-slot allocation for a backup
+	// object, including the journal record protecting it.
 	SlabAlloc Duration
-	SlabFree  Duration
 	// BuddyAlloc / BuddyFree cover one buddy-system page (de)allocation.
 	BuddyAlloc Duration
 	BuddyFree  Duration
@@ -265,7 +264,6 @@ func DefaultCostModel() *CostModel {
 		MaxKernelSection: 3000,
 
 		SlabAlloc:     120,
-		SlabFree:      90,
 		BuddyAlloc:    220,
 		BuddyFree:     160,
 		JournalRecord: 180,
