@@ -27,10 +27,16 @@ type harness struct {
 // newHarness keeps the journal in its NVM frame, as on a booted machine:
 // every journal record is persistence events that an armed crash can land
 // on, the allocator's frees included.
-func newHarness(t *testing.T, cfg Config, nCores int) *harness {
+func newHarness(t testing.TB, cfg Config, nCores int) *harness {
+	t.Helper()
+	return newHarnessMem(t, cfg, nCores, mem.Config{NVMFrames: 4096, DRAMFrames: 256})
+}
+
+// newHarnessMem is newHarness over a memory built from mc.
+func newHarnessMem(t testing.TB, cfg Config, nCores int, mc mem.Config) *harness {
 	t.Helper()
 	model := simclock.DefaultCostModel()
-	m := mem.New(mem.Config{NVMFrames: 4096, DRAMFrames: 256}, model)
+	m := mem.New(mc, model)
 	j := journal.New(model, m)
 	a := alloc.New(m, j)
 	tree := caps.NewTree()
@@ -46,7 +52,7 @@ func (h *harness) lane() *simclock.Lane { return h.lanes[0] }
 
 // writePage mimics the kernel's VM write path at page granularity:
 // materialize on first touch, COW-fault on protected pages, then store.
-func (h *harness) writePage(t *testing.T, pmo *caps.PMO, idx uint64, data []byte) {
+func (h *harness) writePage(t testing.TB, pmo *caps.PMO, idx uint64, data []byte) {
 	t.Helper()
 	s := pmo.Lookup(idx)
 	if s == nil {
@@ -88,7 +94,7 @@ func (h *harness) crash() {
 	h.tree = nil
 }
 
-func (h *harness) restore(t *testing.T) *caps.Tree {
+func (h *harness) restore(t testing.TB) *caps.Tree {
 	t.Helper()
 	tree, _, err := h.mgr.Restore(h.lane())
 	if err != nil {

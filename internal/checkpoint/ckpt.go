@@ -29,6 +29,9 @@ func (m *Manager) TakeCheckpoint(lanes []*simclock.Lane, leader int, quiesce Qui
 	var rep Report
 	round := m.committed + 1
 	m.walkStamp++
+	// A crash inside an earlier walk may have left its children stack
+	// unpopped.
+	m.popKids(0)
 	rep.Version = round
 	rep.Full = !m.HasCheckpoint()
 	rep.FaultsLastEpoch = m.Stats.EpochFaults
@@ -95,16 +98,14 @@ func (m *Manager) TakeCheckpoint(lanes []*simclock.Lane, leader int, quiesce Qui
 	hybridStart := quiescedAt
 	var hybridEnd simclock.Time
 	if m.cfg.HybridCopy {
-		workers := make([]*simclock.Lane, 0, len(lanes))
+		workers := m.workers[:0]
 		for i, l := range lanes {
 			if i != leader {
 				workers = append(workers, l)
 			}
 		}
-		serial := false
 		if len(workers) == 0 {
 			workers = append(workers, ll)
-			serial = true
 		} else if parallel {
 			// The copy overlaps the tail of the parallel walk: each
 			// worker starts as soon as its own share of the walk is
@@ -118,7 +119,8 @@ func (m *Manager) TakeCheckpoint(lanes []*simclock.Lane, leader int, quiesce Qui
 				}
 			}
 		}
-		hybridEnd = m.runHybridCopy(workers, hybridStart, round, serial, &rep)
+		m.workers = workers
+		hybridEnd = m.runHybridCopy(workers, hybridStart, round, &rep)
 	}
 
 	// --- Step ❹: atomic commit of the new checkpoint. ------------------
@@ -259,20 +261,31 @@ func (m *Manager) checkpointObject(lane *simclock.Lane, o caps.Object, round uin
 	if r.SeenInRound(m.walkStamp) {
 		return r
 	}
-	children := m.visitResolved(lane, o, r, round, rep)
-	for _, c := range children {
-		if c != nil {
+	base := len(m.kids)
+	m.visitResolved(lane, o, r, round, rep)
+	// Walk this visit's window of the stack by index, re-reading every
+	// entry: the nested visits push above end and may move the stack.
+	for i, end := base, len(m.kids); i < end; i++ {
+		if c := m.kids[i]; c != nil {
 			m.checkpointObject(lane, c, round, rep)
 		}
 	}
+	m.popKids(base)
 	return r
 }
 
+// popKids truncates the children stack back to base, clearing the dropped
+// entries so that the stack keeps no removed object alive.
+func (m *Manager) popKids(base int) {
+	clear(m.kids[base:])
+	m.kids = m.kids[:base]
+}
+
 // visitResolved checkpoints the single object o (whose root r is already
-// resolved and not yet seen this round) without descending, and returns the
-// children a full walk would recurse into. Both checkpointObject and the
-// parallel walk's shallow units are built on it.
-func (m *Manager) visitResolved(lane *simclock.Lane, o caps.Object, r *caps.ORoot, round uint64, rep *Report) []caps.Object {
+// resolved and not yet seen this round) without descending, and pushes onto
+// m.kids the children a full walk would recurse into, in visit order. Both
+// checkpointObject and the parallel walk's shallow units are built on it.
+func (m *Manager) visitResolved(lane *simclock.Lane, o caps.Object, r *caps.ORoot, round uint64, rep *Report) {
 	r.MarkSeen(m.walkStamp)
 
 	start := lane.Now()
@@ -281,13 +294,12 @@ func (m *Manager) visitResolved(lane *simclock.Lane, o caps.Object, r *caps.ORoo
 	needSnap := o.Dirty() || latestVer == 0
 	full := latestVer == 0
 
-	// resolveChild both finds/creates the child's ORoot and recursively
-	// checkpoints it; recursion time must not pollute this object's
-	// per-kind timing, so children are gathered first and visited after
-	// the timing window closes.
-	var children []caps.Object
+	// resolveChild finds or creates the child's ORoot; the child itself
+	// is checkpointed later. Recursion time must not pollute this
+	// object's per-kind timing, so children are gathered first and
+	// visited after the timing window closes.
 	resolveChild := func(c caps.Object) *caps.ORoot {
-		children = append(children, c)
+		m.kids = append(m.kids, c)
 		return m.resolve(lane, c)
 	}
 
@@ -307,7 +319,7 @@ func (m *Manager) visitResolved(lane *simclock.Lane, o caps.Object, r *caps.ORoo
 			// array to detect changes (Table 3's incremental
 			// CapGroup cost), and descends — children may be dirty.
 			lane.Charge(simclock.Duration(obj.NumSlots()) * m.model.CapCopy / 4)
-			obj.ForEach(func(_ int, c caps.Capability) { children = append(children, c.Obj) })
+			obj.ForEach(func(_ int, c caps.Capability) { m.kids = append(m.kids, c.Obj) })
 		}
 	case *caps.Thread:
 		if needSnap {
@@ -340,7 +352,7 @@ func (m *Manager) visitResolved(lane *simclock.Lane, o caps.Object, r *caps.ORoo
 		} else {
 			// Clean space: scan the region list for changes.
 			lane.Charge(simclock.Duration(obj.NumRegions()) * m.model.VMRegionCopy / 4)
-			obj.ForEachRegion(func(reg *caps.VMRegion) { children = append(children, reg.PMO) })
+			obj.ForEachRegion(func(reg *caps.VMRegion) { m.kids = append(m.kids, reg.PMO) })
 		}
 	case *caps.PMO:
 		m.checkpointPMO(lane, obj, r, round, full, rep)
@@ -406,7 +418,6 @@ func (m *Manager) visitResolved(lane *simclock.Lane, o caps.Object, r *caps.ORoo
 			ts.addIncr(elapsed)
 		}
 	}
-	return children
 }
 
 // snapshotSlot prepares backup slot ws of root r for a snapshot at version

@@ -147,6 +147,56 @@ func TestCopyMethodStrings(t *testing.T) {
 	}
 }
 
+// HistoryOf returns the retained historic snapshots of object objID
+// (eidetic mode, §8): (version, snapshot) pairs older than the two live
+// backup slots, newest last. Empty unless Config.EideticVersions > 0.
+func (m *Manager) HistoryOf(objID uint64) []caps.HistoricSnapshot {
+	r := m.lookupRoot(objID)
+	if r == nil {
+		return nil
+	}
+	return r.History
+}
+
+// RetainedVersions lists every version of object objID that can still be
+// inspected: the eidetic history plus the committed backup slots.
+func (m *Manager) RetainedVersions(objID uint64) []uint64 {
+	r := m.lookupRoot(objID)
+	if r == nil {
+		return nil
+	}
+	var vs []uint64
+	for _, h := range r.History {
+		vs = append(vs, h.Version)
+	}
+	for i := 0; i < 2; i++ {
+		if r.Backup[i] != nil && r.Ver[i] != 0 && r.Ver[i] <= m.committed {
+			vs = append(vs, r.Ver[i])
+		}
+	}
+	return vs
+}
+
+// SnapshotAt returns object objID's snapshot at exactly version v, searching
+// the live slots and the eidetic history. Nil if not retained.
+func (m *Manager) SnapshotAt(objID, v uint64) caps.Snapshot {
+	r := m.lookupRoot(objID)
+	if r == nil {
+		return nil
+	}
+	for i := 0; i < 2; i++ {
+		if r.Backup[i] != nil && r.Ver[i] == v {
+			return r.Backup[i]
+		}
+	}
+	for _, h := range r.History {
+		if h.Version == v {
+			return h.Snap
+		}
+	}
+	return nil
+}
+
 func TestEideticAccessors(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EideticVersions = 3

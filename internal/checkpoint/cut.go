@@ -101,8 +101,14 @@ func (m *Manager) RollForwardCommit(lane *simclock.Lane, v uint64) error {
 // restricts both to what the prepare actually guaranteed.
 func (m *Manager) publishGC(ll *simclock.Lane, stamp uint64, frees int, sweep bool) {
 	// Deferred runtime-frame releases: safe now that the commit has made
-	// the state that stopped referencing them durable.
-	m.freedThisRound = make(map[uint32]bool)
+	// the state that stopped referencing them durable. The set is emptied
+	// here, before any free: a crash inside the previous collection may
+	// have left its entries behind, and they would make this sweep skip
+	// frames it must free.
+	if m.freedThisRound == nil {
+		m.freedThisRound = make(map[uint32]bool)
+	}
+	clear(m.freedThisRound)
 	for _, p := range m.deferredFrees[:frees] {
 		m.alloc.FreePageCkpt(ll, p)
 		m.dropSum(p)
@@ -115,5 +121,4 @@ func (m *Manager) publishGC(ll *simclock.Lane, stamp uint64, frees int, sweep bo
 		// checkpoint, so no restorable state references them anymore.
 		m.sweepUnreachable(ll, stamp)
 	}
-	m.freedThisRound = nil
 }

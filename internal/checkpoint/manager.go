@@ -280,15 +280,17 @@ type Manager struct {
 	roots []*caps.ORoot
 	// savedNextID is the tree's ID counter as of the last commit.
 	savedNextID uint64
-	// replicas: backup-page frame -> replica pages + checksum.
+	// replicas: backup-page frame -> replica page + its checksum.
 	replicas map[mem.PageID]*pageReplica
 	// sums: restore-source page -> content digest, written whenever the
 	// checkpoint protocol (re)establishes a page as a restore source and
 	// verified on every restore read and scrub pass. It models per-page
 	// checksums stored beside the CkptPage metadata in NVM (metadata is
 	// Go-modeled and therefore atomic, like the rest of the backup tree's
-	// bookkeeping). Empty when cfg.DisableChecksums.
-	sums map[mem.PageID]uint32
+	// bookkeeping). Each entry also keeps the frame's write generation at
+	// the time of hashing, so that verification rehashes only a page
+	// written since (sums.go). Empty when cfg.DisableChecksums.
+	sums map[mem.PageID]pageSum
 
 	// ---- Runtime world (rebuilt on restore) ----
 
@@ -305,7 +307,9 @@ type Manager struct {
 	deferredFrees []mem.PageID
 	// freedThisRound tracks the frames just released at this commit so
 	// the unreachable-object sweep never double-frees a backup slot that
-	// aliased a runtime frame (the demoted-page case).
+	// aliased a runtime frame (the demoted-page case). publishGC empties
+	// it before its first free; the map itself is kept for the next
+	// round.
 	freedThisRound map[uint32]bool
 	// pending records a round prepared under Config.DeferCommitPublish
 	// whose commit word has not been published yet (cut.go). Volatile
@@ -319,6 +323,20 @@ type Manager struct {
 	// round number, and markers left by the interrupted walk would make
 	// the retry skip dirty objects and commit their stale snapshots.
 	walkStamp uint64
+
+	// Host-side scratch, reused every round so that a warm, clean round
+	// allocates nothing but its journal record: the walk's children
+	// stack (checkpointObject), the partitioned unit list and work queue
+	// of the parallel walk, its per-lane clock marks, the hybrid-copy
+	// worker lanes and their entry times, and restore's reference stack.
+	// None of it is simulated state.
+	kids    []caps.Object
+	part    walkPartition
+	wq      simclock.WorkQueue
+	marks   []walkMark
+	workers []*simclock.Lane
+	entered []simclock.Time
+	refs    []*caps.ORoot
 
 	// obs is the observability layer (nil = disabled; all hooks are
 	// zero-cost no-ops then). met holds pre-resolved metric handles so
@@ -434,7 +452,7 @@ func New(cfg Config, memory *mem.Memory, al *alloc.Allocator, tree *caps.Tree) *
 		alloc:    al,
 		jrnl:     al.Journal(),
 		replicas: make(map[mem.PageID]*pageReplica),
-		sums:     make(map[mem.PageID]uint32),
+		sums:     make(map[mem.PageID]pageSum),
 		tree:     tree,
 	}
 }
@@ -457,56 +475,6 @@ func (m *Manager) Register(cb Callback) { m.callbacks = append(m.callbacks, cb) 
 
 // CachedPages reports how many pages are currently cached in DRAM.
 func (m *Manager) CachedPages() int { return m.cached }
-
-// HistoryOf returns the retained historic snapshots of object objID
-// (eidetic mode, §8): (version, snapshot) pairs older than the two live
-// backup slots, newest last. Empty unless Config.EideticVersions > 0.
-func (m *Manager) HistoryOf(objID uint64) []caps.HistoricSnapshot {
-	r := m.lookupRoot(objID)
-	if r == nil {
-		return nil
-	}
-	return r.History
-}
-
-// RetainedVersions lists every version of object objID that can still be
-// inspected: the eidetic history plus the committed backup slots.
-func (m *Manager) RetainedVersions(objID uint64) []uint64 {
-	r := m.lookupRoot(objID)
-	if r == nil {
-		return nil
-	}
-	var vs []uint64
-	for _, h := range r.History {
-		vs = append(vs, h.Version)
-	}
-	for i := 0; i < 2; i++ {
-		if r.Backup[i] != nil && r.Ver[i] != 0 && r.Ver[i] <= m.committed {
-			vs = append(vs, r.Ver[i])
-		}
-	}
-	return vs
-}
-
-// SnapshotAt returns object objID's snapshot at exactly version v, searching
-// the live slots and the eidetic history. Nil if not retained.
-func (m *Manager) SnapshotAt(objID, v uint64) caps.Snapshot {
-	r := m.lookupRoot(objID)
-	if r == nil {
-		return nil
-	}
-	for i := 0; i < 2; i++ {
-		if r.Backup[i] != nil && r.Ver[i] == v {
-			return r.Backup[i]
-		}
-	}
-	for _, h := range r.History {
-		if h.Version == v {
-			return h.Snap
-		}
-	}
-	return nil
-}
 
 // DeferFreePage queues a runtime NVM frame for release at the next
 // checkpoint commit. See deferredFrees for why frees must not happen

@@ -303,12 +303,12 @@ func (m *Manager) HandleWriteFault(lane *simclock.Lane, pmo *caps.PMO, idx uint6
 // It returns the latest finishing time across the worker lanes that did
 // copy work; workers whose clocks advanced only during the parallel walk
 // do not extend the copy window.
-func (m *Manager) runHybridCopy(workers []*simclock.Lane, start simclock.Time, round uint64, serial bool, rep *Report) simclock.Time {
-	_ = serial
-	entered := make([]simclock.Time, len(workers))
-	for i, w := range workers {
-		entered[i] = w.Now()
+func (m *Manager) runHybridCopy(workers []*simclock.Lane, start simclock.Time, round uint64, rep *Report) simclock.Time {
+	entered := m.entered[:0]
+	for _, w := range workers {
+		entered = append(entered, w.Now())
 	}
+	m.entered = entered
 	keep := m.active[:0]
 	for i, ref := range m.active {
 		w := workers[i%len(workers)]
@@ -474,9 +474,14 @@ func (m *Manager) latestBackupSlot(cp *caps.CkptPage) int {
 
 // ---- Backup-page replication (§8 "Data Reliability") -----------------------
 
+// pageReplica is the replica of one backup page: the copy's frame and its
+// checksum, keyed by the copy's write generation. A replica is filed before
+// its first copy, with generation 0; no crash can land between the filing
+// and the copy, and the copy leaves the frame at generation 1 or more, so
+// that zero never matches.
 type pageReplica struct {
 	copy mem.PageID
-	sum  uint32
+	sum  pageSum
 }
 
 // updateReplica refreshes the replica + checksum of a backup page after it
@@ -496,7 +501,8 @@ func (m *Manager) updateReplica(lane *simclock.Lane, p mem.PageID) {
 	}
 	lane.Charge(m.memory.CopyPage(rep.copy, p))
 	m.flushPage(lane, rep.copy)
-	rep.sum = pageChecksum(m.memory.Data(p))
+	// The copy holds p's bytes, so p's checksum is the copy's too.
+	rep.sum = pageSum{crc: m.currentSum(p).crc, gen: m.memory.Gen(rep.copy)}
 }
 
 // dropReplica releases the replica of a reclaimed backup page.

@@ -246,7 +246,8 @@ func TestPartitionPreservesDFSOrder(t *testing.T) {
 	var serialOrder []uint64
 	h.tree.Walk(func(o caps.Object) { serialOrder = append(serialOrder, o.ID()) })
 
-	units := partitionWalk(h.tree.Root, 4)
+	var part walkPartition
+	units := part.partitionWalk(h.tree.Root, 4)
 	if units[0].obj != caps.Object(h.tree.Root) {
 		t.Fatalf("unit 0 is %v, want the tree root", units[0].obj.ID())
 	}
@@ -262,7 +263,7 @@ func TestPartitionPreservesDFSOrder(t *testing.T) {
 		}
 		seen[o.ID()] = true
 		flat = append(flat, o.ID())
-		if kids, ok := walkChildren(o); ok {
+		if kids, ok := walkChildren(nil, o); ok {
 			for _, c := range kids {
 				dfs(c)
 			}

@@ -100,15 +100,21 @@ func (m *Manager) Restore(lane *simclock.Lane) (*caps.Tree, uint64, error) {
 	m.Stats.EpochFaults = 0
 
 	// Step 2a: discover reachable roots and create empty runtime objects.
+	// A root is discovered once it is a key of revived; the references of
+	// each snapshot go on a stack the Manager reuses, and each discover
+	// walks its own window of it.
 	order := make([]*caps.ORoot, 0, len(m.roots))
-	seen := make(map[*caps.ORoot]bool)
-	revived := make(map[*caps.ORoot]caps.Object)
+	revived := make(map[*caps.ORoot]caps.Object, len(m.roots))
+	clear(m.refs) // a crashed restore may have left its stack behind
+	m.refs = m.refs[:0]
 	var discover func(r *caps.ORoot) error
 	discover = func(r *caps.ORoot) error {
-		if r == nil || seen[r] {
+		if r == nil {
 			return nil
 		}
-		seen[r] = true
+		if _, ok := revived[r]; ok {
+			return nil
+		}
 		// Drop snapshots the crashed (uncommitted) round captured: their
 		// version tag equals the round the retry will reuse, so leaving
 		// them would alias a stale capture into the next commit — the
@@ -161,11 +167,17 @@ func (m *Manager) Restore(lane *simclock.Lane) (*caps.Tree, uint64, error) {
 		r.Runtime = obj
 		revived[r] = obj
 		order = append(order, r)
-		for _, child := range snapshotRefs(snap) {
-			if err := discover(child); err != nil {
+		base := len(m.refs)
+		m.refs = appendSnapshotRefs(m.refs, snap)
+		// Re-read every entry: nested discoveries push above end and may
+		// move the stack.
+		for i, end := base, len(m.refs); i < end; i++ {
+			if err := discover(m.refs[i]); err != nil {
 				return err
 			}
 		}
+		clear(m.refs[base:])
+		m.refs = m.refs[:base]
 		return nil
 	}
 	if err := discover(m.rootORoot); err != nil {
@@ -263,9 +275,9 @@ func reviveEmpty(r *caps.ORoot, snap caps.Snapshot) caps.Object {
 	}
 }
 
-// snapshotRefs enumerates the ORoots a snapshot references.
-func snapshotRefs(snap caps.Snapshot) []*caps.ORoot {
-	var refs []*caps.ORoot
+// appendSnapshotRefs appends the ORoots a snapshot references to refs and
+// returns the extended slice.
+func appendSnapshotRefs(refs []*caps.ORoot, snap caps.Snapshot) []*caps.ORoot {
 	add := func(r *caps.ORoot) {
 		if r != nil {
 			refs = append(refs, r)

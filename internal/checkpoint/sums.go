@@ -33,17 +33,46 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // golden includes, so its algorithm is free to change.
 func pageChecksum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
+// pageSum is a recorded page checksum: the CRC-32C of a frame's bytes and
+// the frame's write generation (mem.Memory.Gen) when they were hashed.
+type pageSum struct {
+	crc uint32
+	gen uint64
+}
+
+// currentSum returns page p's checksum at its current generation: the
+// recorded one while p's generation has not moved since, else a fresh hash.
+func (m *Manager) currentSum(p mem.PageID) pageSum {
+	gen := m.memory.Gen(p)
+	if rec, ok := m.sums[p]; ok && rec.gen == gen {
+		return rec
+	}
+	return pageSum{crc: pageChecksum(m.memory.Data(p)), gen: gen}
+}
+
+// sumHolds reports whether page p still hashes to rec.crc. While p's write
+// generation equals rec.gen, p holds the very bytes rec.crc was computed
+// over — every path that changes a frame's bytes bumps its generation
+// (mem's TestPageHashTracksEveryWrite) — so the answer is yes without
+// reading the page. Only a page written since is hashed again. Either way
+// the answer equals a fresh hash compared with rec.crc; only host time
+// differs, and callers charge the simulated read and hash regardless.
+func (m *Manager) sumHolds(p mem.PageID, rec pageSum) bool {
+	return rec.gen == m.memory.Gen(p) || pageChecksum(m.memory.Data(p)) == rec.crc
+}
+
 // checksumPage records the content digest the manager will demand from
 // restore-source page p before trusting it again. Called whenever the
 // checkpoint protocol (re)establishes p as a restore source: backup copies
-// at their write, rule-2 runtime pages at their covering commit. The digest
-// lives beside the CkptPage metadata (Go-modeled, hence atomic); the
-// simulated cost of the hashing pass is charged to lane.
+// at their write, rule-2 runtime pages at their covering commit. An entry
+// recorded at p's current generation already holds that digest and is
+// kept. The digest lives beside the CkptPage metadata (Go-modeled, hence
+// atomic); the simulated cost of the hashing pass is charged to lane.
 func (m *Manager) checksumPage(lane *simclock.Lane, p mem.PageID) {
 	if m.cfg.DisableChecksums || p.IsNil() || p.Kind != mem.KindNVM {
 		return
 	}
-	m.sums[p] = pageChecksum(m.memory.Data(p))
+	m.sums[p] = m.currentSum(p)
 	if lane != nil {
 		lane.Charge(m.model.ChecksumPage)
 	}
@@ -65,7 +94,9 @@ func (m *Manager) dropSum(p mem.PageID) {
 // the page cannot be proven intact. A replica repairs only when it matches
 // its own digest and, if p has one, p's recorded digest too: a replica left
 // behind by an older content of p would otherwise "repair" p back to stale
-// bytes, which checksumPage would then record as correct.
+// bytes, which checksumPage would then record as correct. Both digest
+// checks rehash only a frame written since its digest was recorded
+// (sumHolds); the simulated read and hash are charged either way.
 func (m *Manager) verifySource(lane *simclock.Lane, p mem.PageID) bool {
 	bad := m.memory.CheckRead(p, 0, mem.PageSize) != nil
 	want, hasSum := m.sums[p]
@@ -73,14 +104,13 @@ func (m *Manager) verifySource(lane *simclock.Lane, p mem.PageID) bool {
 		if lane != nil {
 			lane.Charge(m.model.NVMReadPage + m.model.ChecksumPage)
 		}
-		bad = pageChecksum(m.memory.Data(p)) != want
+		bad = !m.sumHolds(p, want)
 	}
 	if !bad {
 		return true
 	}
-	if rep, ok := m.replicas[p]; ok && (!hasSum || rep.sum == want) {
-		if m.memory.CheckRead(rep.copy, 0, mem.PageSize) == nil &&
-			pageChecksum(m.memory.Data(rep.copy)) == rep.sum {
+	if rep, ok := m.replicas[p]; ok && (!hasSum || rep.sum.crc == want.crc) {
+		if m.memory.CheckRead(rep.copy, 0, mem.PageSize) == nil && m.sumHolds(rep.copy, rep.sum) {
 			d := m.memory.CopyPage(p, rep.copy) // full-page store re-establishes ECC
 			if lane != nil {
 				lane.Charge(d)

@@ -1,12 +1,15 @@
 package checkpoint
 
 import (
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"treesls/internal/caps"
 	"treesls/internal/mem"
 	"treesls/internal/simclock"
 )
@@ -165,5 +168,243 @@ func BenchmarkPageChecksum(b *testing.B) {
 				pageChecksum(page)
 			}
 		})
+	}
+}
+
+// TestPageSumsMatchBytesAtGeneration checks the invariant behind
+// generation-keyed page checksums: a recorded checksum whose generation
+// still equals its frame's is the CRC-32C of the frame's bytes. A random
+// sequence over backup and replica frames — page writes, checkpoints, silent
+// rot, poison, raw corruption, scrub passes, crashes between operations and
+// inside a checkpoint, and restores — runs with two replicas in both
+// persistence modes, and every sums entry and every replica is checked
+// after each step. A path that changes a frame's bytes without bumping its
+// generation leaves a stale entry behind and fails here.
+func TestPageSumsMatchBytesAtGeneration(t *testing.T) {
+	for _, mode := range []mem.PersistMode{mem.ModeEADR, mem.ModeADR} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Replicas = 2
+			cfg.HotThreshold = 2
+			cfg.DemoteAfter = 3
+			h := newHarnessMem(t, cfg, 2, mem.Config{
+				NVMFrames: 4096, DRAMFrames: 64, Persist: mode, CrashSeed: 3,
+			})
+			for i := 0; i < 3; i++ {
+				h.buildProc(fmt.Sprintf("p%d", i), 6)
+			}
+			h.checkpoint() // every crash below has a version to restore
+			rng := rand.New(rand.NewSource(int64(mode) + 11))
+
+			pmos := func() []*caps.PMO {
+				var out []*caps.PMO
+				h.tree.Walk(func(o caps.Object) {
+					if p, ok := o.(*caps.PMO); ok {
+						out = append(out, p)
+					}
+				})
+				return out
+			}
+			// tracked lists every frame with a recorded checksum, backup
+			// and replica frames alike, in frame order.
+			tracked := func() []mem.PageID {
+				var ps []mem.PageID
+				for p := range h.mgr.sums {
+					ps = append(ps, p)
+				}
+				for p, rep := range h.mgr.replicas {
+					ps = append(ps, p, rep.copy)
+				}
+				slices.SortFunc(ps, func(a, b mem.PageID) int { return cmp.Compare(a.Frame, b.Frame) })
+				return slices.Compact(ps)
+			}
+			span := func() (off, n int) {
+				off = rng.Intn(mem.PageSize)
+				return off, 1 + rng.Intn(min(mem.PageSize-off, 3*mem.LineSize))
+			}
+			restore := func() {
+				h.crash()
+				h.restore(t)
+			}
+
+			matched, damaged := 0, 0
+			check := func(step int, op string) {
+				t.Helper()
+				for p, rec := range h.mgr.sums {
+					if rec.gen != h.mem.Gen(p) {
+						continue
+					}
+					matched++
+					if got := pageChecksum(h.mem.Data(p)); got != rec.crc {
+						t.Fatalf("step %d (%s): %v at generation %d hashes to %#x, recorded %#x", step, op, p, rec.gen, got, rec.crc)
+					}
+				}
+				for p, rep := range h.mgr.replicas {
+					if rep.sum.gen != h.mem.Gen(rep.copy) {
+						continue
+					}
+					matched++
+					if got := pageChecksum(h.mem.Data(rep.copy)); got != rep.sum.crc {
+						t.Fatalf("step %d (%s): replica %v of %v at generation %d hashes to %#x, recorded %#x",
+							step, op, rep.copy, p, rep.sum.gen, got, rep.sum.crc)
+					}
+				}
+			}
+
+			for step := 0; step < 600; step++ {
+				var op string
+				switch k := rng.Intn(16); {
+				case k < 6:
+					op = "write"
+					ps := pmos()
+					pmo := ps[rng.Intn(len(ps))]
+					h.writePage(t, pmo, uint64(rng.Intn(int(pmo.SizePages))), []byte(fmt.Sprintf("step %d", step)))
+				case k < 9:
+					op = "checkpoint"
+					h.checkpoint()
+				case k < 12:
+					ps := tracked()
+					if len(ps) == 0 {
+						continue
+					}
+					p := ps[rng.Intn(len(ps))]
+					off, n := span()
+					switch k {
+					case 9:
+						op = "InjectRot"
+						h.mem.InjectRot(p, off, n, rng.Uint64())
+					case 10:
+						op = "InjectPoison"
+						h.mem.InjectPoison(p, off, n, rng.Uint64())
+					default:
+						op = "WriteRaw"
+						b := make([]byte, n)
+						rng.Read(b)
+						h.mem.WriteRaw(p, off, b)
+					}
+					damaged++
+				case k < 13:
+					op = "scrub"
+					h.mgr.Scrub(h.lane())
+				case k < 14:
+					op = "crash inside a checkpoint"
+					h.mem.ArmCrashAfter(1 + uint64(rng.Intn(60)))
+					crashed := func() (crashed bool) {
+						defer func() {
+							if r := recover(); r != nil {
+								if _, ok := r.(mem.CrashError); !ok {
+									panic(r)
+								}
+								crashed = true
+							}
+						}()
+						h.checkpoint()
+						return false
+					}()
+					h.mem.DisarmCrash()
+					if crashed {
+						restore()
+					}
+				default:
+					op = "crash and restore"
+					restore()
+				}
+				check(step, op)
+			}
+			st := h.mgr.Stats
+			if matched == 0 || damaged == 0 || st.Restores == 0 || st.ScrubScans == 0 || st.ReplicaRepair == 0 {
+				t.Fatalf("sequence too weak: %d entries checked, %d damaged, %d restores, %d scrubs, %d replica repairs",
+					matched, damaged, st.Restores, st.ScrubScans, st.ReplicaRepair)
+			}
+		})
+	}
+}
+
+// hostCostTree builds the tree the host-cost gate and benchmarks share: six
+// processes, each a cap group with a VM space, a thread and an 8-page PMO
+// whose every page is written, checkpointed twice so that every object has
+// its root and snapshot and later rounds find nothing dirty.
+func hostCostTree(tb testing.TB, cfg Config) *harness {
+	tb.Helper()
+	h := newHarness(tb, cfg, 4)
+	for i := 0; i < 6; i++ {
+		_, pmo, th := h.buildProc(fmt.Sprintf("p%d", i), 8)
+		th.Touch(func(c *caps.Context) { c.PC = uint64(i) })
+		for idx := uint64(0); idx < pmo.SizePages; idx++ {
+			h.writePage(tb, pmo, idx, []byte(fmt.Sprintf("p%d page %d", i, idx)))
+		}
+	}
+	h.checkpoint()
+	h.checkpoint()
+	return h
+}
+
+// walkVariants are the two capability-tree walks a clean round can take.
+var walkVariants = []struct {
+	name     string
+	parallel bool
+}{{"parallel", true}, {"serial", false}}
+
+// TestCleanRoundAllocations is the allocation gate of the checkpoint walk:
+// after two warm-up rounds, a clean round on 4 lanes allocates at most once
+// — the journal's commit record — under both walks. The walk's children
+// stack, the partition, the work queue and the per-round scratch of hybrid
+// copy and the collection are all reused.
+func TestCleanRoundAllocations(t *testing.T) {
+	for _, v := range walkVariants {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.ParallelWalk = v.parallel
+			h := hostCostTree(t, cfg)
+			h.checkpoint()
+			h.checkpoint()
+			copied := h.mgr.Stats.PagesCopied
+			allocs := testing.AllocsPerRun(20, func() { h.checkpoint() })
+			if allocs > 1 {
+				t.Errorf("a warm clean round allocates %.1f times, want at most 1", allocs)
+			}
+			// The rounds measured were clean and walked the whole tree.
+			rep := h.mgr.LastReport
+			if h.mgr.Stats.PagesCopied != copied || rep.PagesMarkedRO != 0 {
+				t.Errorf("round was not clean: %d pages copied, %d marked read-only",
+					h.mgr.Stats.PagesCopied-copied, rep.PagesMarkedRO)
+			}
+			if rep.PerKindCount != h.tree.Counts() {
+				t.Errorf("round visited %v, tree holds %v", rep.PerKindCount, h.tree.Counts())
+			}
+			if v.parallel && rep.WalkUnits < 4 {
+				t.Errorf("parallel round ran %d units", rep.WalkUnits)
+			}
+		})
+	}
+}
+
+// BenchmarkCleanRound times one warm clean checkpoint round of the
+// host-cost tree on 4 lanes, under both walks.
+func BenchmarkCleanRound(b *testing.B) {
+	for _, v := range walkVariants {
+		b.Run(v.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.ParallelWalk = v.parallel
+			h := hostCostTree(b, cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.checkpoint()
+			}
+		})
+	}
+}
+
+// BenchmarkRestore crashes and restores the host-cost tree. Every page is
+// unchanged since its checksum was recorded, so no restore read rehashes a
+// page.
+func BenchmarkRestore(b *testing.B) {
+	h := hostCostTree(b, DefaultConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.crash()
+		h.restore(b)
 	}
 }

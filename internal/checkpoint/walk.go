@@ -12,6 +12,8 @@ package checkpoint
 // the invariant the serial-vs-parallel differential suite pins down.
 
 import (
+	"slices"
+
 	"treesls/internal/caps"
 	"treesls/internal/obs"
 	"treesls/internal/simclock"
@@ -25,12 +27,13 @@ type walkUnit struct {
 	shallow bool
 }
 
-// walkChildren enumerates the children a shallow visit of o hands off to
-// follow-up units, in exactly the order visitResolved gathers them, or
-// ok=false if o's kind cannot be split (its references stay inside one
-// unit). CapGroup slot order matches both ForEach and Snapshot; VMSpace
-// region order matches both ForEachRegion and Snapshot.
-func walkChildren(o caps.Object) (kids []caps.Object, ok bool) {
+// walkChildren appends to kids the children a shallow visit of o hands off
+// to follow-up units, in exactly the order visitResolved gathers them, and
+// returns the extended slice; ok=false if o's kind cannot be split (its
+// references stay inside one unit). CapGroup slot order matches both
+// ForEach and Snapshot; VMSpace region order matches both ForEachRegion and
+// Snapshot.
+func walkChildren(kids []caps.Object, o caps.Object) ([]caps.Object, bool) {
 	switch v := o.(type) {
 	case *caps.CapGroup:
 		v.ForEach(func(_ int, c caps.Capability) { kids = append(kids, c.Obj) })
@@ -43,7 +46,14 @@ func walkChildren(o caps.Object) (kids []caps.Object, ok bool) {
 		})
 		return kids, true
 	}
-	return nil, false
+	return kids, false
+}
+
+// walkPartition holds the unit list partitionWalk builds and its child
+// buffer. The Manager keeps one and reuses both slices every round.
+type walkPartition struct {
+	units []walkUnit
+	kids  []caps.Object
 }
 
 // partitionWalk splits the tree rooted at root into work units for lanes
@@ -52,38 +62,54 @@ func walkChildren(o caps.Object) (kids []caps.Object, ok bool) {
 // DFS order by induction; it proceeds left to right until the unit count
 // reaches 4× the lane count (enough slack for the queue to balance uneven
 // subtrees) or no unit can be split further. The scan is structural only —
-// no object is resolved or marked.
-func partitionWalk(root caps.Object, lanes int) []walkUnit {
-	units := []walkUnit{{obj: root}}
+// no object is resolved or marked. The returned list reuses p's storage and
+// is valid until the next call.
+func (p *walkPartition) partitionWalk(root caps.Object, lanes int) []walkUnit {
+	units := append(p.units[:0], walkUnit{obj: root})
 	target := 4 * lanes
 	for i := 0; i < len(units) && len(units) < target; i++ {
 		if units[i].shallow {
 			continue
 		}
-		kids, ok := walkChildren(units[i].obj)
+		kids, ok := walkChildren(p.kids[:0], units[i].obj)
+		p.kids = kids
 		if !ok || len(kids) == 0 {
 			continue
 		}
-		repl := make([]walkUnit, 0, len(kids)+1+len(units)-i-1)
-		repl = append(repl, walkUnit{obj: units[i].obj, shallow: true})
-		for _, c := range kids {
-			repl = append(repl, walkUnit{obj: c})
+		// Grow the list by one slot per child, shift the tail up with
+		// one copy, then fill the gap behind the now-shallow unit i.
+		n := len(kids)
+		units = slices.Grow(units, n)[:len(units)+n]
+		copy(units[i+1+n:], units[i+1:])
+		units[i].shallow = true
+		for j, c := range kids {
+			units[i+1+j] = walkUnit{obj: c}
 		}
-		repl = append(repl, units[i+1:]...)
-		units = append(units[:i], repl...)
 	}
+	clear(p.kids)
+	p.units = units
 	return units
 }
 
 // visitShallow checkpoints the unit's object without descending; its
-// children are covered by the units that follow it in the list.
+// children are covered by the units that follow it in the list, so the
+// ones visitResolved pushes are dropped at once.
 func (m *Manager) visitShallow(lane *simclock.Lane, o caps.Object, round uint64, rep *Report) *caps.ORoot {
 	r := m.resolve(lane, o)
 	if r.SeenInRound(m.walkStamp) {
 		return r
 	}
+	base := len(m.kids)
 	m.visitResolved(lane, o, r, round, rep)
+	m.popKids(base)
 	return r
+}
+
+// walkMark is one lane's clock and idle odometer at the start of a
+// parallel walk.
+type walkMark struct {
+	now  simclock.Time
+	idle simclock.Duration
 }
 
 // parallelWalk runs checkpoint step ❷ across all lanes. The leader
@@ -97,16 +123,13 @@ func (m *Manager) parallelWalk(lanes []*simclock.Lane, leader int, round uint64,
 	// Remember each lane's clock and idle odometer so the walk's total
 	// charged work (WalkWork) can be recovered afterwards, net of any
 	// waiting at barriers.
-	type mark struct {
-		now  simclock.Time
-		idle simclock.Duration
+	marks := m.marks[:0]
+	for _, l := range lanes {
+		marks = append(marks, walkMark{l.Now(), l.IdleTime()})
 	}
-	marks := make([]mark, len(lanes))
-	for i, l := range lanes {
-		marks[i] = mark{l.Now(), l.IdleTime()}
-	}
+	m.marks = marks
 
-	units := partitionWalk(m.tree.Root, len(lanes))
+	units := m.part.partitionWalk(m.tree.Root, len(lanes))
 	ll.Charge(simclock.Duration(len(units)) * m.model.WQPublish)
 
 	// Publish barrier: no lane can pop a queue entry it cannot yet see.
@@ -115,7 +138,8 @@ func (m *Manager) parallelWalk(lanes []*simclock.Lane, leader int, round uint64,
 		l.AdvanceTo(pub)
 	}
 
-	q := simclock.NewWorkQueue(lanes, round, m.model.WQClaim, m.model.WQSteal)
+	q := &m.wq
+	q.Reset(lanes, round, m.model.WQClaim, m.model.WQSteal)
 	var rootR *caps.ORoot
 	end := q.Run(len(units), func(i int, l *simclock.Lane) {
 		// Claim boundary: a power failure can land right after the unit
@@ -136,6 +160,7 @@ func (m *Manager) parallelWalk(lanes []*simclock.Lane, leader int, round uint64,
 		m.memory.CrashPoint()
 	})
 	m.rootORoot = rootR
+	clear(units) // a shorter next partition would leave these pinned
 
 	rep.WalkUnits = len(units)
 	rep.WalkSteals = q.TotalSteals()

@@ -311,8 +311,10 @@ func (m *Memory) write(p PageID) []byte { return m.device(p).write(p.Frame) }
 // Gen returns page p's write generation: a counter that every change to the
 // page's bytes increments and that never resets for the lifetime of m. Equal
 // generations of one page mean equal bytes. It is host-only metadata for
-// the simulator's own bookkeeping (audit digests, replication capture); no
-// modeled decision may read it.
+// the simulator's own bookkeeping (audit digests, replication capture, the
+// checkpoint manager's page checksums). A host-side shortcut may read it
+// only where its answer equals the full computation over the page's bytes;
+// no modeled decision may read it.
 func (m *Memory) Gen(p PageID) uint64 {
 	c, i := m.device(p).slot(p.Frame)
 	return c.meta[i].gen

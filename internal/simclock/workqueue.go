@@ -1,5 +1,7 @@
 package simclock
 
+import "slices"
+
 // WorkQueue is the deterministic multi-lane work-queue primitive behind the
 // parallel capability-tree walk. A fixed, ordered list of work units is
 // claimed by a set of core lanes; the claim schedule is a pure function of
@@ -38,20 +40,28 @@ type WorkQueue struct {
 	Steals []int
 }
 
-// NewWorkQueue prepares a queue over lanes for one checkpoint round. claim
-// is the per-unit queue-pop cost, steal the extra cross-lane transfer cost.
-func NewWorkQueue(lanes []*Lane, round uint64, claim, steal Duration) *WorkQueue {
+// Reset prepares q over lanes for one checkpoint round, zeroing the claim
+// and steal counts in place so that a queue reused round after round
+// allocates only when the lane count grows. claim is the per-unit queue-pop
+// cost, steal the extra cross-lane transfer cost. The zero WorkQueue is
+// ready for Reset.
+func (q *WorkQueue) Reset(lanes []*Lane, round uint64, claim, steal Duration) {
 	if len(lanes) == 0 {
 		panic("simclock: work queue needs at least one lane")
 	}
-	return &WorkQueue{
-		lanes:  lanes,
-		rot:    int(round % uint64(len(lanes))),
-		claim:  claim,
-		steal:  steal,
-		Claims: make([]int, len(lanes)),
-		Steals: make([]int, len(lanes)),
-	}
+	q.lanes = lanes
+	q.rot = int(round % uint64(len(lanes)))
+	q.claim, q.steal = claim, steal
+	q.Claims = zeroed(q.Claims, len(lanes))
+	q.Steals = zeroed(q.Steals, len(lanes))
+}
+
+// zeroed returns s resized to n zero counts, reusing its storage when it
+// is large enough.
+func zeroed(s []int, n int) []int {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // Run claims and executes units 0..n-1 in order, invoking fn(i, lane) with
@@ -102,15 +112,6 @@ func (q *WorkQueue) TotalSteals() int {
 	n := 0
 	for _, s := range q.Steals {
 		n += s
-	}
-	return n
-}
-
-// TotalClaims sums the per-lane claim counts.
-func (q *WorkQueue) TotalClaims() int {
-	n := 0
-	for _, c := range q.Claims {
-		n += c
 	}
 	return n
 }

@@ -1,6 +1,25 @@
 package simclock
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
+
+// NewWorkQueue returns a queue over lanes prepared for one round.
+func NewWorkQueue(lanes []*Lane, round uint64, claim, steal Duration) *WorkQueue {
+	q := new(WorkQueue)
+	q.Reset(lanes, round, claim, steal)
+	return q
+}
+
+// TotalClaims sums the per-lane claim counts.
+func (q *WorkQueue) TotalClaims() int {
+	n := 0
+	for _, c := range q.Claims {
+		n += c
+	}
+	return n
+}
 
 func mkLanes(n int, at Time) []*Lane {
 	ls := make([]*Lane, n)
@@ -114,5 +133,28 @@ func TestWorkQueueEagerLaneWins(t *testing.T) {
 	}
 	if q.Steals[0] != 4 {
 		t.Errorf("lane 0 stole %d units, want 4 (every odd-homed unit)", q.Steals[0])
+	}
+}
+
+// TestWorkQueueResetReuses: a queue reset for a new round claims exactly as
+// a fresh queue would — counts start from zero and the rotation follows the
+// new round — and keeps its count storage.
+func TestWorkQueueResetReuses(t *testing.T) {
+	var q WorkQueue
+	q.Reset(mkLanes(3, 0), 1, 10, 20)
+	q.Run(7, func(i int, l *Lane) { l.Charge(Duration(50 * (i + 1))) })
+	claims := &q.Claims[0]
+
+	q.Reset(mkLanes(3, 0), 2, 10, 20)
+	fresh := NewWorkQueue(mkLanes(3, 0), 2, 10, 20)
+	for _, wq := range []*WorkQueue{&q, fresh} {
+		wq.Run(5, func(i int, l *Lane) { l.Charge(Duration(70 * (i + 1))) })
+	}
+	if !slices.Equal(q.Claims, fresh.Claims) || !slices.Equal(q.Steals, fresh.Steals) {
+		t.Errorf("reset queue claims %v steals %v, fresh queue claims %v steals %v",
+			q.Claims, q.Steals, fresh.Claims, fresh.Steals)
+	}
+	if &q.Claims[0] != claims {
+		t.Error("Reset reallocated the claim counts")
 	}
 }

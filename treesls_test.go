@@ -84,12 +84,26 @@ func TestPublicAPIEideticHistory(t *testing.T) {
 		})
 		m.TakeCheckpoint()
 	}
-	versions := m.Ckpt.RetainedVersions(th.ID())
+	r := backupRoot(m, th.ID())
+	if r == nil {
+		t.Fatal("thread has no backup root")
+	}
+	// The retained versions are the eidetic history plus the committed
+	// backup slots.
+	versions := make(map[uint64]caps.Snapshot)
+	for _, h := range r.History {
+		versions[h.Version] = h.Snap
+	}
+	for i := range r.Backup {
+		if r.Backup[i] != nil && r.Ver[i] != 0 && r.Ver[i] <= m.Ckpt.CommittedVersion() {
+			versions[r.Ver[i]] = r.Backup[i]
+		}
+	}
 	if len(versions) < 5 {
-		t.Fatalf("retained = %v", versions)
+		t.Fatalf("retained %d versions", len(versions))
 	}
 	// Navigate to an old version (the eidetic promise of §8).
-	snap := m.Ckpt.SnapshotAt(th.ID(), 3)
+	snap := versions[3]
 	if snap == nil {
 		t.Fatal("version 3 not retained")
 	}
@@ -97,12 +111,23 @@ func TestPublicAPIEideticHistory(t *testing.T) {
 	if ts.Ctx.R[0] != 3 {
 		t.Errorf("version 3 holds R0=%d", ts.Ctx.R[0])
 	}
-	if m.Ckpt.SnapshotAt(th.ID(), 999) != nil {
+	if versions[999] != nil {
 		t.Error("phantom version retained")
 	}
-	if m.Ckpt.HistoryOf(12345) != nil {
-		t.Error("history for unknown object")
+	if backupRoot(m, 12345) != nil {
+		t.Error("backup root for unknown object")
 	}
+}
+
+// backupRoot returns the backup-tree root of object id, or nil.
+func backupRoot(m *Machine, id uint64) *caps.ORoot {
+	var found *caps.ORoot
+	m.Ckpt.ForEachRoot(func(r *caps.ORoot) {
+		if r.ObjID == id {
+			found = r
+		}
+	})
+	return found
 }
 
 func TestPublicAPIOverCommit(t *testing.T) {
