@@ -106,9 +106,6 @@ func Open(m *kernel.Machine, cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// Machine returns the hosting machine.
-func (db *DB) Machine() *kernel.Machine { return db.m }
-
 func (db *DB) proc() (*kernel.Process, error) {
 	p := db.m.Process(db.cfg.Name)
 	if p == nil {

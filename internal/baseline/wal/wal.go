@@ -37,9 +37,6 @@ func New(dev *disk.Device) *Log {
 	return &Log{dev: dev, GroupCommit: 1}
 }
 
-// Device exposes the underlying device (for stats).
-func (l *Log) Device() *disk.Device { return l.dev }
-
 // Append writes one record of n payload bytes (plus a 24-byte header) and
 // syncs according to the group-commit setting, charging the caller's lane —
 // this is the critical-path cost.

@@ -255,13 +255,13 @@ func TestReplicaDroppedOnPageRemoval(t *testing.T) {
 	h.checkpoint()
 	h.writePage(t, pmo, 0, []byte("v2")) // fault -> backup + replica
 	h.checkpoint()
-	if len(h.mgr.replicas) == 0 {
+	if replicaCount(h.mgr) == 0 {
 		t.Fatal("no replica created")
 	}
 	slot := pmo.RemovePage(0)
 	h.mgr.DeferFreePage(slot.Page)
 	h.checkpoint() // reclaims backup + replica
-	if len(h.mgr.replicas) != 0 {
-		t.Errorf("replicas leaked: %d", len(h.mgr.replicas))
+	if n := replicaCount(h.mgr); n != 0 {
+		t.Errorf("replicas leaked: %d", n)
 	}
 }

@@ -111,7 +111,7 @@ func (m *Manager) publishGC(ll *simclock.Lane, stamp uint64, frees int, sweep bo
 	clear(m.freedThisRound)
 	for _, p := range m.deferredFrees[:frees] {
 		m.alloc.FreePageCkpt(ll, p)
-		m.dropSum(p)
+		m.forgetFrame(p)
 		m.freedThisRound[p.Frame] = true
 	}
 	m.deferredFrees = append(m.deferredFrees[:0], m.deferredFrees[frees:]...)

@@ -34,12 +34,12 @@ func hotPageWithTwoBackups(t *testing.T) (*harness, *caps.PMO, *caps.CkptPage) {
 // verifySource can neither trust nor repair it.
 func corruptWithReplica(t *testing.T, h *harness, p mem.PageID) {
 	t.Helper()
-	rep, ok := h.mgr.replicas[p]
-	if !ok {
+	rep := h.mgr.integrity[p.Frame].replica
+	if rep == 0 {
 		t.Fatalf("page %v has no replica; corruption would be undetectable", p)
 	}
 	h.mem.WriteRaw(p, 0, []byte("CORRUPTED!"))
-	h.mem.WriteRaw(rep.copy, 0, []byte("ALSO BAD!!"))
+	h.mem.WriteRaw(nvmFrame(rep), 0, []byte("ALSO BAD!!"))
 }
 
 // TestDegradedRestoreFallsBackToOlderVersion corrupts the newest backup of a

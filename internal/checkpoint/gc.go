@@ -62,11 +62,8 @@ func (m *Manager) sweepUnreachable(lane *simclock.Lane, stamp uint64) {
 					if i == 1 && cp.Page[0] == p {
 						continue
 					}
-					m.dropReplica(p)
-					m.dropSum(p)
-					m.alloc.FreePageCkpt(lane, p)
+					m.freeBackup(lane, p)
 					m.freedThisRound[p.Frame] = true
-					m.Stats.BackupPages--
 				}
 				if cp.Swap != 0 && m.cfg.ReleaseSwapSlot != nil {
 					m.cfg.ReleaseSwapSlot(cp.Swap - 1)

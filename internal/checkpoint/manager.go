@@ -280,17 +280,17 @@ type Manager struct {
 	roots []*caps.ORoot
 	// savedNextID is the tree's ID counter as of the last commit.
 	savedNextID uint64
-	// replicas: backup-page frame -> replica page + its checksum.
-	replicas map[mem.PageID]*pageReplica
-	// sums: restore-source page -> content digest, written whenever the
-	// checkpoint protocol (re)establishes a page as a restore source and
-	// verified on every restore read and scrub pass. It models per-page
-	// checksums stored beside the CkptPage metadata in NVM (metadata is
-	// Go-modeled and therefore atomic, like the rest of the backup tree's
-	// bookkeeping). Each entry also keeps the frame's write generation at
-	// the time of hashing, so that verification rehashes only a page
-	// written since (sums.go). Empty when cfg.DisableChecksums.
-	sums map[mem.PageID]pageSum
+	// integrity files one entry per NVM frame on backup duty, under its
+	// frame number: the frame's content digest, and its replica (sums.go).
+	// sealPage writes an entry whenever the checkpoint protocol
+	// (re)establishes a frame as a restore source, every restore read and
+	// scrub pass verifies it, and forgetFrame removes it. It models
+	// per-page checksums stored beside the CkptPage metadata in NVM
+	// (metadata is Go-modeled and therefore atomic, like the rest of the
+	// backup tree's bookkeeping). Each digest also keeps the frame's
+	// write generation at the time of hashing, so that verification
+	// rehashes only a page written since.
+	integrity map[uint32]frameSum
 
 	// ---- Runtime world (rebuilt on restore) ----
 
@@ -446,14 +446,13 @@ func New(cfg Config, memory *mem.Memory, al *alloc.Allocator, tree *caps.Tree) *
 		cfg.HybridCopy = false
 	}
 	return &Manager{
-		cfg:      cfg,
-		memory:   memory,
-		model:    memory.Model(),
-		alloc:    al,
-		jrnl:     al.Journal(),
-		replicas: make(map[mem.PageID]*pageReplica),
-		sums:     make(map[mem.PageID]pageSum),
-		tree:     tree,
+		cfg:       cfg,
+		memory:    memory,
+		model:     memory.Model(),
+		alloc:     al,
+		jrnl:      al.Journal(),
+		integrity: make(map[uint32]frameSum),
+		tree:      tree,
 	}
 }
 

@@ -99,9 +99,9 @@ func (m *Manager) checkpointPMO(lane *simclock.Lane, pmo *caps.PMO, r *caps.ORoo
 			// keep always-current semantics — they are written without
 			// faults, so a digest would go stale; they get the poison
 			// check only.
-			m.checksumPage(lane, s.Page)
+			m.sealPage(lane, s.Page, checkReplica)
 		} else {
-			m.dropSum(s.Page)
+			m.forgetFrame(s.Page)
 		}
 		if cp.Swap != 0 {
 			// This round supersedes the swapped content.
@@ -133,11 +133,8 @@ func (m *Manager) checkpointPMO(lane *simclock.Lane, pmo *caps.PMO, r *caps.ORoo
 				continue
 			}
 			if !cp.Page[0].IsNil() {
-				m.alloc.FreePageCkpt(lane, cp.Page[0])
-				m.Stats.BackupPages--
+				m.freeBackup(lane, cp.Page[0])
 			}
-			m.dropReplica(cp.Page[0])
-			m.dropSum(cp.Page[0])
 			snap.Pages.Delete(idx)
 			lane.Charge(m.model.RadixVisit)
 		}
@@ -174,7 +171,7 @@ func (m *Manager) stopAndCopyPMO(lane *simclock.Lane, pmo *caps.PMO, snap *caps.
 			if s.Page.Kind == mem.KindNVM {
 				m.flushPage(lane, s.Page)
 			}
-			m.dropSum(s.Page) // eternal: always-current, never digested
+			m.forgetFrame(s.Page) // eternal: always-current, never digested
 			return true
 		})
 		return
@@ -206,7 +203,7 @@ func (m *Manager) stopAndCopyPMO(lane *simclock.Lane, pmo *caps.PMO, snap *caps.
 			// owned by the runtime slot) and copy into a fresh frame.
 			cp.Page[ws] = mem.NilPage
 			cp.Ver[ws] = 0
-			m.dropSum(s.Page)
+			m.forgetFrame(s.Page)
 		}
 		if cp.Page[ws].IsNil() {
 			p, err := m.alloc.AllocPageCkpt(lane)
@@ -218,9 +215,8 @@ func (m *Manager) stopAndCopyPMO(lane *simclock.Lane, pmo *caps.PMO, snap *caps.
 		}
 		lane.Charge(m.memory.CopyPage(cp.Page[ws], s.Page))
 		m.flushPage(lane, cp.Page[ws])
-		m.checksumPage(lane, cp.Page[ws])
+		m.sealPage(lane, cp.Page[ws], refreshReplica)
 		cp.Ver[ws] = round
-		m.updateReplica(lane, cp.Page[ws])
 		s.Dirty = false
 		rep.PagesStopCopied++
 		m.Stats.PagesCopied++
@@ -264,8 +260,7 @@ func (m *Manager) HandleWriteFault(lane *simclock.Lane, pmo *caps.PMO, idx uint6
 	// BEFORE publishing the version. A crash inside this window restores
 	// through rule 2 from the still-unmodified runtime page.
 	m.flushPage(lane, cp.Page[0])
-	m.checksumPage(lane, cp.Page[0])
-	m.updateReplica(lane, cp.Page[0])
+	m.sealPage(lane, cp.Page[0], refreshReplica)
 	m.fence(lane)
 	cp.Ver[0] = m.committed
 
@@ -345,8 +340,7 @@ func (m *Manager) runHybridCopy(workers []*simclock.Lane, start simclock.Time, r
 			// too — without this, a media fault on a migrated-away
 			// frame is detectable but unrepairable.
 			m.flushPage(w, s.Page)
-			m.checksumPage(w, s.Page)
-			m.updateReplica(w, s.Page)
+			m.sealPage(w, s.Page, refreshReplica)
 			cp.Page[1] = s.Page
 			cp.Ver[1] = round
 			s.Page = d
@@ -380,9 +374,8 @@ func (m *Manager) runHybridCopy(workers []*simclock.Lane, start simclock.Time, r
 			}
 			w.Charge(m.memory.CopyPage(cp.Page[ws], s.Page))
 			m.flushPage(w, cp.Page[ws])
-			m.checksumPage(w, cp.Page[ws])
+			m.sealPage(w, cp.Page[ws], refreshReplica)
 			cp.Ver[ws] = round
-			m.updateReplica(w, cp.Page[ws])
 			s.Dirty = false
 			s.IdleRounds = 0
 			rep.DirtyDRAMCopied++
@@ -418,7 +411,7 @@ func (m *Manager) runHybridCopy(workers []*simclock.Lane, start simclock.Time, r
 			if latest != 1 {
 				w.Charge(m.memory.CopyPage(cp.Page[1], s.Page))
 				m.flushPage(w, cp.Page[1])
-				m.checksumPage(w, cp.Page[1])
+				m.sealPage(w, cp.Page[1], checkReplica)
 				m.Stats.PagesCopied++
 			}
 			cp.Ver[1] = 0
@@ -471,48 +464,3 @@ func (m *Manager) latestBackupSlot(cp *caps.CkptPage) int {
 	}
 	return best
 }
-
-// ---- Backup-page replication (§8 "Data Reliability") -----------------------
-
-// pageReplica is the replica of one backup page: the copy's frame and its
-// checksum, keyed by the copy's write generation. A replica is filed before
-// its first copy, with generation 0; no crash can land between the filing
-// and the copy, and the copy leaves the frame at generation 1 or more, so
-// that zero never matches.
-type pageReplica struct {
-	copy mem.PageID
-	sum  pageSum
-}
-
-// updateReplica refreshes the replica + checksum of a backup page after it
-// was (re)written. No-op unless cfg.Replicas > 1.
-func (m *Manager) updateReplica(lane *simclock.Lane, p mem.PageID) {
-	if m.cfg.Replicas <= 1 || p.IsNil() {
-		return
-	}
-	rep, ok := m.replicas[p]
-	if !ok {
-		c, err := m.alloc.AllocPageCkpt(lane)
-		if err != nil {
-			return // replication is best-effort under NVM pressure
-		}
-		rep = &pageReplica{copy: c}
-		m.replicas[p] = rep
-	}
-	lane.Charge(m.memory.CopyPage(rep.copy, p))
-	m.flushPage(lane, rep.copy)
-	// The copy holds p's bytes, so p's checksum is the copy's too.
-	rep.sum = pageSum{crc: m.currentSum(p).crc, gen: m.memory.Gen(rep.copy)}
-}
-
-// dropReplica releases the replica of a reclaimed backup page.
-func (m *Manager) dropReplica(p mem.PageID) {
-	if rep, ok := m.replicas[p]; ok {
-		m.alloc.FreePageCkpt(nil, rep.copy)
-		delete(m.replicas, p)
-	}
-}
-
-// Backup-page verification lives in sums.go (verifySource): the poison
-// check and the always-on page digest subsume the replica-only checksum
-// this file used to carry, and the replica remains the first repair tier.

@@ -74,10 +74,12 @@ type ReplImage struct {
 	Entries map[ReplKey][]byte
 
 	// CaptureReplDelta's working state, reused across rounds: the keys and the
-	// objects the last walk visited, and the object-record encode buffer.
+	// objects the last walk visited, the object-record encode buffer, and
+	// the walk's reference stack.
 	visited []ReplKey
 	objs    map[uint64]bool
 	buf     []byte
+	refs    []*caps.ORoot
 
 	// pages records, for each ReplPage entry, the source frame and its
 	// write generation (mem.Memory.Gen) when the entry was last captured
@@ -121,24 +123,102 @@ func replKeyLess(a, b ReplKey) bool {
 	return a.Page < b.Page
 }
 
-// recEncoder builds one canonical object record: little-endian u64 fields
-// with length prefixes, object references reduced to IDs (0 = nil).
-type recEncoder struct{ buf []byte }
-
-func (e *recEncoder) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.buf = append(e.buf, b[:]...)
+// recEncoder writes one canonical object record: little-endian u64 fields
+// with length prefixes, object references reduced to IDs (0 = nil). With
+// fold set it folds the record into the FNV-1a hash h instead of appending
+// it to buf, so recordSum digests the very bytes replication ships without
+// building them.
+type recEncoder struct {
+	buf  []byte
+	fold bool
+	h    uint64
 }
 
-func (e *recEncoder) byte(b byte)    { e.buf = append(e.buf, b) }
-func (e *recEncoder) bytes(b []byte) { e.u64(uint64(len(b))); e.buf = append(e.buf, b...) }
+func (e *recEncoder) u64(v uint64) {
+	if e.fold {
+		e.h = mem.FoldFNV64(e.h, v)
+		return
+	}
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+}
+
+func (e *recEncoder) byte(b byte) {
+	if e.fold {
+		e.h = (e.h ^ uint64(b)) * mem.FNVPrime
+		return
+	}
+	e.buf = append(e.buf, b)
+}
+
+func (e *recEncoder) bytes(b []byte) {
+	e.u64(uint64(len(b)))
+	if e.fold {
+		e.h = mem.FoldFNV(e.h, b)
+		return
+	}
+	e.buf = append(e.buf, b...)
+}
+
 func (e *recEncoder) root(r *caps.ORoot) {
 	if r == nil {
 		e.u64(0)
 		return
 	}
 	e.u64(r.ObjID)
+}
+
+// encodeRecord writes the canonical record of a non-PMO snapshot: its kind,
+// then every field. It is the one field list of a backup object record:
+// the replication image carries it, recordSum digests it, and
+// decodeObjectRecord reads it back. A PMO record (skeleton plus per-page
+// markers) is written by walkRepl as it meets the pages; page checksums,
+// not a record digest, guard its content.
+func encodeRecord(e *recEncoder, snap caps.Snapshot) {
+	e.byte(byte(snap.SnapKind()))
+	switch s := snap.(type) {
+	case *caps.CapGroupSnap:
+		e.bytes([]byte(s.Name))
+		e.u64(uint64(len(s.Slots)))
+		for _, bc := range s.Slots {
+			e.root(bc.Root)
+			e.byte(byte(bc.Rights))
+		}
+	case *caps.ThreadSnap:
+		e.u64(s.Ctx.PC)
+		e.u64(s.Ctx.SP)
+		for _, reg := range s.Ctx.R {
+			e.u64(reg)
+		}
+		e.u64(uint64(int64(s.Sched.Priority)))
+		e.u64(uint64(int64(s.Sched.Affinity)))
+		e.u64(uint64(s.Sched.TimeSlice))
+		e.byte(byte(s.State))
+	case *caps.VMSpaceSnap:
+		e.u64(uint64(len(s.Regions)))
+		for i := range s.Regions {
+			rs := &s.Regions[i]
+			e.u64(rs.VABase)
+			e.u64(rs.NumPages)
+			e.root(rs.PMORoot)
+			e.u64(rs.PMOOffset)
+			e.byte(byte(rs.Perm))
+		}
+	case *caps.IPCConnSnap:
+		e.root(s.ClientRoot)
+		e.root(s.ServerRoot)
+		e.bytes(s.Buf)
+		e.u64(s.Seq)
+	case *caps.NotificationSnap:
+		e.u64(uint64(int64(s.Count)))
+		e.u64(uint64(len(s.Waiters)))
+		for _, w := range s.Waiters {
+			e.root(w)
+		}
+	case *caps.IRQNotificationSnap:
+		e.u64(uint64(int64(s.Line)))
+		e.u64(uint64(s.Pending))
+		e.root(s.HandlerRoot)
+	}
 }
 
 // recDecoder parses a canonical object record.
@@ -282,7 +362,9 @@ func (m *Manager) CaptureReplDelta(img *ReplImage, full bool, swapRead func(slot
 // same set when the entry is a page whose source frame and generation match
 // img's stamp (which it then refreshes). Object records are encoded into
 // img's reused buffer and pages are NVM's live frames, so emit must copy
-// whatever it keeps.
+// whatever it keeps. An object's record comes before its children, which
+// are visited in appendSnapshotRefs order through the reference stack img
+// keeps.
 func (m *Manager) walkRepl(img *ReplImage, swapRead func(slot uint64) []byte, emit func(k ReplKey, cur []byte, same bool)) {
 	e := recEncoder{buf: img.buf}
 	if img.objs == nil {
@@ -300,46 +382,11 @@ func (m *Manager) walkRepl(img *ReplImage, swapRead func(slot uint64) []byte, em
 			return // unrestorable root; the digest marks it, nothing to ship
 		}
 		e.buf = e.buf[:0]
-		e.byte(byte(r.Kind))
-		switch s := snap.(type) {
-		case *caps.CapGroupSnap:
-			e.bytes([]byte(s.Name))
-			e.u64(uint64(len(s.Slots)))
-			for _, bc := range s.Slots {
-				e.root(bc.Root)
-				e.byte(byte(bc.Rights))
-			}
-			defer func() {
-				for _, bc := range s.Slots {
-					visit(bc.Root)
-				}
-			}()
-		case *caps.ThreadSnap:
-			e.u64(s.Ctx.PC)
-			e.u64(s.Ctx.SP)
-			for _, reg := range s.Ctx.R {
-				e.u64(reg)
-			}
-			e.u64(uint64(int64(s.Sched.Priority)))
-			e.u64(uint64(int64(s.Sched.Affinity)))
-			e.u64(uint64(s.Sched.TimeSlice))
-			e.byte(byte(s.State))
-		case *caps.VMSpaceSnap:
-			e.u64(uint64(len(s.Regions)))
-			for i := range s.Regions {
-				rs := &s.Regions[i]
-				e.u64(rs.VABase)
-				e.u64(rs.NumPages)
-				e.root(rs.PMORoot)
-				e.u64(rs.PMOOffset)
-				e.byte(byte(rs.Perm))
-			}
-			defer func() {
-				for i := range s.Regions {
-					visit(s.Regions[i].PMORoot)
-				}
-			}()
-		case *caps.PMOSnap:
+		s, isPMO := snap.(*caps.PMOSnap)
+		if !isPMO {
+			encodeRecord(&e, snap)
+		} else {
+			e.byte(byte(caps.KindPMO))
 			e.byte(byte(s.Type))
 			e.u64(s.SizePages)
 			// The page count precedes the page metadata; patch it in
@@ -375,33 +422,17 @@ func (m *Manager) walkRepl(img *ReplImage, swapRead func(slot uint64) []byte, em
 				return true
 			})
 			binary.LittleEndian.PutUint64(e.buf[at:], n)
-		case *caps.IPCConnSnap:
-			e.root(s.ClientRoot)
-			e.root(s.ServerRoot)
-			e.bytes(s.Buf)
-			e.u64(s.Seq)
-			defer func() {
-				visit(s.ClientRoot)
-				visit(s.ServerRoot)
-			}()
-		case *caps.NotificationSnap:
-			e.u64(uint64(int64(s.Count)))
-			e.u64(uint64(len(s.Waiters)))
-			for _, w := range s.Waiters {
-				e.root(w)
-			}
-			defer func() {
-				for _, w := range s.Waiters {
-					visit(w)
-				}
-			}()
-		case *caps.IRQNotificationSnap:
-			e.u64(uint64(int64(s.Line)))
-			e.u64(uint64(s.Pending))
-			e.root(s.HandlerRoot)
-			defer func() { visit(s.HandlerRoot) }()
 		}
 		emit(ReplKey{ObjID: r.ObjID, Kind: ReplObject}, e.buf, false)
+		// Nested visits push above this window and may move the stack,
+		// so every entry is re-read.
+		base := len(img.refs)
+		img.refs = appendSnapshotRefs(img.refs, snap)
+		for i, end := base, len(img.refs); i < end; i++ {
+			visit(img.refs[i])
+		}
+		clear(img.refs[base:])
+		img.refs = img.refs[:base]
 	}
 	visit(m.rootORoot)
 	img.buf = e.buf
@@ -614,7 +645,7 @@ func (m *Manager) InstallImage(lane *simclock.Lane, img *ReplImage, swapWrite fu
 					cp.Page[0] = p
 					cp.Ver[0] = v
 					if ps.Type != caps.PMOEternal {
-						m.checksumPage(lane, p)
+						m.sealPage(lane, p, checkReplica)
 					}
 					m.Stats.BackupPages++
 				case replMarkSwapped:

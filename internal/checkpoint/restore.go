@@ -507,9 +507,12 @@ func (m *Manager) restorePMOPages(lane *simclock.Lane, pmo *caps.PMO, snap *caps
 				cp.Ver[0], cp.Ver[1] = cp.Ver[1], cp.Ver[0]
 			}
 			// The fresh version-zero runtime slot is a restore source
-			// for the next crash; digest it now.
+			// for the next crash; digest it now. A reused slot may keep
+			// the replica of an older backup: it is dropped, not
+			// refreshed, because refreshing here made the media campaign
+			// restore silently corrupt pages under COW.
 			if pmo.Type != caps.PMOEternal {
-				m.checksumPage(lane, cp.Page[1])
+				m.sealPage(lane, cp.Page[1], checkReplica)
 			}
 			runtime = cp.Page[1]
 		}
@@ -553,8 +556,7 @@ func (m *Manager) severFreed() {
 					if p.IsNil() || p.Kind != mem.KindNVM || !m.alloc.IsFree(p.Frame) {
 						continue
 					}
-					m.dropReplica(p)
-					m.dropSum(p)
+					m.forgetFrame(p)
 					cp.Page[i] = mem.NilPage
 					cp.Ver[i] = 0
 				}
@@ -587,10 +589,7 @@ func (m *Manager) scrubUncommittedSlots(lane *simclock.Lane, cp *caps.CkptPage) 
 			// (both stale) or still references it (committed).
 			continue
 		}
-		m.dropReplica(p)
-		m.dropSum(p)
-		m.alloc.FreePageCkpt(lane, p)
-		m.Stats.BackupPages--
+		m.freeBackup(lane, p)
 	}
 }
 
@@ -651,11 +650,8 @@ func (m *Manager) lostPage(lane *simclock.Lane, pmo *caps.PMO, idx uint64, cp *c
 		if i == 1 && p == slot0 {
 			continue // aliased slots: freed once via slot 0
 		}
-		m.dropReplica(p)
-		m.dropSum(p)
 		m.memory.ClearPoison(p, 0, mem.PageSize)
-		m.alloc.FreePageCkpt(lane, p)
-		m.Stats.BackupPages--
+		m.freeBackup(lane, p)
 	}
 	p, err := m.alloc.AllocPageCkpt(lane)
 	if err != nil {
@@ -671,7 +667,7 @@ func (m *Manager) lostPage(lane *simclock.Lane, pmo *caps.PMO, idx uint64, cp *c
 	cp.Page[1] = p
 	cp.Ver[1] = 0
 	if pmo.Type != caps.PMOEternal {
-		m.checksumPage(lane, p)
+		m.sealPage(lane, p, checkReplica)
 	}
 	m.Stats.BackupPages++
 	m.Stats.LostPages++

@@ -138,11 +138,8 @@ func (m *Manager) scrubPMO(lane *simclock.Lane, r *caps.ORoot, sr *ScrubReport) 
 			p := cp.Page[alt]
 			cp.Page[alt] = mem.NilPage
 			cp.Ver[alt] = 0
-			m.dropReplica(p)
-			m.dropSum(p)
 			m.memory.ClearPoison(p, 0, mem.PageSize)
-			m.alloc.FreePageCkpt(lane, p)
-			m.Stats.BackupPages--
+			m.freeBackup(lane, p)
 			sr.Quarantined++
 		} else if m.Stats.ReplicaRepair > reps {
 			sr.Repaired++ // fallback slot healed from its replica
@@ -168,7 +165,6 @@ func (m *Manager) scrubRepairChosen(lane *simclock.Lane, pmo *caps.PMO, idx uint
 	}
 	lane.Charge(m.memory.CopyPage(cp.Page[src], s.Page))
 	m.flushPage(lane, cp.Page[src])
-	m.updateReplica(lane, cp.Page[src])
-	m.checksumPage(lane, cp.Page[src])
+	m.sealPage(lane, cp.Page[src], refreshReplica)
 	return true
 }

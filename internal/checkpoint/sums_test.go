@@ -171,15 +171,49 @@ func BenchmarkPageChecksum(b *testing.B) {
 	}
 }
 
+// replicaCount counts the frames that have a replica.
+func replicaCount(m *Manager) int {
+	n := 0
+	for _, e := range m.integrity {
+		if e.replica != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// replicaRule checks the replica rule over every integrity entry, in frame
+// order: a replica's entry carries the checksum its frame has recorded, so
+// the replica holds the bytes that checksum covers.
+func replicaRule(m *Manager) error {
+	if m.cfg.DisableChecksums {
+		return nil
+	}
+	frames := make([]uint32, 0, len(m.integrity))
+	for f := range m.integrity {
+		frames = append(frames, f)
+	}
+	slices.Sort(frames)
+	for _, f := range frames {
+		if e := m.integrity[f]; e.replica != 0 && m.integrity[e.replica].crc != e.crc {
+			return fmt.Errorf("replica %v of %v holds checksum %#x, the page's is %#x",
+				nvmFrame(e.replica), nvmFrame(f), m.integrity[e.replica].crc, e.crc)
+		}
+	}
+	return nil
+}
+
 // TestPageSumsMatchBytesAtGeneration checks the invariant behind
 // generation-keyed page checksums: a recorded checksum whose generation
 // still equals its frame's is the CRC-32C of the frame's bytes. A random
 // sequence over backup and replica frames — page writes, checkpoints, silent
 // rot, poison, raw corruption, scrub passes, crashes between operations and
 // inside a checkpoint, and restores — runs with two replicas in both
-// persistence modes, and every sums entry and every replica is checked
-// after each step. A path that changes a frame's bytes without bumping its
-// generation leaves a stale entry behind and fails here.
+// persistence modes, and every integrity entry, its replica included, is
+// checked after each step. A path that changes a frame's bytes without
+// bumping its generation leaves a stale entry behind and fails here. So
+// does a writer that records a frame's checksum without keeping its replica
+// in step (the replica rule, replicaRule).
 func TestPageSumsMatchBytesAtGeneration(t *testing.T) {
 	for _, mode := range []mem.PersistMode{mem.ModeEADR, mem.ModeADR} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -209,14 +243,11 @@ func TestPageSumsMatchBytesAtGeneration(t *testing.T) {
 			// and replica frames alike, in frame order.
 			tracked := func() []mem.PageID {
 				var ps []mem.PageID
-				for p := range h.mgr.sums {
-					ps = append(ps, p)
-				}
-				for p, rep := range h.mgr.replicas {
-					ps = append(ps, p, rep.copy)
+				for f := range h.mgr.integrity {
+					ps = append(ps, nvmFrame(f))
 				}
 				slices.SortFunc(ps, func(a, b mem.PageID) int { return cmp.Compare(a.Frame, b.Frame) })
-				return slices.Compact(ps)
+				return ps
 			}
 			span := func() (off, n int) {
 				off = rng.Intn(mem.PageSize)
@@ -230,24 +261,18 @@ func TestPageSumsMatchBytesAtGeneration(t *testing.T) {
 			matched, damaged := 0, 0
 			check := func(step int, op string) {
 				t.Helper()
-				for p, rec := range h.mgr.sums {
-					if rec.gen != h.mem.Gen(p) {
+				for f, e := range h.mgr.integrity {
+					p := nvmFrame(f)
+					if e.gen != h.mem.Gen(p) {
 						continue
 					}
 					matched++
-					if got := pageChecksum(h.mem.Data(p)); got != rec.crc {
-						t.Fatalf("step %d (%s): %v at generation %d hashes to %#x, recorded %#x", step, op, p, rec.gen, got, rec.crc)
+					if got := pageChecksum(h.mem.Data(p)); got != e.crc {
+						t.Fatalf("step %d (%s): %v at generation %d hashes to %#x, recorded %#x", step, op, p, e.gen, got, e.crc)
 					}
 				}
-				for p, rep := range h.mgr.replicas {
-					if rep.sum.gen != h.mem.Gen(rep.copy) {
-						continue
-					}
-					matched++
-					if got := pageChecksum(h.mem.Data(rep.copy)); got != rep.sum.crc {
-						t.Fatalf("step %d (%s): replica %v of %v at generation %d hashes to %#x, recorded %#x",
-							step, op, rep.copy, p, rep.sum.gen, got, rep.sum.crc)
-					}
+				if err := replicaRule(h.mgr); err != nil {
+					t.Fatalf("step %d (%s): %v", step, op, err)
 				}
 			}
 
@@ -317,6 +342,50 @@ func TestPageSumsMatchBytesAtGeneration(t *testing.T) {
 					matched, damaged, st.Restores, st.ScrubScans, st.ReplicaRepair)
 			}
 		})
+	}
+}
+
+// TestRestoreCopyKeepsReplicaRule replays the stop-and-copy sequence that
+// left a stale replica behind. Round 1 copies the page into backup frame B
+// and replicates B. A restore installs a copy of B as the write-protected
+// runtime page, and the first store faults and copies into B again. Round 2
+// backs the page up into a fresh frame, so the second restore's rule-1
+// source is that frame and its version-zero copy lands in B, the other slot.
+// B's checksum then covers the round-2 bytes; its replica must hold them
+// too or be gone, never keep the round-1 bytes.
+func TestRestoreCopyKeepsReplicaRule(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Method = MethodStopAndCopy
+	cfg.Replicas = 2
+	h := newHarness(t, cfg, 1)
+	_, pmo, _ := h.buildProc("app", 1)
+	h.writePage(t, pmo, 0, []byte("round 1"))
+	h.checkpoint()
+	b := ckptEntry(t, pmo, 0).Page[0]
+	if h.mgr.integrity[b.Frame].replica == 0 {
+		t.Fatalf("backup frame %v has no replica", b)
+	}
+
+	h.crash()
+	pmo = findOnlyPMO(t, h.restore(t))
+	h.writePage(t, pmo, 0, []byte("round 2")) // the fault re-copies into B
+	h.checkpoint()
+	h.crash()
+	pmo = findOnlyPMO(t, h.restore(t))
+
+	cp := ckptEntry(t, pmo, 0)
+	if cp.Page[1] != b || cp.Ver[1] != 0 {
+		t.Fatalf("version-zero slot is %v (v%d), want the reused backup frame %v", cp.Page[1], cp.Ver[1], b)
+	}
+	if err := replicaRule(h.mgr); err != nil {
+		t.Fatal(err)
+	}
+	if rep := h.mgr.integrity[b.Frame].replica; rep != 0 &&
+		pageChecksum(h.mem.Data(nvmFrame(rep))) != pageChecksum(h.mem.Data(b)) {
+		t.Fatalf("replica %v of %v does not hold the frame's bytes", nvmFrame(rep), b)
+	}
+	if got := h.readPage(t, pmo, 0, 7); string(got) != "round 2" {
+		t.Fatalf("restored %q, want %q", got, "round 2")
 	}
 }
 

@@ -49,7 +49,9 @@ const (
 )
 
 // DeliverFunc receives one released message: its sequence number, payload,
-// and the simulated time at which it reached the wire.
+// and the simulated time at which it reached the wire. The payload is valid
+// only during the call: the driver reads every message into one buffer it
+// reuses, so a consumer that keeps the bytes must copy them.
 type DeliverFunc func(seq uint64, payload []byte, at simclock.Time)
 
 // Stats counts driver activity.
@@ -73,6 +75,9 @@ type Driver struct {
 	cachedPMO  *caps.PMO
 
 	deliver DeliverFunc
+	// payload is the buffer release reads each message into before
+	// handing it to deliver; reused for every message.
+	payload []byte
 
 	// deferred switches release from "at commit" to "at ReleaseUpTo":
 	// the commit callback only records how far the ring had been written,
@@ -155,59 +160,55 @@ func (d *Driver) pmo() *caps.PMO {
 	return d.cachedPMO
 }
 
-// ringRead / ringWrite access the eternal PMO directly (driver-level code,
-// below the VM layer), charging device costs to the lane.
-func (d *Driver) ringRead(lane *simclock.Lane, off uint64, buf []byte) {
+// ringSpan walks ring bytes [off, off+n) page by page (driver-level code,
+// below the VM layer): fn gets each piece's frame, its offset in that page,
+// and the piece's start and length within the span.
+func (d *Driver) ringSpan(off uint64, n int, fn func(p mem.PageID, po, at, c int)) {
 	pmo := d.pmo()
-	for len(buf) > 0 {
-		idx, po := off/mem.PageSize, int(off%mem.PageSize)
-		n := mem.PageSize - po
-		if n > len(buf) {
-			n = len(buf)
-		}
+	for at := 0; at < n; {
+		pos := off + uint64(at)
+		idx, po := pos/mem.PageSize, int(pos%mem.PageSize)
+		c := min(mem.PageSize-po, n-at)
 		s := pmo.Lookup(idx)
 		if s == nil {
 			panic(fmt.Sprintf("extsync: ring page %d not materialized", idx))
 		}
-		lane.Charge(d.m.Memory.ReadAt(s.Page, po, buf[:n]))
-		off += uint64(n)
-		buf = buf[n:]
+		fn(s.Page, po, at, c)
+		at += c
 	}
 }
 
+// ringRead / ringWrite access the eternal PMO directly, charging device
+// costs to the lane.
+func (d *Driver) ringRead(lane *simclock.Lane, off uint64, buf []byte) {
+	d.ringSpan(off, len(buf), func(p mem.PageID, po, at, c int) {
+		lane.Charge(d.m.Memory.ReadAt(p, po, buf[at:at+c]))
+	})
+}
+
 func (d *Driver) ringWrite(lane *simclock.Lane, off uint64, data []byte) {
-	pmo := d.pmo()
-	for len(data) > 0 {
-		idx, po := off/mem.PageSize, int(off%mem.PageSize)
-		n := mem.PageSize - po
-		if n > len(data) {
-			n = len(data)
-		}
-		s := pmo.Lookup(idx)
-		if s == nil {
-			panic(fmt.Sprintf("extsync: ring page %d not materialized", idx))
-		}
-		lane.Charge(d.m.Memory.WriteAt(s.Page, po, data[:n]))
-		off += uint64(n)
-		data = data[n:]
-	}
+	d.ringSpan(off, len(data), func(p mem.PageID, po, at, c int) {
+		lane.Charge(d.m.Memory.WriteAt(p, po, data[at:at+c]))
+	})
+}
+
+// ringFlush write-backs (clwb) bytes [off, off+n) of the ring so a
+// following Fence makes them durable under ADR. Free under eADR.
+func (d *Driver) ringFlush(lane *simclock.Lane, off uint64, n int) {
+	d.ringSpan(off, n, func(p mem.PageID, po, _, c int) {
+		lane.Charge(d.m.Memory.Flush(p, po, c))
+	})
 }
 
 func (d *Driver) readU64(lane *simclock.Lane, off uint64) uint64 {
 	var b [8]byte
 	d.ringRead(lane, off, b[:])
-	v := uint64(0)
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 func (d *Driver) writeU64(lane *simclock.Lane, off uint64, v uint64) {
 	var b [8]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b[:], v)
 	d.ringWrite(lane, off, b[:])
 }
 
@@ -216,34 +217,12 @@ func (d *Driver) writeU64(lane *simclock.Lane, off uint64, v uint64) {
 // tear, and it is durable the moment the call returns (free under eADR).
 func (d *Driver) persistU64(lane *simclock.Lane, off uint64, v uint64) {
 	var b [8]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b[:], v)
 	s := d.pmo().Lookup(off / mem.PageSize)
 	if s == nil {
 		panic("extsync: ring header page not materialized")
 	}
 	lane.Charge(d.m.Memory.PersistAtomic(s.Page, int(off%mem.PageSize), b[:]))
-}
-
-// ringFlush write-backs (clwb) bytes [off, off+n) of the ring so a
-// following Fence makes them durable under ADR. Free under eADR.
-func (d *Driver) ringFlush(lane *simclock.Lane, off uint64, n int) {
-	pmo := d.pmo()
-	for n > 0 {
-		idx, po := off/mem.PageSize, int(off%mem.PageSize)
-		c := mem.PageSize - po
-		if c > n {
-			c = n
-		}
-		s := pmo.Lookup(idx)
-		if s == nil {
-			panic(fmt.Sprintf("extsync: ring page %d not materialized", idx))
-		}
-		lane.Charge(d.m.Memory.Flush(s.Page, po, c))
-		off += uint64(c)
-		n -= c
-	}
 }
 
 func slotOff(seq, capacity uint64) uint64 {
@@ -289,11 +268,7 @@ func (d *Driver) Send(lane *simclock.Lane, payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("%w (%d in flight)", ErrRingFull, writer-reader)
 	}
 	off := slotOff(writer, d.capacity)
-	var hdr [8]byte
-	for i := range hdr {
-		hdr[i] = byte(uint64(len(payload)) >> (8 * i))
-	}
-	d.ringWrite(lane, off, hdr[:])
+	d.writeU64(lane, off, uint64(len(payload)))
 	d.ringWrite(lane, off+8, payload)
 	// ADR discipline: the slot's bytes must be durable before the writer
 	// advance publishes them, or a crash could expose a torn slot behind a
@@ -378,13 +353,11 @@ func (d *Driver) release(lane *simclock.Lane, visible, writer uint64) {
 	d.persistU64(lane, offReader, writer)
 	for seq := visible; seq < writer; seq++ {
 		off := slotOff(seq, d.capacity)
-		var hdr [8]byte
-		d.ringRead(lane, off, hdr[:])
-		n := uint64(0)
-		for i := 7; i >= 0; i-- {
-			n = n<<8 | uint64(hdr[i])
+		n := d.readU64(lane, off)
+		if uint64(cap(d.payload)) < n {
+			d.payload = make([]byte, n)
 		}
-		payload := make([]byte, n)
+		payload := d.payload[:n]
 		d.ringRead(lane, off+8, payload)
 		// Doorbell plus serialization: the released response occupies the
 		// wire for its size (internal/net's bandwidth model).

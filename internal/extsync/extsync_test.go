@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"treesls/internal/kernel"
+	"treesls/internal/mem"
 	"treesls/internal/simclock"
 )
 
@@ -14,7 +15,7 @@ type delivered struct {
 	at      simclock.Time
 }
 
-func newRig(t *testing.T, capacity uint64) (*kernel.Machine, *Driver, *[]delivered) {
+func newRig(t testing.TB, capacity uint64) (*kernel.Machine, *Driver, *[]delivered) {
 	t.Helper()
 	cfg := kernel.DefaultConfig()
 	cfg.CheckpointEvery = 0 // manual checkpoints for precise control
@@ -270,5 +271,66 @@ func TestSurvivesManyCrashCycles(t *testing.T) {
 	}
 	if len(*log) != 8 {
 		t.Errorf("delivered %d, want 8", len(*log))
+	}
+}
+
+// releaseBatch is the unit of the release gate and benchmark: 32 messages of
+// 1 to 187 bytes sent, then released by a commit callback.
+func releaseBatch(tb testing.TB, m *kernel.Machine, d *Driver, payload []byte) {
+	for i := 0; i < 32; i++ {
+		if _, err := d.Send(lane(m), payload[:1+i*6]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	d.OnCheckpoint(m.Ckpt.CommittedVersion(), lane(m))
+}
+
+// releaseRig is a driver on a machine in the given persistence mode whose
+// deliveries only count bytes.
+func releaseRig(tb testing.TB, mode mem.PersistMode) (*kernel.Machine, *Driver, *int) {
+	tb.Helper()
+	cfg := kernel.DefaultConfig()
+	cfg.CheckpointEvery = 0
+	cfg.Mem.Persist = mode
+	m := kernel.New(cfg)
+	d, err := NewDriver(m, 64)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	got := new(int)
+	d.SetDeliver(func(_ uint64, payload []byte, _ simclock.Time) { *got += len(payload) })
+	return m, d, got
+}
+
+// TestReleaseAllocatesNothing is the allocation gate of the commit-time
+// release: once warm, sending and releasing 32 messages allocates nothing
+// in either persistence mode. Release reads every payload into one buffer
+// the driver reuses.
+func TestReleaseAllocatesNothing(t *testing.T) {
+	payload := make([]byte, MaxPayload)
+	for _, mode := range []mem.PersistMode{mem.ModeEADR, mem.ModeADR} {
+		t.Run(mode.String(), func(t *testing.T) {
+			m, d, got := releaseRig(t, mode)
+			allocs := testing.AllocsPerRun(20, func() { releaseBatch(t, m, d, payload) })
+			if allocs != 0 {
+				t.Errorf("a warm release of 32 messages allocates %.1f times, want 0", allocs)
+			}
+			// AllocsPerRun runs the batch once more to warm up.
+			if want := 21 * (32 + 6*31*32/2); *got != want {
+				t.Errorf("delivered %d payload bytes, want %d", *got, want)
+			}
+		})
+	}
+}
+
+// BenchmarkRelease sends 32 messages and releases them at a commit, on an
+// ADR machine.
+func BenchmarkRelease(b *testing.B) {
+	payload := make([]byte, MaxPayload)
+	m, d, _ := releaseRig(b, mem.ModeADR)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		releaseBatch(b, m, d, payload)
 	}
 }

@@ -123,9 +123,6 @@ const (
 	RecordOffset = recordOff
 	// RecordSize is the serialized record body size in bytes.
 	RecordSize = recordSize
-	// MirrorFlagOffset / MirrorRecordOffset locate the mirrored copy.
-	MirrorFlagOffset   = mirrorFlagOff
-	MirrorRecordOffset = mirrorBodyOff
 )
 
 // DecodeRecord parses a serialized record body (the bytes at RecordOffset of

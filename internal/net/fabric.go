@@ -73,9 +73,6 @@ func (f *Fabric) AddEndpoint() int {
 	return len(f.up) - 1
 }
 
-// Shards returns the number of shard endpoints.
-func (f *Fabric) Shards() int { return len(f.up) }
-
 // SendReport ships shard i's prepare report to the coordinator, no earlier
 // than `earliest`, and returns when it arrives. The transport ack is
 // recorded immediately (control frames are fire-and-forget at this layer;
