@@ -26,3 +26,6 @@ func (s *IDSet) Add(id uint64) bool {
 	s.words[w] |= bit
 	return true
 }
+
+// Reset empties the set and keeps its storage for the next walk.
+func (s *IDSet) Reset() { s.words = s.words[:0] }

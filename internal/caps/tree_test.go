@@ -220,3 +220,22 @@ func TestIDSetMatchesMap(t *testing.T) {
 		}
 	}
 }
+
+// TestIDSetResetKeepsStorage checks that Reset empties the set, so every
+// ID reads as absent again, without giving up the words it grew.
+func TestIDSetResetKeepsStorage(t *testing.T) {
+	var s IDSet
+	for id := uint64(0); id < 300; id += 7 {
+		s.Add(id)
+	}
+	words := cap(s.words)
+	s.Reset()
+	for id := uint64(0); id < 300; id++ {
+		if !s.Add(id) {
+			t.Fatalf("Add(%d) after Reset reports the ID present", id)
+		}
+	}
+	if cap(s.words) != words {
+		t.Fatalf("Reset gave up its storage: capacity %d, was %d", cap(s.words), words)
+	}
+}

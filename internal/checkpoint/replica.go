@@ -77,7 +77,7 @@ type ReplImage struct {
 	// objects the last walk visited, the object-record encode buffer, and
 	// the walk's reference stack.
 	visited []ReplKey
-	objs    map[uint64]bool
+	objs    caps.IDSet
 	buf     []byte
 	refs    []*caps.ORoot
 
@@ -309,6 +309,9 @@ func (m *Manager) CaptureReplDelta(img *ReplImage, full bool, swapRead func(slot
 	d := &Delta{Version: m.committed, NextID: m.savedNextID, Full: full || len(img.Entries) == 0}
 	if !d.Full {
 		d.From = img.Version
+	} else if len(img.Entries) > 0 {
+		// A full delta puts about every entry the image holds.
+		d.Puts = make([]ReplRecord, 0, len(img.Entries))
 	}
 	if img.Entries == nil {
 		img.Entries = make(map[ReplKey][]byte)
@@ -367,16 +370,12 @@ func (m *Manager) CaptureReplDelta(img *ReplImage, full bool, swapRead func(slot
 // keeps.
 func (m *Manager) walkRepl(img *ReplImage, swapRead func(slot uint64) []byte, emit func(k ReplKey, cur []byte, same bool)) {
 	e := recEncoder{buf: img.buf}
-	if img.objs == nil {
-		img.objs = make(map[uint64]bool)
-	}
-	clear(img.objs)
+	img.objs.Reset()
 	var visit func(r *caps.ORoot)
 	visit = func(r *caps.ORoot) {
-		if r == nil || img.objs[r.ObjID] {
+		if r == nil || !img.objs.Add(r.ObjID) {
 			return
 		}
-		img.objs[r.ObjID] = true
 		snap, _ := r.LatestCommitted(m.committed)
 		if snap == nil {
 			return // unrestorable root; the digest marks it, nothing to ship

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -213,7 +214,9 @@ func replicaRule(m *Manager) error {
 // checked after each step. A path that changes a frame's bytes without
 // bumping its generation leaves a stale entry behind and fails here. So
 // does a writer that records a frame's checksum without keeping its replica
-// in step (the replica rule, replicaRule).
+// in step (the replica rule, replicaRule), and a store that lands in the
+// zero frame that every never-written frame shares: the device's last
+// frame, which nothing writes, must read all zeros after each step.
 func TestPageSumsMatchBytesAtGeneration(t *testing.T) {
 	for _, mode := range []mem.PersistMode{mem.ModeEADR, mem.ModeADR} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -259,8 +262,12 @@ func TestPageSumsMatchBytesAtGeneration(t *testing.T) {
 			}
 
 			matched, damaged := 0, 0
+			untouched, zero := nvmFrame(4095), make([]byte, mem.PageSize)
 			check := func(step int, op string) {
 				t.Helper()
+				if g := h.mem.Gen(untouched); g != 0 || !bytes.Equal(h.mem.Data(untouched), zero) {
+					t.Fatalf("step %d (%s): %v, never written, reads nonzero bytes (generation %d)", step, op, untouched, g)
+				}
 				for f, e := range h.mgr.integrity {
 					p := nvmFrame(f)
 					if e.gen != h.mem.Gen(p) {

@@ -45,6 +45,17 @@ func checkClean(t *testing.T, f *Fleet, where string) {
 
 // TestClusterBoot: New leaves every shard committed at the boot cut, with
 // the announced digests matching live state.
+// BenchmarkNewCluster boots the 3-shard gated, audited cluster that every
+// injection of the reshard crash sweep boots before its script runs.
+func BenchmarkNewCluster(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(Config{Shards: 3, Gated: true, Seed: 21, Audit: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestClusterBoot(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		c := newTestCluster(t, Config{Shards: shards, Gated: true, Audit: true, Seed: 42})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 )
 
 // DefaultVnodes is the default number of virtual nodes per shard. High
@@ -152,9 +153,12 @@ func KeyHash(key []byte) uint64 {
 // the pair's textual name so a shard's points are a pure function of its
 // own id — the consistent-hashing minimal-movement property depends on it.
 func vnodeHash(s, v int) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "shard-%d/vnode-%d", s, v)
-	return mix64(h.Sum64())
+	var buf [48]byte
+	b := append(buf[:0], "shard-"...)
+	b = strconv.AppendInt(b, int64(s), 10)
+	b = append(b, "/vnode-"...)
+	b = strconv.AppendInt(b, int64(v), 10)
+	return KeyHash(b)
 }
 
 // mix64 is the splitmix64 finalizer: a bijective avalanche that spreads

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"treesls/internal/workload"
@@ -146,5 +148,21 @@ func TestRingDeterminism(t *testing.T) {
 	}
 	if NewRing(3, 0).Vnodes() != DefaultVnodes {
 		t.Fatalf("vnodes=0 should default to %d", DefaultVnodes)
+	}
+}
+
+// TestVnodeHashMatchesFmtReference pins vnodeHash to the hash of the
+// vnode's textual name as fmt formats it, over negative, one- and
+// two-digit shards and vnodes into the hundreds: every ring point, and so
+// every key's owner, stays where it was.
+func TestVnodeHashMatchesFmtReference(t *testing.T) {
+	for s := -3; s <= 69; s++ {
+		for v := 0; v < 300; v++ {
+			h := fnv.New64a()
+			fmt.Fprintf(h, "shard-%d/vnode-%d", s, v)
+			if got, want := vnodeHash(s, v), mix64(h.Sum64()); got != want {
+				t.Fatalf("vnodeHash(%d, %d) = %#x, fmt reference %#x", s, v, got, want)
+			}
+		}
 	}
 }

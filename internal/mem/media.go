@@ -21,8 +21,8 @@
 // Faults are injected two ways, both fully deterministic:
 //
 //   - At crash time: Config.Media.CrashFaults poisoned lines per power
-//     failure, chosen by a seeded splitmix64 stream over the materialized
-//     NVM frames (frames below the protected metadata region are exempt —
+//     failure, chosen by a seeded splitmix64 stream over the touched NVM
+//     frames (frames below the protected metadata region are exempt —
 //     modeling the common practice of interleaving critical metadata across
 //     a higher-reliability region; targeted tests inject into them
 //     explicitly).
@@ -184,8 +184,8 @@ func (m *Memory) scrambleLine(f uint32, l int, h uint64) {
 }
 
 // injectCrashFaults poisons Config.Media.CrashFaults lines at a power
-// failure, chosen deterministically from the materialized NVM frames
-// outside the protected metadata region. Called by Crash() after ADR
+// failure, chosen deterministically from the touched NVM frames (read,
+// zeroed or written) outside the protected metadata region. Called by Crash() after ADR
 // write-buffer damage has been resolved.
 func (m *Memory) injectCrashFaults() {
 	if m.media.CrashFaults <= 0 {

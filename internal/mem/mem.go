@@ -3,8 +3,12 @@
 // a DRAM device that is wiped by them.
 //
 // The paper's machine has 256 GiB DRAM and 1 TiB Optane PM; here both devices
-// are arrays of 4 KiB frames with lazily-allocated backing storage. The only
-// properties the TreeSLS algorithms rely on are captured exactly:
+// are arrays of 4 KiB frames backed by demand-zero storage: a frame that has
+// been touched but never stored to reads from one shared, never-written zero
+// frame, and it gets bytes of its own at its first store. Zeroing a frame
+// clears its own bytes in place and leaves a frame without any on the zero
+// frame. The only properties the TreeSLS algorithms rely on are captured
+// exactly:
 //
 //   - NVM frames keep their bytes across Crash().
 //   - DRAM frames are zeroed by Crash().
@@ -72,10 +76,19 @@ func (p PageID) String() string {
 // chunkFrames is how many frames one lazily made frame-table chunk covers.
 const chunkFrames = 256
 
+// zeroFrame backs every frame, on every Memory, that has been touched but
+// never stored to. Nothing writes it: Device.write gives a frame bytes of
+// its own before its first store, so concurrent machines only ever read it.
+var zeroFrame [PageSize]byte
+
+// onZeroFrame reports whether frame bytes b are the shared zero frame.
+func onZeroFrame(b []byte) bool { return &b[0] == &zeroFrame[0] }
+
 // frameChunk holds chunkFrames consecutive frames: each frame's backing
-// bytes (nil until the frame is first touched) and its host-only
-// change-tracking metadata. The two live in separate arrays so that a read
-// touches only the slice headers, as it would without the metadata.
+// bytes (nil until the frame is first touched, zeroFrame until its first
+// store) and its host-only change-tracking metadata. The two live in
+// separate arrays so that a read touches only the slice headers, as it
+// would without the metadata.
 type frameChunk struct {
 	b    [chunkFrames][]byte
 	meta [chunkFrames]frameMeta
@@ -92,7 +105,7 @@ type frameMeta struct {
 }
 
 // Device is one physical memory device: a fixed number of frames with
-// lazily-materialized backing bytes. The frame table is itself lazy: a
+// demand-zero backing bytes. The frame table is itself lazy: a
 // directory of chunks, each made when one of its frames is first touched,
 // so a machine that touches few frames never pays for a full table.
 type Device struct {
@@ -108,8 +121,8 @@ func newDevice(kind Kind, nFrames int) *Device {
 // NumFrames returns the device capacity in frames.
 func (d *Device) NumFrames() int { return d.nFrames }
 
-// slot returns the chunk holding frame f and f's index in it, materializing
-// the frame's backing bytes on demand.
+// slot returns the chunk holding frame f and f's index in it, marking the
+// frame touched: an untouched frame is pointed at the zero frame.
 func (d *Device) slot(f uint32) (*frameChunk, uint32) {
 	if int(f) >= d.nFrames {
 		panic(fmt.Sprintf("mem: frame %d out of range on %s device (%d frames)", f, d.kind, d.nFrames))
@@ -121,27 +134,42 @@ func (d *Device) slot(f uint32) (*frameChunk, uint32) {
 	}
 	i := f % chunkFrames
 	if c.b[i] == nil {
-		c.b[i] = make([]byte, PageSize)
+		c.b[i] = zeroFrame[:]
 	}
 	return c, i
 }
 
-// data returns the backing bytes of frame f for reading.
+// data returns the backing bytes of frame f for reading: the zero frame
+// when nothing has stored to f.
 func (d *Device) data(f uint32) []byte {
 	c, i := d.slot(f)
 	return c.b[i]
 }
 
 // write returns the backing bytes of frame f for a store and bumps the
-// frame's write generation. Every path that changes a frame's bytes must
-// get them here.
+// frame's write generation, giving a frame on the zero frame bytes of its
+// own. Every path that changes a frame's bytes goes through write or zero.
 func (d *Device) write(f uint32) []byte {
 	c, i := d.slot(f)
 	c.meta[i].gen++
+	if onZeroFrame(c.b[i]) {
+		c.b[i] = make([]byte, PageSize)
+	}
 	return c.b[i]
 }
 
-// forEachFrame calls fn for every materialized frame at or above from, in
+// zero clears frame f and bumps its write generation. A frame with bytes of
+// its own is cleared in place, so its next store allocates nothing; a frame
+// on the zero frame stays there.
+func (d *Device) zero(f uint32) {
+	c, i := d.slot(f)
+	c.meta[i].gen++
+	if b := c.b[i]; !onZeroFrame(b) {
+		clear(b)
+	}
+}
+
+// forEachFrame calls fn for every touched frame at or above from, in
 // ascending frame order (crash-time damage depends on that order).
 func (d *Device) forEachFrame(from uint32, fn func(f uint32, b []byte)) {
 	for ci := int(from / chunkFrames); ci < len(d.chunks); ci++ {
@@ -300,9 +328,12 @@ func (m *Memory) device(p PageID) *Device {
 
 // Data returns the live backing bytes of page p, for reading only: every
 // store goes through WriteAt, WriteRaw, CopyPage, ZeroPage or
-// PersistAtomic, which keep the frame's write generation (Gen) current.
-// Callers must charge access costs themselves (or use CopyPage / ReadAt /
-// WriteAt which do).
+// PersistAtomic, which keep the frame's write generation (Gen) current. A
+// page nothing has stored to returns the zero frame that every such page
+// of every Memory shares, so a write through the slice would corrupt them
+// all; its first store moves it onto bytes of its own, which a slice taken
+// before that store does not see. Callers must charge access costs
+// themselves (or use CopyPage / ReadAt / WriteAt which do).
 func (m *Memory) Data(p PageID) []byte { return m.device(p).data(p.Frame) }
 
 // write returns page p's bytes for a store, bumping its write generation.
@@ -350,7 +381,7 @@ func (m *Memory) AllocDRAM() PageID {
 	}
 	// A freshly allocated frame must read as zero even if a previous
 	// owner left data in it.
-	clear(m.dram.write(f))
+	m.dram.zero(f)
 	return PageID{Kind: KindDRAM, Frame: f}
 }
 
@@ -464,6 +495,6 @@ func (m *Memory) Crash() {
 		m.crashes++ // vary media damage across crashes under eADR too
 	}
 	m.injectCrashFaults()
-	m.dram.forEachFrame(0, func(f uint32, _ []byte) { clear(m.dram.write(f)) })
+	m.dram.forEachFrame(0, func(f uint32, _ []byte) { m.dram.zero(f) })
 	m.resetDRAMFreeList()
 }

@@ -327,11 +327,12 @@ func (m *Memory) ReadRaw(p PageID, off int, buf []byte) {
 
 // ZeroPage clears page p, tracking the stores under ADR. Replaces the
 // bare clear(Data(p)) idiom so first-touch page materialization
-// participates in the persistence model.
+// participates in the persistence model. A page nothing has stored to
+// stays on the shared zero frame.
 func (m *Memory) ZeroPage(p PageID) {
 	m.preWrite(p, 0, PageSize)
 	m.track(p, 0, PageSize)
-	clear(m.write(p))
+	m.device(p).zero(p.Frame)
 	if p.Kind == KindNVM {
 		m.crashEvent()
 	}
