@@ -101,7 +101,15 @@ func (s *Store) find(e *kernel.Env, key []byte, h uint64) (entryVA, prevLink uin
 	if err != nil {
 		return 0, 0, err
 	}
-	kbuf := make([]byte, len(key))
+	// Keys up to 64 bytes are read into a stack array; longer ones need
+	// the heap.
+	var small [64]byte
+	var kbuf []byte
+	if len(key) <= len(small) {
+		kbuf = small[:len(key)]
+	} else {
+		kbuf = make([]byte, len(key))
+	}
 	for cur != 0 {
 		eh, err := e.ReadU64(cur + 8)
 		if err != nil {

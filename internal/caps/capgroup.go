@@ -23,11 +23,17 @@ type CapGroup struct {
 
 // NewCapGroup is used by the tree; see Tree.NewCapGroup.
 func newCapGroup(id uint64, name string) *CapGroup {
-	g := &CapGroup{Name: name}
-	g.kind = KindCapGroup
-	g.id = id
-	g.dirty = true
+	g := new(CapGroup)
+	g.reset(id)
+	g.Name = name
 	return g
+}
+
+// reset puts g in the state of a new, empty cap group with the given ID and
+// keeps its slot array's storage.
+func (g *CapGroup) reset(id uint64) {
+	clear(g.slots)
+	*g = CapGroup{objHeader: newHeader(KindCapGroup, id), slots: g.slots[:0]}
 }
 
 // Install appends a capability for obj and returns its slot index.

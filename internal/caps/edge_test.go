@@ -99,9 +99,9 @@ func TestWalkHandlesNilEndpoints(t *testing.T) {
 	tree := NewTree()
 	g := tree.NewCapGroup(tree.Root, "g")
 	// Connection with nil endpoints (mid-construction state).
-	c := ReviveIPCConn(999)
+	c := newIPCConn(999, nil, nil)
 	g.Install(c, RightsAll)
-	irq := ReviveIRQNotification(998)
+	irq := newIRQNotification(998, 0)
 	g.Install(irq, RightsAll)
 	n := 0
 	tree.Walk(func(o Object) { n++ })

@@ -27,5 +27,11 @@ func (s *IDSet) Add(id uint64) bool {
 	return true
 }
 
+// Has reports whether id is in the set.
+func (s *IDSet) Has(id uint64) bool {
+	w := id / 64
+	return w < uint64(len(s.words)) && s.words[w]&(1<<(id%64)) != 0
+}
+
 // Reset empties the set and keeps its storage for the next walk.
 func (s *IDSet) Reset() { s.words = s.words[:0] }

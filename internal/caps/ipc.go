@@ -15,11 +15,16 @@ type IPCConn struct {
 }
 
 func newIPCConn(id uint64, client, server *Thread) *IPCConn {
-	c := &IPCConn{Client: client, Server: server}
-	c.kind = KindIPCConn
-	c.id = id
-	c.dirty = true
+	c := new(IPCConn)
+	c.reset(id)
+	c.Client, c.Server = client, server
 	return c
+}
+
+// reset puts c in the state of a new connection with the given ID: no
+// endpoints and an empty buffer, whose storage it keeps.
+func (c *IPCConn) reset(id uint64) {
+	*c = IPCConn{objHeader: newHeader(KindIPCConn, id), Buf: c.Buf[:0]}
 }
 
 // Send places a message into the connection buffer and bumps the sequence
@@ -77,11 +82,16 @@ type Notification struct {
 }
 
 func newNotification(id uint64) *Notification {
-	n := &Notification{}
-	n.kind = KindNotification
-	n.id = id
-	n.dirty = true
+	n := new(Notification)
+	n.reset(id)
 	return n
+}
+
+// reset puts n in the state of a new notification with the given ID: a zero
+// count and no waiters. It keeps the waiter list's storage.
+func (n *Notification) reset(id uint64) {
+	clear(n.waiters)
+	*n = Notification{objHeader: newHeader(KindNotification, id), waiters: n.waiters[:0]}
 }
 
 // Signal increments the count or wakes the first waiter, returning the woken
@@ -154,11 +164,16 @@ type IRQNotification struct {
 }
 
 func newIRQNotification(id uint64, line int) *IRQNotification {
-	n := &IRQNotification{Line: line}
-	n.kind = KindIRQNotification
-	n.id = id
-	n.dirty = true
+	n := new(IRQNotification)
+	n.reset(id)
+	n.Line = line
 	return n
+}
+
+// reset puts n in the state of a new IRQ notification with the given ID:
+// line 0, nothing pending, no handler.
+func (n *IRQNotification) reset(id uint64) {
+	*n = IRQNotification{objHeader: newHeader(KindIRQNotification, id)}
 }
 
 // Raise records a pending interrupt.

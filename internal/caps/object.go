@@ -92,6 +92,12 @@ type objHeader struct {
 	dirty bool
 }
 
+// newHeader returns the header of a new object of kind k with the given ID:
+// dirty, and bound to no root.
+func newHeader(k ObjectKind, id uint64) objHeader {
+	return objHeader{kind: k, id: id, dirty: true}
+}
+
 func (h *objHeader) Kind() ObjectKind   { return h.kind }
 func (h *objHeader) ID() uint64         { return h.id }
 func (h *objHeader) ORoot() *ORoot      { return h.oroot }
@@ -132,8 +138,16 @@ type ORoot struct {
 	ObjID uint64
 	// Kind of the object.
 	Kind ObjectKind
-	// Runtime points to the live object. nil after a crash, until the
-	// restore path revives the object and links it back.
+	// Runtime points to the runtime object. Nothing clears it at a crash:
+	// it then points at the crashed object, and a restore resets that
+	// object in place (Revive) and fills it from the backup, so a pointer
+	// to a runtime object or to one of its PMO's page slots kept across a
+	// crash observes the restored object. Nothing outside tests keeps
+	// one: the kernel rebuilds its processes and page tables, and the
+	// checkpoint manager's active list and extsync's cached PMO are
+	// dropped at restore. Runtime is nil only for a root no runtime
+	// object was ever bound to, such as one a standby's InstallImage
+	// filed.
 	Runtime Object
 
 	// Backup holds up to two snapshots; Ver gives each snapshot's

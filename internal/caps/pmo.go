@@ -73,11 +73,25 @@ type PMO struct {
 }
 
 func newPMO(id uint64, sizePages uint64, typ PMOType) *PMO {
-	p := &PMO{Type: typ, SizePages: sizePages}
-	p.kind = KindPMO
-	p.id = id
-	p.dirty = true
+	p := new(PMO)
+	p.reset(id, sizePages, typ)
 	return p
+}
+
+// reset puts p in the state of a new PMO with the given ID, size and type:
+// no pages. It keeps the storage of the page radix — its nodes, and the
+// page slot each index last held, which InstallPage and InstallSwapped
+// reuse — and of Touched and Removed.
+func (p *PMO) reset(id uint64, sizePages uint64, typ PMOType) {
+	p.pages.Reset()
+	*p = PMO{
+		objHeader: newHeader(KindPMO, id),
+		Type:      typ,
+		SizePages: sizePages,
+		pages:     p.pages,
+		Touched:   p.Touched[:0],
+		Removed:   p.Removed[:0],
+	}
 }
 
 // Lookup returns the page slot at index idx, or nil if no page has been
@@ -96,8 +110,8 @@ func (p *PMO) InstallPage(idx uint64, page mem.PageID) *PageSlot {
 	if idx >= p.SizePages {
 		panic("caps: InstallPage beyond PMO size")
 	}
-	s := &PageSlot{Page: page, Writable: true}
-	p.pages.Set(idx, s)
+	s := p.fileSlot(idx)
+	*s = PageSlot{Page: page, Writable: true}
 	p.Touched = append(p.Touched, idx)
 	p.MarkDirty()
 	return s
@@ -111,9 +125,21 @@ func (p *PMO) InstallSwapped(idx uint64) *PageSlot {
 	if idx >= p.SizePages {
 		panic("caps: InstallSwapped beyond PMO size")
 	}
-	s := &PageSlot{SwappedOut: true}
-	p.pages.Set(idx, s)
+	s := p.fileSlot(idx)
+	*s = PageSlot{SwappedOut: true}
 	return s
+}
+
+// fileSlot files a page slot at idx and returns it for the caller to assign
+// whole: the slot a reset left at idx when there is one, else a new slot.
+// An index that holds a page gets a new slot, so a handle to the page it
+// replaces never sees the new one.
+func (p *PMO) fileSlot(idx uint64) *PageSlot {
+	leaf, isNew := p.pages.Put(idx)
+	if !isNew || *leaf == nil {
+		*leaf = new(PageSlot)
+	}
+	return *leaf
 }
 
 // RemovePage drops the page at idx from the radix tree, returning its slot

@@ -62,6 +62,16 @@ func (r *Radix[T]) Get(idx uint64) (T, bool) {
 // Set stores v at index idx, growing the tree as needed. It reports whether
 // the entry was newly created (false if it replaced an existing value).
 func (r *Radix[T]) Set(idx uint64, v T) bool {
+	leaf, isNew := r.Put(idx)
+	*leaf = v
+	return isNew
+}
+
+// Put makes idx present, growing the tree as needed, and returns its leaf
+// for the caller to store into, and whether the entry is new. A new entry's
+// leaf holds the value the entry had when a Reset removed it, or the zero
+// value.
+func (r *Radix[T]) Put(idx uint64) (leaf *T, isNew bool) {
 	if r.root == nil {
 		r.root = &radixNode[T]{}
 		r.nNodes = 1
@@ -90,13 +100,34 @@ func (r *Radix[T]) Set(idx uint64, v T) bool {
 	if n.leaves == nil {
 		n.leaves = make([]T, radixFanout)
 	}
-	isNew := n.present&(1<<slot) == 0
-	n.leaves[slot] = v
+	isNew = n.present&(1<<slot) == 0
 	n.present |= 1 << slot
 	if isNew {
 		r.count++
 	}
-	return isNew
+	return &n.leaves[slot], isNew
+}
+
+// Reset removes every entry but keeps the nodes, and in each leaf the value
+// it held, for Put to hand back. Nodes is unchanged, so a count that is
+// charged must never be read from a tree that was Reset.
+func (r *Radix[T]) Reset() {
+	if r.root != nil {
+		resetNode(r.root, r.depth)
+	}
+	r.count = 0
+}
+
+func resetNode[T any](n *radixNode[T], level int) {
+	if level == 0 {
+		n.present = 0
+		return
+	}
+	for _, c := range n.children {
+		if c != nil {
+			resetNode(c, level-1)
+		}
+	}
 }
 
 // Delete removes the entry at idx and reports whether it was present.

@@ -35,7 +35,7 @@ func TestThreadSnapshotRoundTrip(t *testing.T) {
 	// Post-snapshot mutation must not leak into the snapshot.
 	th.Touch(func(c *Context) { c.R[3] = 100 })
 
-	th2 := ReviveThread(th.ID())
+	th2 := Revive(nil, th.ID(), &snap).(*Thread)
 	th2.RestoreFrom(&snap)
 	if th2.Ctx.PC != 0x4000 || th2.Ctx.R[3] != 99 {
 		t.Errorf("restored context = %+v", th2.Ctx)
@@ -65,7 +65,7 @@ func TestCapGroupSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot has %d slots, group has %d", len(snap.Slots), g.NumSlots())
 	}
 
-	g2 := ReviveCapGroup(g.ID())
+	g2 := Revive(nil, g.ID(), &snap).(*CapGroup)
 	g2.RestoreFrom(&snap, res.revive)
 	if g2.Name != "payments" {
 		t.Errorf("name = %q", g2.Name)
@@ -97,7 +97,7 @@ func TestVMSpaceSnapshotRoundTrip(t *testing.T) {
 	var snap VMSpaceSnap
 	vs.Snapshot(&snap, res.resolve)
 
-	vs2 := ReviveVMSpace(vs.ID())
+	vs2 := Revive(nil, vs.ID(), &snap).(*VMSpace)
 	vs2.RestoreFrom(&snap, res.revive)
 	if vs2.NumRegions() != 1 {
 		t.Fatalf("regions = %d", vs2.NumRegions())
@@ -133,7 +133,7 @@ func TestIPCAndNotificationSnapshotRoundTrip(t *testing.T) {
 	var ns NotificationSnap
 	noti.Snapshot(&ns, res.resolve)
 
-	conn2 := ReviveIPCConn(conn.ID())
+	conn2 := Revive(nil, conn.ID(), &cs).(*IPCConn)
 	conn2.RestoreFrom(&cs, res.revive)
 	if string(conn2.Buf) != "request-1" || conn2.Seq != 1 {
 		t.Errorf("conn restored = %q seq %d", conn2.Buf, conn2.Seq)
@@ -142,7 +142,7 @@ func TestIPCAndNotificationSnapshotRoundTrip(t *testing.T) {
 		t.Error("endpoints not restored")
 	}
 
-	noti2 := ReviveNotification(noti.ID())
+	noti2 := Revive(nil, noti.ID(), &ns).(*Notification)
 	noti2.RestoreFrom(&ns, res.revive)
 	if noti2.Count != 0 || noti2.NumWaiters() != 1 {
 		t.Errorf("notification restored count=%d waiters=%d", noti2.Count, noti2.NumWaiters())
@@ -161,7 +161,7 @@ func TestIRQSnapshotRoundTrip(t *testing.T) {
 	var snap IRQNotificationSnap
 	irq.Snapshot(&snap, res.resolve)
 
-	irq2 := ReviveIRQNotification(irq.ID())
+	irq2 := Revive(nil, irq.ID(), &snap).(*IRQNotification)
 	irq2.RestoreFrom(&snap, res.revive)
 	if irq2.Line != 33 || irq2.Pending != 1 || irq2.Handler != h {
 		t.Errorf("restored irq = %+v", irq2)

@@ -56,13 +56,15 @@ type Thread struct {
 }
 
 func newThread(id uint64) *Thread {
-	t := &Thread{}
-	t.kind = KindThread
-	t.id = id
-	t.dirty = true
-	t.Sched.Affinity = -1
-	t.State = ThreadRunnable
+	t := new(Thread)
+	t.reset(id)
 	return t
+}
+
+// reset puts t in the state of a new thread with the given ID: zero
+// registers, runnable, no core affinity.
+func (t *Thread) reset(id uint64) {
+	*t = Thread{objHeader: newHeader(KindThread, id), Sched: SchedContext{Affinity: -1}, State: ThreadRunnable}
 }
 
 // SetState updates the scheduling state, marking the thread dirty.

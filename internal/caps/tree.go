@@ -1,5 +1,7 @@
 package caps
 
+import "fmt"
+
 // Tree is the runtime capability tree (Figure 4): all system resources are
 // capability-referred objects reachable from the root cap group. Object
 // identity is a monotonically increasing ID assigned at creation and stable
@@ -76,29 +78,59 @@ func (t *Tree) NewIRQNotification(owner *CapGroup, line int) *IRQNotification {
 	return n
 }
 
-// ReviveCapGroup creates an empty cap group with a pre-assigned ID during
-// restore (the snapshot carries the contents).
-func ReviveCapGroup(id uint64) *CapGroup { return newCapGroup(id, "") }
-
-// ReviveThread creates an empty thread with a pre-assigned ID.
-func ReviveThread(id uint64) *Thread { return newThread(id) }
-
-// ReviveVMSpace creates an empty VM space with a pre-assigned ID.
-func ReviveVMSpace(id uint64) *VMSpace { return newVMSpace(id) }
-
-// RevivePMO creates an empty PMO with a pre-assigned ID.
-func RevivePMO(id uint64, sizePages uint64, typ PMOType) *PMO {
-	return newPMO(id, sizePages, typ)
+// Revive returns the object a restore fills from snap, the committed
+// snapshot of the object with the given ID, in the state of a new object of
+// snap's kind. When old, the crashed runtime object its root still points
+// at, is of that kind, Revive resets it in place: every field is
+// overwritten, and only its Go storage is kept (slot, region, waiter and
+// buffer slices, region structs, and a PMO's radix nodes, page slots and
+// Touched and Removed capacity). Otherwise it makes a new object through
+// the same reset.
+func Revive(old Object, id uint64, snap Snapshot) Object {
+	switch s := snap.(type) {
+	case *CapGroupSnap:
+		g := reuse[CapGroup](old)
+		g.reset(id)
+		return g
+	case *ThreadSnap:
+		t := reuse[Thread](old)
+		t.reset(id)
+		return t
+	case *VMSpaceSnap:
+		v := reuse[VMSpace](old)
+		v.reset(id)
+		return v
+	case *PMOSnap:
+		p := reuse[PMO](old)
+		p.reset(id, s.SizePages, s.Type)
+		return p
+	case *IPCConnSnap:
+		c := reuse[IPCConn](old)
+		c.reset(id)
+		return c
+	case *NotificationSnap:
+		n := reuse[Notification](old)
+		n.reset(id)
+		return n
+	case *IRQNotificationSnap:
+		n := reuse[IRQNotification](old)
+		n.reset(id)
+		return n
+	default:
+		panic(fmt.Sprintf("caps: Revive of unknown snapshot type %T", snap))
+	}
 }
 
-// ReviveIPCConn creates an empty IPC connection with a pre-assigned ID.
-func ReviveIPCConn(id uint64) *IPCConn { return newIPCConn(id, nil, nil) }
-
-// ReviveNotification creates an empty notification with a pre-assigned ID.
-func ReviveNotification(id uint64) *Notification { return newNotification(id) }
-
-// ReviveIRQNotification creates an empty IRQ notification.
-func ReviveIRQNotification(id uint64) *IRQNotification { return newIRQNotification(id, 0) }
+// reuse returns old when it is a *T, and otherwise a new T.
+func reuse[T any, PT interface {
+	*T
+	Object
+}](old Object) PT {
+	if o, ok := old.(PT); ok {
+		return o
+	}
+	return PT(new(T))
+}
 
 // RebuildTree wraps a revived root cap group into a Tree, resuming the ID
 // counter saved at the last checkpoint (restore path only).

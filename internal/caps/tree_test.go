@@ -202,8 +202,8 @@ func TestIRQNotification(t *testing.T) {
 }
 
 // TestIDSetMatchesMap checks the bitset against a map over random IDs, from
-// both a zero-value set and one whose size hint is far too small: Add must
-// report first insertion exactly as the map does.
+// both a zero-value set and one whose size hint is far too small: Has must
+// report membership and Add first insertion exactly as the map does.
 func TestIDSetMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, s := range []IDSet{{}, NewIDSet(3)} {
@@ -212,6 +212,9 @@ func TestIDSetMatchesMap(t *testing.T) {
 			id := uint64(rng.Intn(1000))
 			if i%97 == 0 {
 				id = uint64(rng.Intn(1 << 16)) // far past the hint
+			}
+			if s.Has(id) != ref[id] {
+				t.Fatalf("step %d: Has(%d) = %v, want %v", i, id, !ref[id], ref[id])
 			}
 			if got, want := s.Add(id), !ref[id]; got != want {
 				t.Fatalf("step %d: Add(%d) = %v, want %v", i, id, got, want)

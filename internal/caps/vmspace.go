@@ -36,14 +36,21 @@ type VMSpace struct {
 }
 
 func newVMSpace(id uint64) *VMSpace {
-	v := &VMSpace{}
-	v.kind = KindVMSpace
-	v.id = id
-	v.dirty = true
+	v := new(VMSpace)
+	v.reset(id)
 	return v
 }
 
-// Map adds a region to the space. Regions must not overlap.
+// reset puts v in the state of a new VM space with the given ID: no regions
+// and no page table. It keeps the region list's storage, and with it the
+// region structs past its end, which RestoreFrom reuses.
+func (v *VMSpace) reset(id uint64) {
+	*v = VMSpace{objHeader: newHeader(KindVMSpace, id), regions: v.regions[:0]}
+}
+
+// Map adds a region to the space. Regions must not overlap. The space takes
+// r: a restore overwrites the struct in place, so a caller must not map one
+// region struct twice.
 func (v *VMSpace) Map(r *VMRegion) error {
 	const ps = 4096
 	for _, ex := range v.regions {
@@ -60,7 +67,12 @@ func (v *VMSpace) Map(r *VMRegion) error {
 func (v *VMSpace) Unmap(vaBase uint64) bool {
 	for i, r := range v.regions {
 		if r.VABase == vaBase {
-			v.regions = append(v.regions[:i], v.regions[i+1:]...)
+			// Clear the vacated last entry, so that no region struct is
+			// left twice in the list's storage for RestoreFrom to reuse.
+			last := len(v.regions) - 1
+			copy(v.regions[i:], v.regions[i+1:])
+			v.regions[last] = nil
+			v.regions = v.regions[:last]
 			v.MarkDirty()
 			return true
 		}
@@ -123,17 +135,27 @@ func (v *VMSpace) Snapshot(snap *VMSpaceSnap, resolve func(Object) *ORoot) {
 }
 
 // RestoreFrom rebuilds the region list; the page table slot is cleared so
-// accesses fault and rebuild mappings lazily.
+// accesses fault and rebuild mappings lazily. Each region is written whole
+// into the struct the list's storage holds at its position, when there is
+// one.
 func (v *VMSpace) RestoreFrom(snap *VMSpaceSnap, revive func(*ORoot) Object) {
 	v.regions = v.regions[:0]
 	for _, rs := range snap.Regions {
-		v.regions = append(v.regions, &VMRegion{
+		var r *VMRegion
+		if n := len(v.regions); n < cap(v.regions) {
+			r = v.regions[:n+1][n]
+		}
+		if r == nil {
+			r = new(VMRegion)
+		}
+		*r = VMRegion{
 			VABase:    rs.VABase,
 			NumPages:  rs.NumPages,
 			PMO:       revive(rs.PMORoot).(*PMO),
 			PMOOffset: rs.PMOOffset,
 			Perm:      rs.Perm,
-		})
+		}
+		v.regions = append(v.regions, r)
 	}
 	v.PageTable = nil
 	v.dirty = false

@@ -328,15 +328,18 @@ type Manager struct {
 	// allocates nothing but its journal record: the walk's children
 	// stack (checkpointObject), the partitioned unit list and work queue
 	// of the parallel walk, its per-lane clock marks, the hybrid-copy
-	// worker lanes and their entry times, and restore's reference stack.
-	// None of it is simulated state.
-	kids    []caps.Object
-	part    walkPartition
-	wq      simclock.WorkQueue
-	marks   []walkMark
-	workers []*simclock.Lane
-	entered []simclock.Time
-	refs    []*caps.ORoot
+	// worker lanes and their entry times, and restore's reference stack,
+	// discovery order and discovered-ID set. None of it is simulated
+	// state.
+	kids       []caps.Object
+	part       walkPartition
+	wq         simclock.WorkQueue
+	marks      []walkMark
+	workers    []*simclock.Lane
+	entered    []simclock.Time
+	refs       []*caps.ORoot
+	order      []*caps.ORoot
+	discovered caps.IDSet
 
 	// obs is the observability layer (nil = disabled; all hooks are
 	// zero-cost no-ops then). met holds pre-resolved metric handles so

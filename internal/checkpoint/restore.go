@@ -26,8 +26,11 @@ var ErrNoCheckpoint = errors.New("checkpoint: no committed checkpoint to restore
 //     whether the version bump happened) and the allocator op log is rolled
 //     back, reverting all post-checkpoint malloc/free.
 //  2. Every kernel object reachable from the backup root is revived from the
-//     newest committed snapshot (two-phase: create, then fill, so references
-//     resolve regardless of graph shape).
+//     newest committed snapshot (two-phase: revive empty, then fill, so
+//     references resolve regardless of graph shape). An object is revived
+//     into the crashed runtime object its root still points at, reset in
+//     place (caps.Revive), so a warm restore reuses the Go storage of the
+//     objects it rebuilds; it reads only the backup tree and NVM.
 //  3. PMO pages are rebuilt by the version rules of §4.2/§4.3.3: a backup
 //     with version == global version wins; otherwise a version-zero second
 //     backup (the unmodified runtime page); otherwise the newest committed
@@ -99,125 +102,49 @@ func (m *Manager) Restore(lane *simclock.Lane) (*caps.Tree, uint64, error) {
 	m.pending = pendingCommit{}
 	m.Stats.EpochFaults = 0
 
-	// Step 2a: discover reachable roots and create empty runtime objects.
-	// A root is discovered once it is a key of revived; the references of
-	// each snapshot go on a stack the Manager reuses, and each discover
-	// walks its own window of it.
-	order := make([]*caps.ORoot, 0, len(m.roots))
-	revived := make(map[*caps.ORoot]caps.Object, len(m.roots))
+	// Step 2a: discover reachable roots and revive each one's runtime
+	// object empty, in place when the root still points at one.
+	m.discovered.Reset()
+	m.order = m.order[:0]
 	clear(m.refs) // a crashed restore may have left its stack behind
 	m.refs = m.refs[:0]
-	var discover func(r *caps.ORoot) error
-	discover = func(r *caps.ORoot) error {
-		if r == nil {
-			return nil
-		}
-		if _, ok := revived[r]; ok {
-			return nil
-		}
-		// Drop snapshots the crashed (uncommitted) round captured: their
-		// version tag equals the round the retry will reuse, so leaving
-		// them would alias a stale capture into the next commit — the
-		// retried round skips clean objects, trusting that whatever
-		// carries its version number was captured by it. (Never fires
-		// for PMO roots: their singleton slot keeps its creation round,
-		// which is committed for any reachable root.)
-		for i := range r.Backup {
-			if r.Backup[i] != nil && r.Ver[i] > m.committed {
-				r.Backup[i] = nil
-				r.Ver[i] = 0
-				r.Sum[i] = 0
-			}
-		}
-		// Verify the record digest of the snapshot the restore would use;
-		// a corrupt record degrades to the older committed slot, exactly
-		// like a corrupt backup page degrades to an older version. (PMO
-		// skeletons carry no digest — their content is page-checksummed.)
-		if r.Kind != caps.KindPMO && !m.cfg.DisableChecksums {
-			for {
-				s2, v2 := r.LatestCommitted(m.committed)
-				if s2 == nil {
-					break
-				}
-				slot := -1
-				for i := range r.Backup {
-					if r.Backup[i] == s2 && r.Ver[i] == v2 {
-						slot = i
-					}
-				}
-				if slot < 0 {
-					break
-				}
-				lane.Charge(m.model.ChecksumRecord)
-				if recordSum(s2) == r.Sum[slot] {
-					break
-				}
-				r.Backup[slot] = nil
-				r.Ver[slot] = 0
-				r.Sum[slot] = 0
-				m.Stats.DegradedObjects++
-			}
-		}
-		snap, _ := r.LatestCommitted(m.committed)
-		if snap == nil {
-			return fmt.Errorf("checkpoint: object %d (%v) reachable but has no intact committed snapshot", r.ObjID, r.Kind)
-		}
-		obj := reviveEmpty(r, snap)
-		caps.BindORoot(obj, r)
-		r.Runtime = obj
-		revived[r] = obj
-		order = append(order, r)
-		base := len(m.refs)
-		m.refs = appendSnapshotRefs(m.refs, snap)
-		// Re-read every entry: nested discoveries push above end and may
-		// move the stack.
-		for i, end := base, len(m.refs); i < end; i++ {
-			if err := discover(m.refs[i]); err != nil {
-				return err
-			}
-		}
-		clear(m.refs[base:])
-		m.refs = m.refs[:base]
-		return nil
-	}
-	if err := discover(m.rootORoot); err != nil {
+	if err := m.discover(lane, m.rootORoot); err != nil {
 		return nil, 0, err
 	}
 
 	// Step 2b: fill each object from its snapshot; step 3 for PMOs.
 	lookup := func(r *caps.ORoot) caps.Object {
-		o := revived[r]
-		if o == nil {
+		if !m.discovered.Has(r.ObjID) {
 			panic(fmt.Sprintf("checkpoint: restore reference to undiscovered object %d", r.ObjID))
 		}
-		return o
+		return r.Runtime
 	}
-	for _, r := range order {
+	for _, r := range m.order {
 		snap, _ := r.LatestCommitted(m.committed)
 		start := lane.Now()
 		lane.Charge(m.model.RestoreObject)
 		switch s := snap.(type) {
 		case *caps.CapGroupSnap:
-			revived[r].(*caps.CapGroup).RestoreFrom(s, lookup)
+			r.Runtime.(*caps.CapGroup).RestoreFrom(s, lookup)
 			lane.Charge(simclock.Duration(len(s.Slots)) * m.model.CapCopy)
 		case *caps.ThreadSnap:
-			revived[r].(*caps.Thread).RestoreFrom(s)
+			r.Runtime.(*caps.Thread).RestoreFrom(s)
 			lane.Charge(m.model.ThreadCopy)
 		case *caps.VMSpaceSnap:
-			revived[r].(*caps.VMSpace).RestoreFrom(s, lookup)
+			r.Runtime.(*caps.VMSpace).RestoreFrom(s, lookup)
 			lane.Charge(simclock.Duration(len(s.Regions)) * m.model.VMRegionCopy)
 		case *caps.PMOSnap:
-			if err := m.restorePMOPages(lane, revived[r].(*caps.PMO), s); err != nil {
+			if err := m.restorePMOPages(lane, r.Runtime.(*caps.PMO), s); err != nil {
 				return nil, 0, err
 			}
 		case *caps.IPCConnSnap:
-			revived[r].(*caps.IPCConn).RestoreFrom(s, lookup)
+			r.Runtime.(*caps.IPCConn).RestoreFrom(s, lookup)
 			lane.Charge(m.model.IPCObjCopy)
 		case *caps.NotificationSnap:
-			revived[r].(*caps.Notification).RestoreFrom(s, lookup)
+			r.Runtime.(*caps.Notification).RestoreFrom(s, lookup)
 			lane.Charge(m.model.NotifObjCopy)
 		case *caps.IRQNotificationSnap:
-			revived[r].(*caps.IRQNotification).RestoreFrom(s, lookup)
+			r.Runtime.(*caps.IRQNotification).RestoreFrom(s, lookup)
 			lane.Charge(m.model.NotifObjCopy)
 		default:
 			return nil, 0, fmt.Errorf("checkpoint: unknown snapshot type %T", snap)
@@ -225,7 +152,7 @@ func (m *Manager) Restore(lane *simclock.Lane) (*caps.Tree, uint64, error) {
 		m.Stats.PerKind[r.Kind].addRestore(lane.Now().Sub(start))
 	}
 
-	root, ok := revived[m.rootORoot].(*caps.CapGroup)
+	root, ok := m.rootORoot.Runtime.(*caps.CapGroup)
 	if !ok {
 		return nil, 0, fmt.Errorf("checkpoint: backup root is not a cap group")
 	}
@@ -248,31 +175,82 @@ func (m *Manager) Restore(lane *simclock.Lane) (*caps.Tree, uint64, error) {
 	m.met.restore.ObserveDur(lane.Now().Sub(restoreStart))
 	if m.traceOn() {
 		m.obs.Trace.Span(lane.ID(), restoreStart, lane.Now(), "checkpoint", "restore",
-			obs.I("version", int64(m.committed)), obs.I("objects", int64(len(order))))
+			obs.I("version", int64(m.committed)), obs.I("objects", int64(len(m.order))))
 	}
 	return m.tree, m.committed, nil
 }
 
-// reviveEmpty creates the shell runtime object for a root.
-func reviveEmpty(r *caps.ORoot, snap caps.Snapshot) caps.Object {
-	switch s := snap.(type) {
-	case *caps.CapGroupSnap:
-		return caps.ReviveCapGroup(r.ObjID)
-	case *caps.ThreadSnap:
-		return caps.ReviveThread(r.ObjID)
-	case *caps.VMSpaceSnap:
-		return caps.ReviveVMSpace(r.ObjID)
-	case *caps.PMOSnap:
-		return caps.RevivePMO(r.ObjID, s.SizePages, s.Type)
-	case *caps.IPCConnSnap:
-		return caps.ReviveIPCConn(r.ObjID)
-	case *caps.NotificationSnap:
-		return caps.ReviveNotification(r.ObjID)
-	case *caps.IRQNotificationSnap:
-		return caps.ReviveIRQNotification(r.ObjID)
-	default:
-		panic(fmt.Sprintf("checkpoint: unknown snapshot type %T", snap))
+// discover marks root r and everything its newest committed snapshot
+// reaches as discovered, in depth-first order, appending each to m.order
+// and reviving its runtime object empty (caps.Revive). The references of
+// each snapshot go on m.refs, and each call walks its own window of it.
+func (m *Manager) discover(lane *simclock.Lane, r *caps.ORoot) error {
+	if r == nil || !m.discovered.Add(r.ObjID) {
+		return nil
 	}
+	// Drop snapshots the crashed (uncommitted) round captured: their
+	// version tag equals the round the retry will reuse, so leaving them
+	// would alias a stale capture into the next commit — the retried round
+	// skips clean objects, trusting that whatever carries its version
+	// number was captured by it. (Never fires for PMO roots: their
+	// singleton slot keeps its creation round, which is committed for any
+	// reachable root.)
+	for i := range r.Backup {
+		if r.Backup[i] != nil && r.Ver[i] > m.committed {
+			r.Backup[i] = nil
+			r.Ver[i] = 0
+			r.Sum[i] = 0
+		}
+	}
+	// Verify the record digest of the snapshot the restore would use; a
+	// corrupt record degrades to the older committed slot, exactly like a
+	// corrupt backup page degrades to an older version. (PMO skeletons
+	// carry no digest — their content is page-checksummed.)
+	if r.Kind != caps.KindPMO && !m.cfg.DisableChecksums {
+		for {
+			s2, v2 := r.LatestCommitted(m.committed)
+			if s2 == nil {
+				break
+			}
+			slot := -1
+			for i := range r.Backup {
+				if r.Backup[i] == s2 && r.Ver[i] == v2 {
+					slot = i
+				}
+			}
+			if slot < 0 {
+				break
+			}
+			lane.Charge(m.model.ChecksumRecord)
+			if recordSum(s2) == r.Sum[slot] {
+				break
+			}
+			r.Backup[slot] = nil
+			r.Ver[slot] = 0
+			r.Sum[slot] = 0
+			m.Stats.DegradedObjects++
+		}
+	}
+	snap, _ := r.LatestCommitted(m.committed)
+	if snap == nil {
+		return fmt.Errorf("checkpoint: object %d (%v) reachable but has no intact committed snapshot", r.ObjID, r.Kind)
+	}
+	obj := caps.Revive(r.Runtime, r.ObjID, snap)
+	caps.BindORoot(obj, r)
+	r.Runtime = obj
+	m.order = append(m.order, r)
+	base := len(m.refs)
+	m.refs = appendSnapshotRefs(m.refs, snap)
+	// Re-read every entry: nested discoveries push above end and may move
+	// the stack.
+	for i, end := base, len(m.refs); i < end; i++ {
+		if err := m.discover(lane, m.refs[i]); err != nil {
+			return err
+		}
+	}
+	clear(m.refs[base:])
+	m.refs = m.refs[:base]
+	return nil
 }
 
 // appendSnapshotRefs appends the ORoots a snapshot references to refs and

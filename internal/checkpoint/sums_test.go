@@ -455,6 +455,37 @@ func TestCleanRoundAllocations(t *testing.T) {
 	}
 }
 
+// TestRestoreAllocations is the allocation gate of restore: a warm crash
+// and restore of the host-cost tree allocates at most 4 times. It allocates
+// 3 times: the restore manifest (Restore), the allocator's rolled-back frame
+// set (alloc.Allocator.Recover) and the Tree that wraps the revived root
+// (caps.RebuildTree). Every object is revived into the crashed runtime
+// object its root points at, which keeps its slices, region structs, radix
+// nodes and page slots, and the discovery order, reference stack and
+// discovered-ID set are kept on the Manager.
+func TestRestoreAllocations(t *testing.T) {
+	h := hostCostTree(t, DefaultConfig())
+	counts, pages := h.tree.Counts(), h.tree.TotalPMOPages()
+	for i := 0; i < 2; i++ {
+		h.crash()
+		h.restore(t)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		h.crash()
+		h.restore(t)
+	})
+	if allocs > 4 {
+		t.Errorf("a warm restore allocates %.1f times, want at most 4", allocs)
+	}
+	// The restores measured rebuilt the whole tree.
+	if got := h.tree.Counts(); got != counts {
+		t.Errorf("restored %v, tree held %v", got, counts)
+	}
+	if got := h.tree.TotalPMOPages(); got != pages {
+		t.Errorf("restored %d pages, tree held %d", got, pages)
+	}
+}
+
 // BenchmarkCleanRound times one warm clean checkpoint round of the
 // host-cost tree on 4 lanes, under both walks.
 func BenchmarkCleanRound(b *testing.B) {

@@ -119,6 +119,12 @@ type Machine struct {
 	nextCkpt    simclock.Time
 	nextScrub   simclock.Time
 	crashed     bool
+	// envs is a stack of operation contexts: RunAt and Env.Call each take
+	// the next one for their frame and hand it back when the frame returns,
+	// or an injected crash unwinds it, so nested frames get distinct Envs
+	// and a warm operation allocates none. envDepth counts the Envs in use.
+	envs     []*Env
+	envDepth int
 	// pumps are deterministic background workers (e.g. the checkpoint
 	// replicator's ack/release pump) invoked whenever the machine clock
 	// moves past a settle point. Like service handlers they are code, not
@@ -472,7 +478,8 @@ func (m *Machine) RunAt(arrival simclock.Time, p *Process, t *caps.Thread, fn fu
 	if t != nil {
 		t.SetState(caps.ThreadRunning)
 	}
-	env := &Env{M: m, P: p, T: t, Core: core, Lane: &core.Lane}
+	env := m.pushEnv(p, t, core, &core.Lane)
+	defer m.popEnv()
 	err := fn(env)
 	if t != nil && t.State == caps.ThreadRunning {
 		// The op may have blocked or exited the thread; only a still-
@@ -489,6 +496,24 @@ func (m *Machine) RunAt(arrival simclock.Time, p *Process, t *caps.Thread, fn fu
 	m.runDueCheckpoints(core.Lane.Now())
 	m.runPumps(core.Lane.Now())
 	return res, err
+}
+
+// pushEnv takes the next Env off the machine's stack for a new frame and
+// fills it in.
+func (m *Machine) pushEnv(p *Process, t *caps.Thread, core *Core, lane *simclock.Lane) *Env {
+	if m.envDepth == len(m.envs) {
+		m.envs = append(m.envs, new(Env))
+	}
+	e := m.envs[m.envDepth]
+	m.envDepth++
+	*e = Env{M: m, P: p, T: t, Core: core, Lane: lane}
+	return e
+}
+
+// popEnv clears the top Env and hands it back to the stack.
+func (m *Machine) popEnv() {
+	m.envDepth--
+	*m.envs[m.envDepth] = Env{}
 }
 
 // ServiceHandler processes one IPC request in the server's context and

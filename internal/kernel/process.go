@@ -224,7 +224,9 @@ func (p *Process) Connect(server *Process) *caps.IPCConn {
 }
 
 // Env is the execution context handed to an operation: syscall-ish accessors
-// that charge simulated time on the executing core's lane.
+// that charge simulated time on the executing core's lane. An Env is valid
+// only until the operation or IPC handler it was handed to returns: the
+// machine then clears it and hands it to a later one.
 type Env struct {
 	M    *Machine
 	P    *Process
@@ -273,7 +275,8 @@ func (e *Env) Call(conn *caps.IPCConn, msg []byte) ([]byte, error) {
 	if h == nil {
 		return nil, fmt.Errorf("kernel: no service registered for %q", serverProc.Name)
 	}
-	srvEnv := &Env{M: e.M, P: serverProc, T: conn.Server, Core: e.Core, Lane: e.Lane}
+	srvEnv := e.M.pushEnv(serverProc, conn.Server, e.Core, e.Lane)
+	defer e.M.popEnv()
 	reply, err := h(srvEnv, msg)
 	e.Lane.Charge(e.M.Model.IPCCall)
 	return reply, err
