@@ -21,9 +21,14 @@ import (
 // two full captures. The schedule covers full syncs, the first round after
 // a crash and restore, objects becoming unreachable (Dels), pages swapped
 // out, and silent rot on a restore-source page whose version stays the same
-// (the case a (frame, version) skip would miss). At the end every retained
-// ledger delta must still encode to its original bytes: the image never
-// writes into a slice a shipped delta shares.
+// (the case a (frame, version) skip would miss). It runs three full-sync
+// generations before the crash, so the replicator's image refills buffers
+// the dropped generations released, and after every round every retained
+// ledger delta must still encode to the bytes it shipped: the image never
+// writes into a slice a retained delta shares. A second image captured
+// only every other round must match the diff of its two full captures
+// too: skipping a round lets a snapshot slot come back as the newest one
+// under a new version, which a stamp of the slot alone would miss.
 func TestReplDeltaMatchesFullDiff(t *testing.T) {
 	type variant struct {
 		name   string
@@ -77,6 +82,16 @@ func runReplDeltaSchedule(t *testing.T, cfg kernel.Config, seed uint64) int {
 
 	var prev *checkpoint.ReplImage // full capture at the previous round
 	shipped := map[*checkpoint.Delta][]byte{}
+	// shippedData holds the first byte of every page a delta put, so a
+	// changed page shipped in a buffer an earlier delta shipped counts as
+	// reused (and the map keeps every such buffer from being freed and
+	// handed out again by the Go allocator).
+	shippedData := map[*byte]bool{}
+	reused := 0
+	// every is a second image, captured only on even versions; prevEvery
+	// is the full capture at its last capture.
+	every := &checkpoint.ReplImage{}
+	var prevEvery *checkpoint.ReplImage
 	// round takes a checkpoint, checks its delta against the reference and
 	// returns the delta.
 	round := func(what string, writes int) *checkpoint.Delta {
@@ -87,6 +102,15 @@ func runReplDeltaSchedule(t *testing.T, cfg kernel.Config, seed uint64) int {
 			if _, _, err := srv.Set(i%2, []byte(fmt.Sprintf("key%02d", k)), val); err != nil {
 				t.Fatalf("%s: set: %v", what, err)
 			}
+		}
+		// A register write gives a server thread's record new content in
+		// every round, so its two snapshot slots alternate as the newest.
+		kv := m.Process("kv")
+		if _, err := m.Run(kv, kv.Thread(0), func(e *kernel.Env) error {
+			e.Touch(func(c *caps.Context) { c.R[0]++ })
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: touch: %v", what, err)
 		}
 		m.TakeCheckpoint()
 		led := rep.Ledger()
@@ -110,6 +134,31 @@ func runReplDeltaSchedule(t *testing.T, cfg kernel.Config, seed uint64) int {
 		}
 		shipped[e.Delta] = got
 		prev = cur
+		for _, p := range e.Delta.Puts {
+			if p.Key.Kind == checkpoint.ReplObject || len(p.Data) == 0 {
+				continue
+			}
+			if !e.Full && shippedData[&p.Data[0]] {
+				reused++
+			}
+			shippedData[&p.Data[0]] = true
+		}
+		for _, le := range rep.Ledger() {
+			want, ok := shipped[le.Delta]
+			if !ok {
+				t.Fatalf("%s: ledger v%d holds a delta no round shipped", what, le.Version)
+			}
+			if !bytes.Equal(checkpoint.EncodeDelta(le.Delta), want) {
+				t.Fatalf("%s: retained delta v%d changed after it was shipped", what, le.Version)
+			}
+		}
+		if e.Version%2 == 0 {
+			d := m.Ckpt.CaptureReplDelta(every, false, m.SwapReadSlot)
+			if want := checkpoint.EncodeDelta(checkpoint.DiffImages(prevEvery, cur)); !bytes.Equal(checkpoint.EncodeDelta(d), want) {
+				t.Fatalf("%s (v%d): the every-other-round image's delta differs from the reference diff", what, e.Version)
+			}
+			prevEvery = cur
+		}
 		return e.Delta
 	}
 	// incremental takes plain rounds until the next one is not a periodic
@@ -123,13 +172,15 @@ func runReplDeltaSchedule(t *testing.T, cfg kernel.Config, seed uint64) int {
 	if d := round("first", 20); !d.Full {
 		t.Fatalf("first round was not a full sync")
 	}
-	sawPeriodicFull := false
-	for i := 0; i < fullSyncEvery; i++ {
-		d := round("steady", 4+rng.Intn(8))
-		sawPeriodicFull = sawPeriodicFull || d.Full
+	fulls := 0
+	for m.Ckpt.CommittedVersion() <= 3*fullSyncEvery {
+		if d := round("steady", 4+rng.Intn(8)); d.Full {
+			fulls++
+		}
 	}
-	if !sawPeriodicFull {
-		t.Fatalf("%d rounds with FullSyncEvery=%d took no periodic full sync", fullSyncEvery, fullSyncEvery)
+	if fulls < 3 || reused == 0 {
+		t.Fatalf("%d steady rounds with FullSyncEvery=%d took %d periodic full syncs and reused %d page buffers, want at least 3 and 1",
+			m.Ckpt.CommittedVersion()-1, fullSyncEvery, fulls, reused)
 	}
 
 	// An exiting process leaves objects unreachable: their keys go as Dels.
@@ -182,15 +233,6 @@ func runReplDeltaSchedule(t *testing.T, cfg kernel.Config, seed uint64) int {
 		t.Fatalf("rot round: rotted page %v is not in the delta", key)
 	}
 
-	for _, e := range rep.Ledger() {
-		want, ok := shipped[e.Delta]
-		if !ok {
-			t.Fatalf("ledger v%d holds a delta no round shipped", e.Version)
-		}
-		if !bytes.Equal(checkpoint.EncodeDelta(e.Delta), want) {
-			t.Fatalf("retained delta v%d changed after it was shipped", e.Version)
-		}
-	}
 	return swapped
 }
 

@@ -18,8 +18,10 @@ package checkpoint
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"treesls/internal/alloc"
@@ -73,26 +75,138 @@ type ReplImage struct {
 	// Entries maps stable keys to canonical records.
 	Entries map[ReplKey][]byte
 
-	// CaptureReplDelta's working state, reused across rounds: the keys and the
-	// objects the last walk visited, the object-record encode buffer, and
+	// CaptureReplDelta's working state, reused across rounds: the capture
+	// count (a walk's visited mark), the object-record encode buffer and
 	// the walk's reference stack.
-	visited []ReplKey
-	objs    caps.IDSet
-	buf     []byte
-	refs    []*caps.ORoot
+	epoch uint64
+	buf   []byte
+	refs  []*caps.ORoot
 
-	// pages records, for each ReplPage entry, the source frame and its
-	// write generation (mem.Memory.Gen) when the entry was last captured
-	// from memory, the device the stamps belong to. An entry whose source
-	// still matches both holds the frame's bytes without a compare.
+	// objs holds, indexed by object ID, what each object's entries were
+	// last captured from; memory is the device the page stamps belong to.
 	memory *mem.Memory
-	pages  map[ReplKey]pageStamp
+	objs   []replObj
+
+	// Page buffers the image let go of. retired holds each with the
+	// version of the capture that replaced or deleted it, in capture
+	// order; free holds the ones Recycle released for the next captures
+	// to fill. recycling is set by the first Recycle: until then a
+	// replaced buffer is simply dropped.
+	retired   []retiredBuf
+	free      [][]byte
+	recycling bool
 }
 
-// pageStamp is a page entry's source frame and write generation.
+// replObj is one object's capture stamps.
+type replObj struct {
+	// epoch is the capture that last visited the object.
+	epoch uint64
+	// snap and ver are the committed snapshot the object's record was
+	// last captured from and its version; snap is nil when the image
+	// holds no record of the object.
+	snap caps.Snapshot
+	ver  uint64
+	// pages holds a PMO's page and swap entries in index order, as the
+	// last capture found them; next is the buffer the following capture
+	// fills, and the two swap after each walk.
+	pages, next []pageStamp
+}
+
+// pageStamp is one page-level entry of a PMO: its page index and kind, and
+// for a ReplPage entry the source frame and its write generation when the
+// entry was captured.
 type pageStamp struct {
-	page mem.PageID
+	idx  uint64
 	gen  uint64
+	page mem.PageID
+	kind byte
+}
+
+// retiredBuf is a page buffer the image dropped at capture version ver.
+type retiredBuf struct {
+	ver uint64
+	buf []byte
+}
+
+// obj returns object id's capture stamps, growing the table to hold id.
+// The pointer is valid until the next call.
+func (img *ReplImage) obj(id uint64) *replObj {
+	if n := uint64(len(img.objs)); id >= n {
+		img.objs = append(img.objs, make([]replObj, id+1-n)...)
+	}
+	return &img.objs[id]
+}
+
+// live reports whether the current capture reached entry k.
+func (img *ReplImage) live(k ReplKey) bool {
+	if k.ObjID >= uint64(len(img.objs)) {
+		return false
+	}
+	st := &img.objs[k.ObjID]
+	if st.epoch != img.epoch || st.snap == nil {
+		return false
+	}
+	if k.Kind == ReplObject {
+		return true
+	}
+	i, ok := slices.BinarySearchFunc(st.pages, k.Page, func(p pageStamp, idx uint64) int { return cmp.Compare(p.idx, idx) })
+	return ok && st.pages[i].kind == k.Kind
+}
+
+// forget clears the stamps of object id unless the current capture reached
+// it, so an entry of it that reappears is compared again.
+func (img *ReplImage) forget(id uint64) {
+	if id >= uint64(len(img.objs)) {
+		return
+	}
+	if st := &img.objs[id]; st.epoch != img.epoch || st.snap == nil {
+		st.snap, st.ver = nil, 0
+		st.pages, st.next = st.pages[:0], st.next[:0]
+	}
+}
+
+// retire hands the image's buffer for page-level entry k (nil when k is
+// new) to the recycler, tagged with the version of the capture that let it
+// go.
+func (img *ReplImage) retire(k ReplKey, buf []byte) {
+	if img.recycling && k.Kind != ReplObject && len(buf) == mem.PageSize {
+		img.retired = append(img.retired, retiredBuf{ver: img.Version, buf: buf})
+	}
+}
+
+// clone returns a copy of entry k's current bytes: a page-level entry goes
+// into a recycled buffer when one is free.
+func (img *ReplImage) clone(k ReplKey, cur []byte) []byte {
+	if n := len(img.free); n > 0 && k.Kind != ReplObject && len(cur) == mem.PageSize {
+		buf := img.free[n-1]
+		img.free[n-1] = nil
+		img.free = img.free[:n-1]
+		copy(buf, cur)
+		return buf
+	}
+	return bytes.Clone(cur)
+}
+
+// Recycle makes the page buffers the image retired at or below version
+// oldest reusable by its later captures. A buffer the capture at version r
+// replaced or deleted is shared only by deltas of versions below r: the
+// one that put it and the full syncs since. So once no delta older than
+// oldest is kept anywhere, the buffers retired at or below oldest are
+// unreferenced. The replicator calls it with the oldest version its ledger
+// retains. Until the first call the image retires nothing, so an image
+// nobody recycles never reuses a buffer.
+func (img *ReplImage) Recycle(oldest uint64) {
+	img.recycling = true
+	n := 0
+	for n < len(img.retired) && img.retired[n].ver <= oldest {
+		img.free = append(img.free, img.retired[n].buf)
+		n++
+	}
+	if n > 0 {
+		rest := copy(img.retired, img.retired[n:])
+		clear(img.retired[rest:])
+		img.retired = img.retired[:rest]
+	}
 }
 
 // Delta is the difference between two replication images: the records that
@@ -108,19 +222,21 @@ type Delta struct {
 	Full   bool
 	NextID uint64
 	RootID uint64
-	Puts   []ReplRecord
-	Dels   []ReplKey
+	// Puts share the capturing image's buffers: a Data slice stays valid
+	// until the image retires it and Recycle releases it (see Recycle).
+	Puts []ReplRecord
+	Dels []ReplKey
 }
 
-// replKeyLess orders keys deterministically: (ObjID, Kind, Page).
-func replKeyLess(a, b ReplKey) bool {
-	if a.ObjID != b.ObjID {
-		return a.ObjID < b.ObjID
+// replKeyCompare orders keys deterministically: (ObjID, Kind, Page).
+func replKeyCompare(a, b ReplKey) int {
+	if c := cmp.Compare(a.ObjID, b.ObjID); c != 0 {
+		return c
 	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
 	}
-	return a.Page < b.Page
+	return cmp.Compare(a.Page, b.Page)
 }
 
 // recEncoder writes one canonical object record: little-endian u64 fields
@@ -289,15 +405,18 @@ type replPageMeta struct {
 // walk no longer reaches as Dels, both in key order — exactly the delta
 // that diffing two full captures yields.
 //
-// The walk visits every entry once and byte-compares its current content
-// (a page straight from NVM, an object record encoded into img's reused
-// buffer) with img's. The one exception is a page entry whose source frame
-// and write generation both match what img recorded at its last capture:
-// every change to a frame's bytes bumps its generation (media rot and scrub
-// repairs included), so that entry is unchanged without a compare. No entry
-// is ever skipped by version, which rot and repairs leave unchanged. Only
-// entries that differ are copied, and always into a fresh slice, because
-// earlier deltas share img's slices.
+// The walk visits every entry once, and img's stamps decide which ones it
+// must compare. A non-PMO record whose object's newest committed snapshot
+// is the very snapshot, at the very version, it was last encoded from is
+// unchanged: a snapshot slot is only rewritten in place under a new
+// version. A page entry whose source frame and write generation both match
+// its stamp is unchanged: every change to a frame's bytes bumps its
+// generation (media rot and scrub repairs included). Neither is encoded,
+// nor looked up in img unless a full sync puts it. Every other entry (a PMO record, a swapped page, a
+// moved stamp) is compared byte for byte with img's, and only one that
+// differs is copied: a page into a buffer Recycle released, anything else
+// into a fresh slice. The buffer an entry drops is retired with this
+// capture's version, since earlier deltas share it.
 //
 // swapRead supplies swapped-out page content by slot (the audit digest only
 // marks swapped pages, but a standby must hold the bytes); it may be nil
@@ -316,20 +435,30 @@ func (m *Manager) CaptureReplDelta(img *ReplImage, full bool, swapRead func(slot
 	if img.Entries == nil {
 		img.Entries = make(map[ReplKey][]byte)
 	}
-	if img.memory != m.memory || img.pages == nil {
-		img.memory, img.pages = m.memory, make(map[ReplKey]pageStamp)
+	if img.memory != m.memory || len(img.Entries) == 0 {
+		img.memory = m.memory
+		clear(img.objs)
 	}
 	img.Version, img.NextID, img.RootID = m.committed, m.savedNextID, 0
-	img.visited = img.visited[:0]
+	img.epoch++
+	reached := 0
 	emit := func(k ReplKey, cur []byte, same bool) {
-		img.visited = append(img.visited, k)
-		if old, ok := img.Entries[k]; ok && (same || bytes.Equal(old, cur)) {
+		reached++
+		if same {
+			if d.Full {
+				d.Puts = append(d.Puts, ReplRecord{Key: k, Data: img.Entries[k]})
+			}
+			return
+		}
+		old, ok := img.Entries[k]
+		if ok && bytes.Equal(old, cur) {
 			if d.Full {
 				d.Puts = append(d.Puts, ReplRecord{Key: k, Data: old})
 			}
 			return
 		}
-		cur = bytes.Clone(cur)
+		img.retire(k, old)
+		cur = img.clone(k, cur)
 		img.Entries[k] = cur
 		d.Puts = append(d.Puts, ReplRecord{Key: k, Data: cur})
 	}
@@ -338,66 +467,83 @@ func (m *Manager) CaptureReplDelta(img *ReplImage, full bool, swapRead func(slot
 		d.RootID = img.RootID
 		m.walkRepl(img, swapRead, emit)
 	}
-	// The walk emits each key at most once, so every key it missed is
-	// stale exactly when the image holds more keys than it visited.
-	if len(img.visited) < len(img.Entries) {
-		live := make(map[ReplKey]bool, len(img.visited))
-		for _, k := range img.visited {
-			live[k] = true
-		}
-		for k := range img.Entries {
-			if !live[k] {
-				delete(img.Entries, k)
-				delete(img.pages, k)
-				if !d.Full {
-					d.Dels = append(d.Dels, k)
-				}
+	// The walk reaches each key at most once, so some key is stale exactly
+	// when the image holds more keys than the walk reached.
+	if reached < len(img.Entries) {
+		for k, buf := range img.Entries {
+			if img.live(k) {
+				continue
+			}
+			delete(img.Entries, k)
+			img.retire(k, buf)
+			img.forget(k.ObjID)
+			if !d.Full {
+				d.Dels = append(d.Dels, k)
 			}
 		}
 	}
-	sort.Slice(d.Puts, func(i, j int) bool { return replKeyLess(d.Puts[i].Key, d.Puts[j].Key) })
-	sort.Slice(d.Dels, func(i, j int) bool { return replKeyLess(d.Dels[i], d.Dels[j]) })
+	slices.SortFunc(d.Puts, func(a, b ReplRecord) int { return replKeyCompare(a.Key, b.Key) })
+	slices.SortFunc(d.Dels, replKeyCompare)
 	return d
 }
 
 // walkRepl visits the committed backup tree in the audit digest's order and
-// passes every replication entry to emit with its current bytes, and with
-// same set when the entry is a page whose source frame and generation match
-// img's stamp (which it then refreshes). Object records are encoded into
-// img's reused buffer and pages are NVM's live frames, so emit must copy
-// whatever it keeps. An object's record comes before its children, which
-// are visited in appendSnapshotRefs order through the reference stack img
-// keeps.
+// passes every replication entry to emit, with same set when img's stamps
+// show img already holds the entry's current bytes, and otherwise with
+// those bytes. It refreshes the stamps as it goes. Object records are
+// encoded into img's reused buffer and pages are NVM's live frames, so emit
+// must copy whatever it keeps. An object's record comes after its page
+// entries and before its children, which are visited in appendSnapshotRefs
+// order through the reference stack img keeps.
 func (m *Manager) walkRepl(img *ReplImage, swapRead func(slot uint64) []byte, emit func(k ReplKey, cur []byte, same bool)) {
 	e := recEncoder{buf: img.buf}
-	img.objs.Reset()
 	var visit func(r *caps.ORoot)
 	visit = func(r *caps.ORoot) {
-		if r == nil || !img.objs.Add(r.ObjID) {
+		if r == nil {
 			return
 		}
-		snap, _ := r.LatestCommitted(m.committed)
-		if snap == nil {
-			return // unrestorable root; the digest marks it, nothing to ship
+		st := img.obj(r.ObjID)
+		if st.epoch == img.epoch {
+			return
 		}
-		e.buf = e.buf[:0]
+		st.epoch = img.epoch
+		snap, ver := r.LatestCommitted(m.committed)
+		if snap == nil {
+			// Unrestorable root: the digest marks it, nothing to
+			// ship, and its old entries go as stale.
+			st.snap, st.ver = nil, 0
+			return
+		}
+		k := ReplKey{ObjID: r.ObjID, Kind: ReplObject}
 		s, isPMO := snap.(*caps.PMOSnap)
-		if !isPMO {
+		switch {
+		case !isPMO && st.snap == snap && st.ver == ver:
+			emit(k, nil, true)
+		case !isPMO:
+			e.buf = e.buf[:0]
 			encodeRecord(&e, snap)
-		} else {
+			st.snap, st.ver = snap, ver
+			emit(k, e.buf, false)
+		default:
+			e.buf = e.buf[:0]
 			e.byte(byte(caps.KindPMO))
 			e.byte(byte(s.Type))
 			e.u64(s.SizePages)
 			// The page count precedes the page metadata; patch it in
-			// once the walk has counted.
+			// once the walk has counted. The stamps the last capture
+			// left, in index order, are merged against the walk.
 			at, n := len(e.buf), uint64(0)
 			e.u64(0)
+			prev, next, j := st.pages, st.next[:0], 0
 			s.Pages.Walk(func(idx uint64, cp *caps.CkptPage) bool {
 				if cp.Born > m.committed {
 					return true // stillborn: not part of restorable state
 				}
 				n++
 				e.u64(idx)
+				for j < len(prev) && prev[j].idx < idx {
+					j++
+				}
 				switch src := RestoreSource(cp, m.committed); src {
 				case srcSwap:
 					slot := cp.Swap - 1
@@ -407,24 +553,30 @@ func (m *Manager) walkRepl(img *ReplImage, swapRead func(slot uint64) []byte, em
 					if swapRead != nil {
 						content = swapRead(slot)
 					}
+					next = append(next, pageStamp{idx: idx, kind: ReplSwap})
 					emit(ReplKey{ObjID: r.ObjID, Page: idx, Kind: ReplSwap}, content, false)
 				case srcNone:
 					e.byte(replMarkNoSource)
 				default:
 					e.byte(replMarkContent)
-					k := ReplKey{ObjID: r.ObjID, Page: idx, Kind: ReplPage}
-					st := pageStamp{page: cp.Page[src], gen: m.memory.Gen(cp.Page[src])}
-					old, ok := img.pages[k]
-					img.pages[k] = st
-					emit(k, m.memory.Data(st.page), ok && old == st)
+					ps := pageStamp{idx: idx, kind: ReplPage, page: cp.Page[src], gen: m.memory.Gen(cp.Page[src])}
+					next = append(next, ps)
+					pk := ReplKey{ObjID: r.ObjID, Page: idx, Kind: ReplPage}
+					if j < len(prev) && prev[j] == ps {
+						emit(pk, nil, true)
+					} else {
+						emit(pk, m.memory.Data(ps.page), false)
+					}
 				}
 				return true
 			})
 			binary.LittleEndian.PutUint64(e.buf[at:], n)
+			st.pages, st.next = next, prev
+			st.snap, st.ver = snap, ver
+			emit(k, e.buf, false)
 		}
-		emit(ReplKey{ObjID: r.ObjID, Kind: ReplObject}, e.buf, false)
-		// Nested visits push above this window and may move the stack,
-		// so every entry is re-read.
+		// Nested visits push above this window and may move the stack
+		// and the stamp table, so every entry is re-read and st is dead.
 		base := len(img.refs)
 		img.refs = appendSnapshotRefs(img.refs, snap)
 		for i, end := base, len(img.refs); i < end; i++ {
@@ -448,7 +600,7 @@ func FoldDelta(img *ReplImage, d *Delta) *ReplImage {
 	if img.Entries == nil || d.Full {
 		img.Entries = make(map[ReplKey][]byte, len(d.Puts))
 	}
-	img.pages = nil // the folded entries no longer match any capture stamp
+	clear(img.objs) // the folded entries no longer match any capture stamp
 	for _, p := range d.Puts {
 		img.Entries[p.Key] = p.Data
 	}

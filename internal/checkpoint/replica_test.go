@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"treesls/internal/caps"
@@ -68,8 +68,8 @@ func DiffImages(prev, cur *ReplImage) *Delta {
 			}
 		}
 	}
-	sort.Slice(d.Puts, func(i, j int) bool { return replKeyLess(d.Puts[i].Key, d.Puts[j].Key) })
-	sort.Slice(d.Dels, func(i, j int) bool { return replKeyLess(d.Dels[i], d.Dels[j]) })
+	slices.SortFunc(d.Puts, func(a, b ReplRecord) int { return replKeyCompare(a.Key, b.Key) })
+	slices.SortFunc(d.Dels, replKeyCompare)
 	return d
 }
 

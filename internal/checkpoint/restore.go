@@ -111,6 +111,7 @@ func (m *Manager) Restore(lane *simclock.Lane) (*caps.Tree, uint64, error) {
 	if err := m.discover(lane, m.rootORoot); err != nil {
 		return nil, 0, err
 	}
+	m.scrubUnreached()
 
 	// Step 2b: fill each object from its snapshot; step 3 for PMOs.
 	lookup := func(r *caps.ORoot) caps.Object {
@@ -251,6 +252,30 @@ func (m *Manager) discover(lane *simclock.Lane, r *caps.ORoot) error {
 	clear(m.refs[base:])
 	m.refs = m.refs[:base]
 	return nil
+}
+
+// scrubUnreached clears, on every root discover did not reach, the tags
+// above the committed version that the crashed round left, as discover
+// does on the roots it reaches. Such a root belongs to an object the
+// crashed round snapshotted and no committed state references; the next
+// commit sweeps it. A non-PMO snapshot is dropped with its tag. A PMO root
+// keeps its skeleton in slot 0, because sweepUnreachable frees the pages
+// through it, not through the tag. Like discover's, the scrub is uncharged.
+func (m *Manager) scrubUnreached() {
+	for _, r := range m.roots {
+		if m.discovered.Has(r.ObjID) {
+			continue
+		}
+		for i := range r.Backup {
+			if r.Ver[i] <= m.committed {
+				continue
+			}
+			if r.Kind != caps.KindPMO {
+				r.Backup[i] = nil
+			}
+			r.Ver[i], r.Sum[i] = 0, 0
+		}
+	}
 }
 
 // appendSnapshotRefs appends the ORoots a snapshot references to refs and

@@ -25,6 +25,7 @@ import (
 // agree on every runtime object field, every page slot, the audit digests,
 // the lane clocks, the run queues and the manager's Stats and manifest: a
 // field that keeps a value from the crashed epoch shows up as a difference.
+// Both restore audits must also be clean.
 func TestRestoreInPlaceMatchesFresh(t *testing.T) {
 	methods := []struct {
 		name string
@@ -379,6 +380,9 @@ func compareTwins(t *testing.T, where string, a, b *reviveTwin) {
 	}
 	if !reflect.DeepEqual(a.m.LastAudit, b.m.LastAudit) {
 		fail("audit %+v fresh, %+v in place", a.m.LastAudit, b.m.LastAudit)
+	}
+	if !a.m.LastAudit.Ok() {
+		fail("restore audit: %v", a.m.LastAudit.Violations)
 	}
 	var objsA, objsB []caps.Object
 	a.m.Tree.Walk(func(o caps.Object) { objsA = append(objsA, o) })

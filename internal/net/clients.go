@@ -31,6 +31,7 @@ type Clients struct {
 	window    uint64 // per-client pipeline depth
 	valBytes  int
 	think     simclock.Duration
+	val       []byte // Value's buffer
 
 	// OnAck, when set, observes every in-order acknowledgement (scenario
 	// digests hang off this).
@@ -114,9 +115,14 @@ func (c *Clients) Done() bool {
 }
 
 // Value builds request req's value on key j: the 8-byte big-endian request
-// index padded with a key-seasoned pattern to the configured size.
+// index padded with a key-seasoned pattern to the configured size. It
+// returns the clients' one value buffer, which the next call overwrites;
+// the servers' SET paths copy the value into simulated memory.
 func (c *Clients) Value(j int, req uint64) []byte {
-	v := make([]byte, c.valBytes)
+	if len(c.val) != c.valBytes {
+		c.val = make([]byte, c.valBytes)
+	}
+	v := c.val
 	binary.BigEndian.PutUint64(v, req)
 	for i := 8; i < len(v); i++ {
 		v[i] = byte(j + i)

@@ -301,3 +301,22 @@ func TestCounterValue(t *testing.T) {
 		t.Errorf("short value: CounterValue = %d, want 0", got)
 	}
 }
+
+// TestValueReusesBuffer holds a warm Value to zero allocations, and checks
+// that the bytes it returns stay put until the next call.
+func TestValueReusesBuffer(t *testing.T) {
+	c := NewClients([][]byte{[]byte("a"), []byte("b")}, 1, 0, 1, 64, 0)
+	v := c.Value(1, 7)
+	want := append([]byte(nil), v...)
+	if got := CounterValue(v); got != 7 || len(v) != 64 {
+		t.Fatalf("Value(1, 7) = %d bytes with counter %d, want 64 bytes with counter 7", len(v), got)
+	}
+	c.Send(0)
+	c.Send(1)
+	if string(v) != string(want) {
+		t.Fatalf("Value's bytes changed before the next call")
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Value(0, 9) }); n != 0 {
+		t.Fatalf("a warm Value allocates %v times, want 0", n)
+	}
+}

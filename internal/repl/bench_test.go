@@ -2,6 +2,7 @@ package repl
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"treesls/internal/caps"
@@ -10,23 +11,35 @@ import (
 	"treesls/internal/mem"
 )
 
-// BenchmarkReplRound measures the host cost of one checkpoint round with a
-// replicator attached: the backup tree holds benchPages restorable pages,
-// and benchDirty of them change between rounds, as in a steady workload.
-// Every 16th round is the default periodic full sync.
-func BenchmarkReplRound(b *testing.B) {
-	const benchPages, benchDirty = 96, 4
+const (
+	// rigPages restorable pages back the rig's tree, and rigDirty of them
+	// change between rounds, as in a steady workload.
+	rigPages, rigDirty = 96, 4
+)
+
+// replRig is a primary machine with a replicator at the default periodic
+// full sync (every 16th round), whose backup tree holds rigPages pages.
+type replRig struct {
+	m     *kernel.Machine
+	rep   *Replicator
+	round int
+	// step dirties the next rigDirty pages and takes a checkpoint.
+	step func()
+}
+
+func newReplRig(tb testing.TB) *replRig {
+	tb.Helper()
 	cfg := kernel.DefaultConfig()
 	cfg.Cores = 2
 	cfg.CheckpointEvery = 0
 	m := kernel.New(cfg)
 	p, err := m.NewProcess("bench", 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	va, _, err := p.Mmap(benchPages, caps.PMODefault)
+	va, _, err := p.Mmap(rigPages, caps.PMODefault)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var stamp [8]byte
 	write := func(page int, v uint64) {
@@ -34,13 +47,13 @@ func BenchmarkReplRound(b *testing.B) {
 		if _, err := m.Run(p, p.MainThread(), func(e *kernel.Env) error {
 			return e.Write(va+uint64(page)*mem.PageSize, stamp[:])
 		}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	for i := 0; i < benchPages; i++ {
+	for i := 0; i < rigPages; i++ {
 		write(i, 1)
 	}
-	Attach(m, nil, Config{})
+	rig := &replRig{m: m, rep: Attach(m, nil, Config{})}
 	m.TakeCheckpoint()
 	pages := 0
 	for k := range capture(m).Entries {
@@ -49,14 +62,55 @@ func BenchmarkReplRound(b *testing.B) {
 		}
 	}
 	if pages < 64 {
-		b.Fatalf("backup tree holds %d pages, want at least 64", pages)
+		tb.Fatalf("backup tree holds %d pages, want at least 64", pages)
 	}
+	rig.step = func() {
+		for j := 0; j < rigDirty; j++ {
+			write((rig.round*rigDirty+j)%rigPages, uint64(rig.round+2))
+		}
+		rig.round++
+		m.TakeCheckpoint()
+	}
+	return rig
+}
+
+// BenchmarkReplRound measures the host cost of one checkpoint round with a
+// replicator attached: rigDirty of the tree's rigPages pages change between
+// rounds, and every 16th round is the periodic full sync.
+func BenchmarkReplRound(b *testing.B) {
+	rig := newReplRig(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < benchDirty; j++ {
-			write((i*benchDirty+j)%benchPages, uint64(i+2))
-		}
-		m.TakeCheckpoint()
+		rig.step()
+	}
+}
+
+// TestReplRoundAllocations holds a steady replicated round to at most 4 KiB
+// of host allocation once the ledger has dropped two full-sync generations:
+// the rigDirty changed pages then fill buffers the dropped generations
+// released. Copying each changed page into a new slice costs 16 KiB alone.
+func TestReplRoundAllocations(t *testing.T) {
+	rig := newReplRig(t)
+	for rig.m.Ckpt.CommittedVersion() < 2*16+1 {
+		rig.step()
+	}
+	if rig.rep.Stats.GCedDeltas == 0 {
+		t.Fatalf("no ledger entry was dropped after %d rounds", rig.round)
+	}
+	// Measure the incremental rounds up to the next full sync.
+	var before, after runtime.MemStats
+	rounds := 0
+	runtime.ReadMemStats(&before)
+	for (rig.m.Ckpt.CommittedVersion()+1)%16 != 0 {
+		rig.step()
+		rounds++
+	}
+	runtime.ReadMemStats(&after)
+	perRound := (after.TotalAlloc - before.TotalAlloc) / uint64(rounds)
+	t.Logf("%d steady rounds: %d B and %.1f allocations per round", rounds, perRound,
+		float64(after.Mallocs-before.Mallocs)/float64(rounds))
+	if perRound > 4<<10 {
+		t.Fatalf("a steady replicated round allocates %d B, want at most %d", perRound, 4<<10)
 	}
 }

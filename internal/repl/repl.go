@@ -103,7 +103,10 @@ type LedgerEntry struct {
 	// Digest is the primary's backup-tree audit digest at this version —
 	// what a failover to this version must reproduce.
 	Digest uint64
-	// Delta is the retained delta (fold input for failover).
+	// Delta is the retained delta (fold input for failover). Its Puts'
+	// Data stays valid while the ledger retains the entry: once gc drops
+	// the entry, the replication image may refill those buffers. Fold it
+	// and drop the result before the next checkpoint, as FailoverAt does.
 	Delta *checkpoint.Delta
 }
 
@@ -322,6 +325,8 @@ func b2i(b bool) int64 {
 // OnRestore implements checkpoint.Callback: after a local restore the
 // primary's state rolled back to `version`, so the next delta must be a
 // full sync (the standby may hold rounds the restored primary never took).
+// Dropping the image also drops the buffers it retired, which the ledger
+// entries the truncation keeps may still share.
 func (r *Replicator) OnRestore(version uint64, lane *simclock.Lane) {
 	r.image = nil
 	// Every replicated version was locally committed first, so a restore
@@ -338,7 +343,8 @@ func (r *Replicator) OnRestore(version uint64, lane *simclock.Lane) {
 // gc drops ledger entries from generations before the previous full sync:
 // failover only ever folds from the newest full sync at or below its
 // target, and the previous generation is kept so a target between the
-// latest full sync's send and its ack still has a fold base.
+// latest full sync's send and its ack still has a fold base. The image may
+// then reuse the page buffers only dropped entries shared.
 func (r *Replicator) gc() {
 	lastFull, prevFull := -1, -1
 	for i, e := range r.ledger {
@@ -351,6 +357,7 @@ func (r *Replicator) gc() {
 		r.Stats.GCedDeltas += uint64(prevFull)
 		r.ledger = append(r.ledger[:0:0], r.ledger[prevFull:]...)
 	}
+	r.image.Recycle(r.ledger[0].Version)
 }
 
 // LastAckAt returns the arrival time of the newest round's ack (zero when
