@@ -5,7 +5,6 @@ import (
 
 	"treesls/internal/alloc"
 	"treesls/internal/caps"
-	"treesls/internal/journal"
 	"treesls/internal/mem"
 	"treesls/internal/obs"
 	"treesls/internal/simclock"
@@ -155,17 +154,7 @@ func (m *Manager) TakeCheckpoint(lanes []*simclock.Lane, leader int, quiesce Qui
 		}
 		m.committed = round
 	} else {
-		rec := m.jrnl.Begin(ll, journal.OpCheckpointCommit, round)
-		// Publishing the version word IS the commit point: an 8-byte
-		// word either persists or is dropped whole under ADR, so a
-		// torn commit is indistinguishable from no commit and recovery
-		// rolls back cleanly.
-		m.persistCommitWord(ll, round)
-		m.committed = round
-		m.jrnl.MarkApplied(ll, rec)
-		m.alloc.TruncateLog()
-		m.jrnl.Commit(ll, rec)
-		ll.Charge(m.model.CommitCheckpoint)
+		m.commitVersion(ll, round)
 		m.publishGC(ll, m.walkStamp, len(m.deferredFrees), true)
 	}
 
@@ -355,7 +344,7 @@ func (m *Manager) visitResolved(lane *simclock.Lane, o caps.Object, r *caps.ORoo
 			obj.ForEachRegion(func(reg *caps.VMRegion) { m.kids = append(m.kids, reg.PMO) })
 		}
 	case *caps.PMO:
-		m.checkpointPMO(lane, obj, r, round, full, rep)
+		m.checkpointPMO(lane, obj, r, round, rep)
 	case *caps.IPCConn:
 		if needSnap {
 			ws := r.WriteSlot(committed)

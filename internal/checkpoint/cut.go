@@ -33,7 +33,6 @@ package checkpoint
 import (
 	"fmt"
 
-	"treesls/internal/journal"
 	"treesls/internal/simclock"
 )
 
@@ -64,12 +63,7 @@ func (m *Manager) PublishCommit(lane *simclock.Lane) (uint64, error) {
 		return 0, fmt.Errorf("checkpoint: no prepared round to publish")
 	}
 	round := m.pending.version
-	rec := m.jrnl.Begin(lane, journal.OpCheckpointCommit, round)
-	m.persistCommitWord(lane, round)
-	m.jrnl.MarkApplied(lane, rec)
-	m.alloc.TruncateLog()
-	m.jrnl.Commit(lane, rec)
-	lane.Charge(m.model.CommitCheckpoint)
+	m.commitVersion(lane, round)
 	m.publishGC(lane, m.pending.stamp, m.pending.frees, len(m.roots) == m.pending.roots)
 	m.pending = pendingCommit{}
 	return round, nil

@@ -207,8 +207,12 @@ func (s *ObjTimeStats) addRestore(d simclock.Duration) {
 
 // Stats accumulates manager activity across rounds.
 type Stats struct {
-	Checkpoints   uint64
-	COWFaults     uint64
+	Checkpoints uint64
+	COWFaults   uint64
+	// PagesCopied counts the backup copies copyBackup makes, on five
+	// paths: the COW fault, stop-and-copy, the dirty-DRAM copy, the
+	// demotion and the scrub repair. checkpoint.pages_copied counts them
+	// too.
 	PagesCopied   uint64
 	BackupPages   int // live backup pages allocated (checkpoint size, pages)
 	BackupBytes   int // backup object space (snapshots, radix nodes)
@@ -651,6 +655,22 @@ func (m *Manager) persistCommitWord(lane *simclock.Lane, v uint64) {
 	if lane != nil {
 		lane.Charge(d)
 	}
+}
+
+// commitVersion commits round v (Figure 5 ❹) once the caller has fenced
+// its pages and records. The journal guards the commit word and the
+// allocator-log truncation it licenses. Publishing the word IS the commit
+// point: an 8-byte word persists or drops whole under ADR, so a torn commit
+// is no commit and recovery rolls back cleanly. The in-memory version
+// follows the word at once; oracles and pre-crash hooks read it there.
+func (m *Manager) commitVersion(lane *simclock.Lane, v uint64) {
+	rec := m.jrnl.Begin(lane, journal.OpCheckpointCommit, v)
+	m.persistCommitWord(lane, v)
+	m.committed = v
+	m.jrnl.MarkApplied(lane, rec)
+	m.alloc.TruncateLog()
+	m.jrnl.Commit(lane, rec)
+	lane.Charge(m.model.CommitCheckpoint)
 }
 
 // readCommitSlot reads and validates the copy of the commit record on page

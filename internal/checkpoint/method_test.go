@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"treesls/internal/caps"
+	"treesls/internal/obs"
 )
 
 func TestStopAndCopyNoFaults(t *testing.T) {
@@ -103,5 +104,61 @@ func TestSACDisablesHybrid(t *testing.T) {
 	h := newHarness(t, cfg, 2)
 	if h.mgr.Config().HybridCopy {
 		t.Error("hybrid copy left on under SAC")
+	}
+}
+
+// TestPagesCopiedMetricMatchesStat runs every page-copy path of a
+// checkpoint round with metrics on — COW faults, dirty-DRAM copies and a
+// demotion that copies under copy-on-write, and stop-and-copy rounds — and
+// requires the checkpoint.pages_copied counter to end equal to
+// Stats.PagesCopied.
+func TestPagesCopiedMetricMatchesStat(t *testing.T) {
+	for _, method := range []CopyMethod{MethodCOW, MethodStopAndCopy} {
+		t.Run(method.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Method = method
+			cfg.HotThreshold = 1
+			cfg.DemoteAfter = 1
+			h := newHarness(t, cfg, 2)
+			reg := obs.NewRegistry()
+			h.mgr.SetObserver(&obs.Observer{Metrics: reg})
+			_, pmo, _ := h.buildProc("app", 4)
+			writeAll := func(v byte) {
+				for i := uint64(0); i < 4; i++ {
+					h.writePage(t, pmo, i, []byte{v})
+				}
+			}
+			var sum Report
+			round := func() {
+				rep := h.checkpoint()
+				sum.PagesStopCopied += rep.PagesStopCopied
+				sum.DirtyDRAMCopied += rep.DirtyDRAMCopied
+			}
+			writeAll(1)
+			round()
+			writeAll(2) // COW faults; the pages become hot
+			round()     // migrated to DRAM
+			writeAll(3)
+			round() // dirty-DRAM copies into slot 0
+			copied := h.mgr.Stats.PagesCopied
+			rep := h.checkpoint() // clean for one round: demoted, copied into slot 1
+
+			switch method {
+			case MethodCOW:
+				if h.mgr.Stats.COWFaults == 0 || sum.DirtyDRAMCopied == 0 {
+					t.Fatalf("COW faults %d, dirty-DRAM copies %d: want both", h.mgr.Stats.COWFaults, sum.DirtyDRAMCopied)
+				}
+				if rep.Demoted == 0 || h.mgr.Stats.PagesCopied == copied {
+					t.Fatalf("demoted %d pages, copying %d: want both", rep.Demoted, h.mgr.Stats.PagesCopied-copied)
+				}
+			case MethodStopAndCopy:
+				if sum.PagesStopCopied == 0 {
+					t.Fatal("nothing stop-and-copied")
+				}
+			}
+			if got := reg.Counter("checkpoint.pages_copied").Value(); got != h.mgr.Stats.PagesCopied {
+				t.Errorf("checkpoint.pages_copied = %d, Stats.PagesCopied = %d", got, h.mgr.Stats.PagesCopied)
+			}
+		})
 	}
 }

@@ -33,7 +33,7 @@ func (m *Manager) pmoSnap(lane *simclock.Lane, r *caps.ORoot, pmo *caps.PMO, rou
 // are not copied here — the runtime NVM page doubles as the consistent copy
 // (Figure 6a), and DRAM-cached pages are stop-and-copied by the hybrid-copy
 // cores.
-func (m *Manager) checkpointPMO(lane *simclock.Lane, pmo *caps.PMO, r *caps.ORoot, round uint64, full bool, rep *Report) {
+func (m *Manager) checkpointPMO(lane *simclock.Lane, pmo *caps.PMO, r *caps.ORoot, round uint64, rep *Report) {
 	snap := m.pmoSnap(lane, r, pmo, round)
 	snap.SizePages = pmo.SizePages
 	nodesBefore := snap.Pages.Nodes()
@@ -71,15 +71,7 @@ func (m *Manager) checkpointPMO(lane *simclock.Lane, pmo *caps.PMO, r *caps.ORoo
 		if s == nil {
 			continue // installed and removed within the epoch
 		}
-		cp, ok := snap.Pages.Get(idx)
-		if !ok {
-			cp = &caps.CkptPage{Born: round}
-			snap.Pages.Set(idx, cp)
-			lane.Charge(m.model.RadixInsert)
-			m.Stats.BackupBytes += alloc.ClassCheckpointedPage.Size()
-		} else {
-			lane.Charge(m.model.RadixVisit)
-		}
+		cp := m.ckptPage(lane, snap, idx, round)
 		if s.Page.Kind == mem.KindDRAM {
 			continue // hybrid copy owns cached pages
 		}
@@ -145,7 +137,44 @@ func (m *Manager) checkpointPMO(lane *simclock.Lane, pmo *caps.PMO, r *caps.ORoo
 		m.Stats.BackupBytes += alloc.ClassRadixNode.Size() * grown
 	}
 	caps.ClearDirty(pmo)
-	_ = full
+}
+
+// ckptPage returns the checkpointed-radix entry of page idx, creating one
+// born at round when the page has none yet.
+func (m *Manager) ckptPage(lane *simclock.Lane, snap *caps.PMOSnap, idx, round uint64) *caps.CkptPage {
+	if cp, ok := snap.Pages.Get(idx); ok {
+		lane.Charge(m.model.RadixVisit)
+		return cp
+	}
+	cp := &caps.CkptPage{Born: round}
+	snap.Pages.Set(idx, cp)
+	lane.Charge(m.model.RadixInsert)
+	m.Stats.BackupBytes += alloc.ClassCheckpointedPage.Size()
+	return cp
+}
+
+// copyBackup copies src into backup slot slot of cp — giving the slot a
+// frame first if it has none — writes the copy back and seals it under the
+// given replica policy. It is the one backup copy of the checkpoint
+// protocol, made by the COW fault, stop-and-copy, the dirty-DRAM copy, the
+// demotion and the scrub repair. Publishing the slot's version stays with
+// the caller: the STW copiers leave the write-back to the round's
+// pre-commit fence, and the COW fault fences before it tags the copy.
+func (m *Manager) copyBackup(lane *simclock.Lane, cp *caps.CkptPage, slot int, src mem.PageID, replica bool) error {
+	if cp.Page[slot].IsNil() {
+		p, err := m.alloc.AllocPageCkpt(lane)
+		if err != nil {
+			return err
+		}
+		cp.Page[slot] = p
+		m.Stats.BackupPages++
+	}
+	lane.Charge(m.memory.CopyPage(cp.Page[slot], src))
+	m.flushPage(lane, cp.Page[slot])
+	m.sealPage(lane, cp.Page[slot], replica)
+	m.Stats.PagesCopied++
+	m.met.pagesCopied.Inc()
+	return nil
 }
 
 // stopAndCopyPMO checkpoints a PMO under MethodStopAndCopy: every dirty page
@@ -181,15 +210,7 @@ func (m *Manager) stopAndCopyPMO(lane *simclock.Lane, pmo *caps.PMO, snap *caps.
 		if !s.Dirty {
 			return true
 		}
-		cp, ok := snap.Pages.Get(idx)
-		if !ok {
-			cp = &caps.CkptPage{Born: round}
-			snap.Pages.Set(idx, cp)
-			lane.Charge(m.model.RadixInsert)
-			m.Stats.BackupBytes += alloc.ClassCheckpointedPage.Size()
-		} else {
-			lane.Charge(m.model.RadixVisit)
-		}
+		cp := m.ckptPage(lane, snap, idx, round)
 		ws := m.backupWriteSlot(cp)
 		if cp.Page[ws] == s.Page {
 			// A restore adopted this backup frame as the runtime page
@@ -205,23 +226,13 @@ func (m *Manager) stopAndCopyPMO(lane *simclock.Lane, pmo *caps.PMO, snap *caps.
 			cp.Ver[ws] = 0
 			m.forgetFrame(s.Page)
 		}
-		if cp.Page[ws].IsNil() {
-			p, err := m.alloc.AllocPageCkpt(lane)
-			if err != nil {
-				return true // out of NVM: page stays dirty, retried next round
-			}
-			cp.Page[ws] = p
-			m.Stats.BackupPages++
+		if m.copyBackup(lane, cp, ws, s.Page, refreshReplica) != nil {
+			return true // out of NVM: page stays dirty, retried next round
 		}
-		lane.Charge(m.memory.CopyPage(cp.Page[ws], s.Page))
-		m.flushPage(lane, cp.Page[ws])
-		m.sealPage(lane, cp.Page[ws], refreshReplica)
 		cp.Ver[ws] = round
 		s.Dirty = false
 		rep.PagesStopCopied++
-		m.Stats.PagesCopied++
 		m.met.stopCopied.Inc()
-		m.met.pagesCopied.Inc()
 		if m.traceOn() {
 			m.obs.Trace.Instant(lane.ID(), lane.Now(), "page", "stop-copy",
 				obs.I("pmo", int64(pmo.ID())), obs.I("idx", int64(idx)))
@@ -245,22 +256,14 @@ func (m *Manager) HandleWriteFault(lane *simclock.Lane, pmo *caps.PMO, idx uint6
 	if !ok {
 		return fmt.Errorf("checkpoint: write fault on page %d of PMO %d with no checkpointed entry", idx, pmo.ID())
 	}
-	if cp.Page[0].IsNil() {
-		p, err := m.alloc.AllocPageCkpt(lane)
-		if err != nil {
-			return fmt.Errorf("checkpoint: allocating backup page: %w", err)
-		}
-		cp.Page[0] = p
-		m.Stats.BackupPages++
+	if err := m.copyBackup(lane, cp, 0, s.Page, refreshReplica); err != nil {
+		return fmt.Errorf("checkpoint: allocating backup page: %w", err)
 	}
-	lane.Charge(m.memory.CopyPage(cp.Page[0], s.Page))
 	// The backup immediately satisfies restore rule 1 once its version is
 	// set, so — unlike STW writers, which defer to the round's single
 	// pre-commit fence — the fault handler must make the copy durable
 	// BEFORE publishing the version. A crash inside this window restores
 	// through rule 2 from the still-unmodified runtime page.
-	m.flushPage(lane, cp.Page[0])
-	m.sealPage(lane, cp.Page[0], refreshReplica)
 	m.fence(lane)
 	cp.Ver[0] = m.committed
 
@@ -280,9 +283,7 @@ func (m *Manager) HandleWriteFault(lane *simclock.Lane, pmo *caps.PMO, idx uint6
 
 	m.Stats.COWFaults++
 	m.Stats.EpochFaults++
-	m.Stats.PagesCopied++
 	m.met.cowFaults.Inc()
-	m.met.pagesCopied.Inc()
 	if m.traceOn() {
 		m.obs.Trace.Instant(lane.ID(), lane.Now(), "page", "cow-fault",
 			obs.I("pmo", int64(pmo.ID())), obs.I("idx", int64(idx)),
@@ -361,26 +362,16 @@ func (m *Manager) runHybridCopy(workers []*simclock.Lane, start simclock.Time, r
 			// Dirty cached page: stop-and-copy into the backup slot
 			// not holding the newest committed version.
 			ws := m.backupWriteSlot(cp)
-			if cp.Page[ws].IsNil() {
-				p, err := m.alloc.AllocPageCkpt(w)
-				if err != nil {
-					// NVM exhausted: keep the page dirty; it
-					// will be retried next round.
-					keep = append(keep, ref)
-					continue
-				}
-				cp.Page[ws] = p
-				m.Stats.BackupPages++
+			if m.copyBackup(w, cp, ws, s.Page, refreshReplica) != nil {
+				// NVM exhausted: keep the page dirty; it will be
+				// retried next round.
+				keep = append(keep, ref)
+				continue
 			}
-			w.Charge(m.memory.CopyPage(cp.Page[ws], s.Page))
-			m.flushPage(w, cp.Page[ws])
-			m.sealPage(w, cp.Page[ws], refreshReplica)
 			cp.Ver[ws] = round
 			s.Dirty = false
 			s.IdleRounds = 0
 			rep.DirtyDRAMCopied++
-			m.Stats.PagesCopied++
-			m.met.pagesCopied.Inc()
 			if m.traceOn() {
 				m.obs.Trace.Instant(w.ID(), w.Now(), "page", "dirty-dram-copy",
 					obs.I("pmo", int64(ref.pmo.ID())), obs.I("idx", int64(ref.idx)))
@@ -396,23 +387,11 @@ func (m *Manager) runHybridCopy(workers []*simclock.Lane, start simclock.Time, r
 				continue
 			}
 			// Ensure the second backup holds the latest data, then
-			// make it the runtime page with version zero.
-			latest := m.latestBackupSlot(cp)
-			if cp.Page[1].IsNil() {
-				p, err := m.alloc.AllocPageCkpt(w)
-				if err != nil {
-					keep = append(keep, ref)
-					continue
-				}
-				cp.Page[1] = p
-				m.Stats.BackupPages++
-				latest = 0
-			}
-			if latest != 1 {
-				w.Charge(m.memory.CopyPage(cp.Page[1], s.Page))
-				m.flushPage(w, cp.Page[1])
-				m.sealPage(w, cp.Page[1], checkReplica)
-				m.Stats.PagesCopied++
+			// make it the runtime page with version zero. (Slot 1 can
+			// only be the newest when it holds a frame.)
+			if m.latestBackupSlot(cp) != 1 && m.copyBackup(w, cp, 1, s.Page, checkReplica) != nil {
+				keep = append(keep, ref)
+				continue
 			}
 			cp.Ver[1] = 0
 			m.memory.FreeDRAM(s.Page)

@@ -26,7 +26,6 @@ import (
 
 	"treesls/internal/alloc"
 	"treesls/internal/caps"
-	"treesls/internal/journal"
 	"treesls/internal/mem"
 	"treesls/internal/simclock"
 )
@@ -822,15 +821,8 @@ func (m *Manager) InstallImage(lane *simclock.Lane, img *ReplImage, swapWrite fu
 	}
 	m.rootORoot = m.lookupRoot(img.RootID)
 	m.savedNextID = img.NextID
-	// Commit, mirroring TakeCheckpoint step ❹: drain the written pages,
-	// journal the commit, publish the version word.
+	// Drain the written pages, then commit as TakeCheckpoint step ❹ does.
 	m.fence(lane)
-	rec := m.jrnl.Begin(lane, journal.OpCheckpointCommit, v)
-	m.persistCommitWord(lane, v)
-	m.committed = v
-	m.jrnl.MarkApplied(lane, rec)
-	m.alloc.TruncateLog()
-	m.jrnl.Commit(lane, rec)
-	lane.Charge(m.model.CommitCheckpoint)
+	m.commitVersion(lane, v)
 	return nil
 }

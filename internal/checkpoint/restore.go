@@ -108,10 +108,10 @@ func (m *Manager) Restore(lane *simclock.Lane) (*caps.Tree, uint64, error) {
 	m.order = m.order[:0]
 	clear(m.refs) // a crashed restore may have left its stack behind
 	m.refs = m.refs[:0]
+	m.scrubUncommittedTags()
 	if err := m.discover(lane, m.rootORoot); err != nil {
 		return nil, 0, err
 	}
-	m.scrubUnreached()
 
 	// Step 2b: fill each object from its snapshot; step 3 for PMOs.
 	lookup := func(r *caps.ORoot) caps.Object {
@@ -189,20 +189,6 @@ func (m *Manager) discover(lane *simclock.Lane, r *caps.ORoot) error {
 	if r == nil || !m.discovered.Add(r.ObjID) {
 		return nil
 	}
-	// Drop snapshots the crashed (uncommitted) round captured: their
-	// version tag equals the round the retry will reuse, so leaving them
-	// would alias a stale capture into the next commit — the retried round
-	// skips clean objects, trusting that whatever carries its version
-	// number was captured by it. (Never fires for PMO roots: their
-	// singleton slot keeps its creation round, which is committed for any
-	// reachable root.)
-	for i := range r.Backup {
-		if r.Backup[i] != nil && r.Ver[i] > m.committed {
-			r.Backup[i] = nil
-			r.Ver[i] = 0
-			r.Sum[i] = 0
-		}
-	}
 	// Verify the record digest of the snapshot the restore would use; a
 	// corrupt record degrades to the older committed slot, exactly like a
 	// corrupt backup page degrades to an older version. (PMO skeletons
@@ -254,18 +240,15 @@ func (m *Manager) discover(lane *simclock.Lane, r *caps.ORoot) error {
 	return nil
 }
 
-// scrubUnreached clears, on every root discover did not reach, the tags
-// above the committed version that the crashed round left, as discover
-// does on the roots it reaches. Such a root belongs to an object the
-// crashed round snapshotted and no committed state references; the next
-// commit sweeps it. A non-PMO snapshot is dropped with its tag. A PMO root
-// keeps its skeleton in slot 0, because sweepUnreachable frees the pages
-// through it, not through the tag. Like discover's, the scrub is uncharged.
-func (m *Manager) scrubUnreached() {
+// scrubUncommittedTags zeroes, on every root, the snapshot tags above the
+// committed version that the crashed round left: the retry reuses that
+// round number and skips clean objects, trusting whatever carries it to be
+// its own capture. A non-PMO snapshot is dropped with its tag. A PMO keeps
+// its skeleton in slot 0: a reachable PMO's tag is its committed creation
+// round, never scrubbed, and the next commit's sweepUnreachable frees an
+// unreachable one's pages through the skeleton. The scrub is uncharged.
+func (m *Manager) scrubUncommittedTags() {
 	for _, r := range m.roots {
-		if m.discovered.Has(r.ObjID) {
-			continue
-		}
 		for i := range r.Backup {
 			if r.Ver[i] <= m.committed {
 				continue
@@ -412,33 +395,19 @@ func (m *Manager) restorePMOPages(lane *simclock.Lane, pmo *caps.PMO, snap *caps
 			pmo.InstallSwapped(idx)
 			return true
 		}
-		if src == srcNone {
-			// The committed state names this page (stillborn entries
-			// and swapped-out pages were already handled) yet no slot
-			// survived — e.g. a crashed lostPage cleared the corrupt
-			// slots but died before publishing its replacement, or
-			// every copy was media-damaged and scrub-quarantined.
-			// Skipping would leave reads returning demand-zeros with
-			// nothing in the manifest: silent loss. Rebuild the page
-			// as explicit zeros and name it.
-			if err := m.lostPage(lane, pmo, idx, cp, valid); err != nil {
-				fail = err
-				return false
-			}
-			s := pmo.InstallPage(idx, cp.Page[1])
-			s.Writable = pmo.Type == caps.PMOEternal
-			s.Dirty = false
-			return true
-		}
 
 		// Every restore read is verified — poison check always, digest
-		// check unless disabled — regardless of which rule chose the
-		// source. A corrupt chosen source degrades to the other slot's
-		// older committed version; with no intact version left anywhere,
-		// the page is rebuilt as a zero-filled frame and named in the
-		// restore manifest. The restore itself never aborts on media
+		// check unless disabled — whichever rule chose the source. A
+		// corrupt chosen source degrades to the other slot's older
+		// committed version. The committed state names this page, so one
+		// with no intact version left, or no surviving slot at all (a
+		// crashed lostPage cleared the corrupt slots but died before
+		// publishing their replacement, or scrub quarantined every copy),
+		// is lost: skipping it would leave reads returning demand-zeros
+		// with nothing in the manifest. The restore never aborts on media
 		// damage and never installs unverified bytes.
-		if !m.verifySource(lane, cp.Page[src]) {
+		lost := src == srcNone
+		if !lost && !m.verifySource(lane, cp.Page[src]) {
 			alt := 1 - src
 			if valid(cp.Page[alt]) && cp.Ver[alt] != 0 && cp.Ver[alt] <= m.committed &&
 				m.verifySource(lane, cp.Page[alt]) {
@@ -456,71 +425,44 @@ func (m *Manager) restorePMOPages(lane *simclock.Lane, pmo *caps.PMO, snap *caps
 				m.Stats.DegradedRestores++
 				m.met.degraded.Inc()
 			} else {
-				if err := m.lostPage(lane, pmo, idx, cp, valid); err != nil {
-					fail = err
-					return false
-				}
-				s := pmo.InstallPage(idx, cp.Page[1])
-				s.Writable = pmo.Type == caps.PMOEternal
-				s.Dirty = false
-				return true
+				lost = true
 			}
 		}
 
-		var runtime mem.PageID
-		if src == 1 && cp.Ver[1] == 0 {
-			// The runtime NVM page is the consistent copy; adopt
-			// it directly, no copying.
-			runtime = cp.Page[1]
-		} else {
+		switch {
+		case lost:
+			// Rebuild the page as explicit zeros and name it.
+			if err := m.lostPage(lane, pmo, idx, cp, valid); err != nil {
+				fail = err
+				return false
+			}
+		case src == 1 && cp.Ver[1] == 0:
+			// The runtime NVM page is the consistent copy; adopt it
+			// directly, no copying.
+		default:
 			// Copy the consistent backup into the other slot, which
 			// becomes the new runtime page (version zero). A stale
-			// (rolled-back) other slot is replaced with a fresh
-			// frame.
+			// (rolled-back) other slot is replaced with a fresh frame;
+			// a crash before its publication merely leaks it.
 			other := 1 - src
 			dst := cp.Page[other]
-			fresh := false
-			if !valid(dst) {
+			fresh := !valid(dst)
+			if fresh {
 				p, err := m.alloc.AllocPageCkpt(lane)
 				if err != nil {
 					fail = fmt.Errorf("checkpoint: allocating restore page: %w", err)
 					return false
 				}
-				dst, fresh = p, true
+				dst = p
 			}
 			lane.Charge(m.memory.CopyPage(dst, cp.Page[src]))
-			m.flushPage(lane, dst)
-			// Publish only once the copy is durable. A version-zero
-			// slot is exactly what the next restore's rule 2 trusts
-			// as committed content; under ADR a crash before the
-			// fence reverts the frame to its pre-copy bytes, so
-			// publishing early would hand that restore stale data
-			// behind a trusted tag. A crash between the allocation
-			// and this point merely leaks the orphaned frame.
-			m.fence(lane)
-			cp.Page[other] = dst
-			cp.Ver[other] = 0
+			m.publishRuntime(lane, pmo, cp, other, dst)
 			if fresh {
 				m.Stats.BackupPages++
 			}
-			if other == 0 {
-				// Keep the invariant that slot 1 is the runtime/
-				// version-zero slot by swapping the slots.
-				cp.Page[0], cp.Page[1] = cp.Page[1], cp.Page[0]
-				cp.Ver[0], cp.Ver[1] = cp.Ver[1], cp.Ver[0]
-			}
-			// The fresh version-zero runtime slot is a restore source
-			// for the next crash; digest it now. A reused slot may keep
-			// the replica of an older backup: it is dropped, not
-			// refreshed, because refreshing here made the media campaign
-			// restore silently corrupt pages under COW.
-			if pmo.Type != caps.PMOEternal {
-				m.sealPage(lane, cp.Page[1], checkReplica)
-			}
-			runtime = cp.Page[1]
 		}
 
-		s := pmo.InstallPage(idx, runtime)
+		s := pmo.InstallPage(idx, cp.Page[1])
 		s.Writable = pmo.Type == caps.PMOEternal
 		s.Dirty = false
 		return true
@@ -596,6 +538,30 @@ func (m *Manager) scrubUncommittedSlots(lane *simclock.Lane, cp *caps.CkptPage) 
 	}
 }
 
+// publishRuntime publishes p, which restore just filled with one page's
+// committed content, as the page's version-zero runtime copy in slot slot
+// of cp. It writes p back and fences before the tag: the next restore's
+// rule 2 trusts a version-zero slot as committed content, and under ADR a
+// crash before the fence reverts the frame, handing that restore stale
+// bytes behind a trusted tag. The copy ends in slot 1, the runtime slot
+// (the slots swap when it landed in slot 0), and is sealed unless the PMO
+// is eternal; a reused slot's replica of an older backup is dropped, not
+// refreshed, because refreshing here made the media campaign restore
+// silently corrupt pages under COW.
+func (m *Manager) publishRuntime(lane *simclock.Lane, pmo *caps.PMO, cp *caps.CkptPage, slot int, p mem.PageID) {
+	m.flushPage(lane, p)
+	m.fence(lane)
+	cp.Page[slot] = p
+	cp.Ver[slot] = 0
+	if slot == 0 {
+		cp.Page[0], cp.Page[1] = cp.Page[1], cp.Page[0]
+		cp.Ver[0], cp.Ver[1] = cp.Ver[1], cp.Ver[0]
+	}
+	if pmo.Type != caps.PMOEternal {
+		m.sealPage(lane, p, checkReplica)
+	}
+}
+
 // ---- Restore manifest (media-fault tolerance) ------------------------------
 
 // RestoreManifest is the explicit account of everything the last restore
@@ -662,16 +628,7 @@ func (m *Manager) lostPage(lane *simclock.Lane, pmo *caps.PMO, idx uint64, cp *c
 	}
 	m.memory.ZeroPage(p)
 	lane.Charge(m.model.NVMWritePage)
-	m.flushPage(lane, p)
-	// As in the restore copy path: fence before publishing the
-	// version-zero slot, so a crash can only leak the fresh frame, never
-	// expose reverted bytes behind a rule-2-trusted tag.
-	m.fence(lane)
-	cp.Page[1] = p
-	cp.Ver[1] = 0
-	if pmo.Type != caps.PMOEternal {
-		m.sealPage(lane, p, checkReplica)
-	}
+	m.publishRuntime(lane, pmo, cp, 1, p)
 	m.Stats.BackupPages++
 	m.Stats.LostPages++
 	m.met.lostPages.Inc()

@@ -163,8 +163,5 @@ func (m *Manager) scrubRepairChosen(lane *simclock.Lane, pmo *caps.PMO, idx uint
 	if s == nil || s.Page.IsNil() || s.Page.Kind != mem.KindDRAM || s.Dirty {
 		return false
 	}
-	lane.Charge(m.memory.CopyPage(cp.Page[src], s.Page))
-	m.flushPage(lane, cp.Page[src])
-	m.sealPage(lane, cp.Page[src], refreshReplica)
-	return true
+	return m.copyBackup(lane, cp, src, s.Page, refreshReplica) == nil
 }

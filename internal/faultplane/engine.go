@@ -147,14 +147,10 @@ func RunCampaign(spec Spec, d Domain) (Stats, error) {
 				return st, fmt.Errorf("seed %d: round %d: %w", seed, r, rerr)
 			}
 			st.Rounds++
-			if mRounds != nil {
-				mRounds.Inc()
-			}
+			mRounds.Inc()
 			if fired {
 				st.Injections++
-				if mInjections != nil {
-					mInjections.Inc()
-				}
+				mInjections.Inc()
 				if spec.Obs.TraceOn() {
 					var now simclock.Time
 					if c, ok := w.(Clocked); ok {
@@ -167,20 +163,14 @@ func RunCampaign(spec Spec, d Domain) (Stats, error) {
 				}
 				ran, oerr := w.Oracles().Check()
 				st.Comparisons += uint64(ran)
-				if mChecks != nil {
-					mChecks.Add(uint64(ran))
-				}
+				mChecks.Add(uint64(ran))
 				if oerr != nil {
 					st.Convictions++
-					if mConvictions != nil {
-						mConvictions.Inc()
-					}
+					mConvictions.Inc()
 					return st, fmt.Errorf("seed %d: round %d: %w", seed, r, oerr)
 				}
 				st.Recoveries++
-				if mRecoveries != nil {
-					mRecoveries.Inc()
-				}
+				mRecoveries.Inc()
 			}
 			if stop {
 				break

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -229,6 +230,87 @@ func TestManyRandomCrashPoints(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
+		})
+	}
+}
+
+// TestCrashAtEveryRestoreEvent crashes the first restore after a power
+// failure at every persistence event it fires, then restores again. Every
+// page lives in DRAM at the crash, so the restore copies its newest
+// committed backup (rule 3) into the other slot as the version-zero
+// runtime copy that the next restore trusts through rule 2: the half
+// written before the third checkpoint lands in slot 1, the other half in
+// slot 0 and is swapped into slot 1. Each second restore must reproduce
+// every committed page bit-identically, with a clean manifest and a clean
+// audit: a version-zero slot published before its copy was durable comes
+// back degraded under ADR.
+func TestCrashAtEveryRestoreEvent(t *testing.T) {
+	const pages = 8
+	for _, mode := range []mem.PersistMode{mem.ModeEADR, mem.ModeADR} {
+		t.Run(mode.String(), func(t *testing.T) {
+			setup := func() (*Machine, uint64) {
+				cfg := DefaultConfig()
+				cfg.CheckpointEvery = 0
+				cfg.SkipDefaultServices = true
+				cfg.Checkpoint.HotThreshold = 1
+				cfg.Mem.Persist = mode
+				cfg.Audit = true
+				m := New(cfg)
+				p, _ := m.NewProcess("app", 2)
+				va, _, _ := p.Mmap(pages, caps.PMODefault)
+				write := func(n int, v byte) {
+					for i := 0; i < n; i++ {
+						m.Run(p, p.Thread(i), func(e *Env) error {
+							return e.Write(va+uint64(i)*4096, []byte{v})
+						})
+					}
+				}
+				write(pages, 1)
+				m.TakeCheckpoint()
+				write(pages, 2) // faults -> pages become hot
+				m.TakeCheckpoint()
+				write(pages/2, 3) // the hot pages now live in DRAM
+				m.TakeCheckpoint()
+				m.TakeCheckpoint()
+				write(pages, 4) // uncommitted
+				m.Crash()
+				return m, va
+			}
+			want := make([]byte, pages)
+			for i := range want {
+				want[i] = 2
+				if i < pages/2 {
+					want[i] = 3
+				}
+			}
+
+			k := uint64(1)
+			for ; ; k++ {
+				m, va := setup()
+				if !crashAtEvent(t, m, k, func() {
+					if err := m.Restore(); err != nil {
+						t.Fatalf("event %d: first restore: %v", k, err)
+					}
+				}) {
+					break
+				}
+				if err := m.Restore(); err != nil {
+					t.Fatalf("event %d: %v", k, err)
+				}
+				if got := checkpointedSum(t, m, va, pages); !bytes.Equal(got, want) {
+					t.Errorf("event %d: pages = %v, want %v", k, got, want)
+				}
+				if man := m.Ckpt.Manifest(); !man.Clean() {
+					t.Errorf("event %d: manifest not clean: %d degraded, %d lost", k, len(man.Degraded), len(man.Lost))
+				}
+				if !m.LastAudit.Ok() {
+					t.Errorf("event %d: restore audit: %v", k, m.LastAudit.Violations)
+				}
+			}
+			if k == 1 {
+				t.Fatal("the restore fired no persistence event")
+			}
+			t.Logf("%d restore events", k-1)
 		})
 	}
 }

@@ -78,7 +78,7 @@ func (f *Fabric) AddEndpoint() int {
 // recorded immediately (control frames are fire-and-forget at this layer;
 // loss is modelled as a crash, not a drop).
 func (f *Fabric) SendReport(shard int, earliest simclock.Time) simclock.Time {
-	return f.send(f.up[shard], FrameReport, ReportBytes, earliest, &f.Stats.Reports)
+	return f.send(f.up[shard], ReportBytes, earliest, &f.Stats.Reports)
 }
 
 // SendAnnounce ships the announced cut to shard i and returns when it
@@ -86,7 +86,7 @@ func (f *Fabric) SendReport(shard int, earliest simclock.Time) simclock.Time {
 // digest) pair rides along so a shard can verify its own slice.
 func (f *Fabric) SendAnnounce(shard, shards int, earliest simclock.Time) simclock.Time {
 	payload := AnnounceBase + shards*AnnouncePerShard
-	return f.send(f.down[shard], FrameCutAnnounce, payload, earliest, &f.Stats.Announces)
+	return f.send(f.down[shard], payload, earliest, &f.Stats.Announces)
 }
 
 // SendMigrate ships `payload` bytes of migration traffic (a moved-key delta
@@ -105,11 +105,11 @@ func (f *Fabric) SendMigrate(src, dst, payload int, earliest simclock.Time) simc
 		l = NewLink(f.model, fabricWindow)
 		f.mesh[[2]int{src, dst}] = l
 	}
-	return f.send(l, FrameMigrate, payload, earliest, &f.Stats.Migrates)
+	return f.send(l, payload, earliest, &f.Stats.Migrates)
 }
 
-func (f *Fabric) send(l *Link, typ FrameType, payload int, earliest simclock.Time, counter *uint64) simclock.Time {
-	_, arrive := l.Send(typ, payload, earliest)
+func (f *Fabric) send(l *Link, payload int, earliest simclock.Time, counter *uint64) simclock.Time {
+	_, arrive := l.Send(payload, earliest)
 	l.Ack(arrive.Add(l.AckWire()))
 	*counter++
 	f.Stats.Bytes += uint64(WireBytes(payload))

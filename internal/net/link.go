@@ -3,10 +3,11 @@ package net
 // A point-to-point replication link between a primary and its hot standby,
 // built on the same wire cost model as the client-facing network
 // (NetPropagation + per-byte serialization). The link carries checkpoint
-// deltas and acks as typed frames, segments large payloads at the MTU, and
-// applies window-based flow control: at most WindowBytes of un-acked
-// payload may be in flight, so a lagging standby back-pressures the primary
-// instead of letting the delta stream run arbitrarily ahead.
+// deltas and their acks, of which it sees only the sizes, segments large
+// payloads at the MTU, and applies window-based flow control: at most
+// WindowBytes of un-acked payload may be in flight, so a lagging standby
+// back-pressures the primary instead of letting the delta stream run
+// arbitrarily ahead.
 //
 // The link is pure deterministic arithmetic over simulated time — no
 // goroutines, no queues draining in the background. Send computes when the
@@ -14,54 +15,7 @@ package net
 // the window admits the payload) and when the last byte lands on the far
 // side; the caller folds those instants into its lanes.
 
-import (
-	"fmt"
-
-	"treesls/internal/simclock"
-)
-
-// FrameType labels one replication-link frame.
-type FrameType byte
-
-const (
-	// FrameDelta carries one incremental checkpoint delta.
-	FrameDelta FrameType = iota
-	// FrameFullSync carries a full-tree sync delta (bootstrap/heal).
-	FrameFullSync
-	// FrameAck acknowledges that a delta was applied and is durable on
-	// the standby.
-	FrameAck
-	// FrameReport carries a shard's checkpoint-prepare report to the
-	// cluster coordinator (fabric.go).
-	FrameReport
-	// FrameCutAnnounce carries the coordinator's announced cluster cut
-	// back to a shard (fabric.go).
-	FrameCutAnnounce
-	// FrameMigrate carries a migration delta (moved key/value records, or
-	// a dual-routed in-flight request) shard-to-shard during an elastic
-	// reshard (fabric.go).
-	FrameMigrate
-)
-
-// String implements fmt.Stringer.
-func (t FrameType) String() string {
-	switch t {
-	case FrameDelta:
-		return "delta"
-	case FrameFullSync:
-		return "fullsync"
-	case FrameAck:
-		return "ack"
-	case FrameReport:
-		return "report"
-	case FrameCutAnnounce:
-		return "cut-announce"
-	case FrameMigrate:
-		return "migrate"
-	default:
-		return fmt.Sprintf("frame(%d)", byte(t))
-	}
-}
+import "treesls/internal/simclock"
 
 // LinkMTU is the maximum payload per link frame; larger payloads are
 // segmented and each segment pays the FrameHeader.
@@ -127,12 +81,12 @@ func WireBytes(payloadBytes int) int {
 	return payloadBytes + segs*FrameHeader
 }
 
-// Send transmits one frame of payloadBytes, no earlier than earliest.
+// Send transmits one payload of payloadBytes, no earlier than earliest.
 // It returns the depart time (transmission start, after serialization
 // behind the previous send and any flow-control stall) and the arrive time
 // (last byte landed on the standby). The send joins the un-acked window;
 // the caller must eventually Ack it in FIFO order.
-func (l *Link) Send(typ FrameType, payloadBytes int, earliest simclock.Time) (depart, arrive simclock.Time) {
+func (l *Link) Send(payloadBytes int, earliest simclock.Time) (depart, arrive simclock.Time) {
 	depart = earliest
 	if l.busyUntil > depart {
 		depart = l.busyUntil

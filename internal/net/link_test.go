@@ -26,7 +26,7 @@ func TestWireBytesSegmentation(t *testing.T) {
 func TestLinkSerialization(t *testing.T) {
 	model := simclock.DefaultCostModel()
 	l := NewLink(model, 0)
-	d1, a1 := l.Send(FrameDelta, 100, 0)
+	d1, a1 := l.Send(100, 0)
 	if d1 != 0 {
 		t.Fatalf("first send departs at %d, want 0", d1)
 	}
@@ -36,7 +36,7 @@ func TestLinkSerialization(t *testing.T) {
 	}
 	// A second send at an earlier "earliest" still serializes behind the
 	// first transmission.
-	d2, _ := l.Send(FrameDelta, 50, 0)
+	d2, _ := l.Send(50, 0)
 	if d2 != simclock.Time(0).Add(simclock.Duration(WireBytes(100))*model.NetWireByte) {
 		t.Fatalf("second send departs at %d, not serialized behind the first", d2)
 	}
@@ -48,14 +48,14 @@ func TestLinkSerialization(t *testing.T) {
 func TestLinkWindowStall(t *testing.T) {
 	model := simclock.DefaultCostModel()
 	l := NewLink(model, 1000)
-	_, a1 := l.Send(FrameDelta, 900, 0)
+	_, a1 := l.Send(900, 0)
 	ack := a1.Add(10 * simclock.Microsecond)
 	l.Ack(ack)
 	if l.InFlight() != 900 {
 		t.Fatalf("in flight %d before the window forces the pop", l.InFlight())
 	}
 	// 900 + 900 > 1000: the second send must stall until the first ack.
-	d2, _ := l.Send(FrameDelta, 900, 0)
+	d2, _ := l.Send(900, 0)
 	if d2 != ack {
 		t.Fatalf("stalled send departs at %d, want the ack time %d", d2, ack)
 	}
@@ -69,8 +69,8 @@ func TestLinkWindowStall(t *testing.T) {
 
 func TestLinkAckFIFO(t *testing.T) {
 	l := NewLink(nil, 0)
-	l.Send(FrameDelta, 10, 0)
-	l.Send(FrameDelta, 10, 0)
+	l.Send(10, 0)
+	l.Send(10, 0)
 	l.Ack(100)
 	l.Ack(200)
 	if l.Stats.Acks != 2 {
@@ -83,14 +83,5 @@ func TestLinkAckFIFO(t *testing.T) {
 	l.Ack(300)
 	if l.Stats.Acks != 2 {
 		t.Fatalf("spurious ack counted")
-	}
-}
-
-func TestFrameTypeString(t *testing.T) {
-	if FrameDelta.String() != "delta" || FrameFullSync.String() != "fullsync" || FrameAck.String() != "ack" {
-		t.Fatalf("frame names: %s %s %s", FrameDelta, FrameFullSync, FrameAck)
-	}
-	if FrameType(9).String() == "" {
-		t.Fatalf("unknown frame type must still print")
 	}
 }

@@ -248,12 +248,8 @@ func (r *Replicator) OnCheckpoint(version uint64, lane *simclock.Lane) {
 	cost += model.NetTxPacket
 	lane.Charge(cost)
 
-	typ := net.FrameDelta
-	if full {
-		typ = net.FrameFullSync
-	}
 	stallsBefore := r.link.Stats.Stalls
-	depart, arrive := r.link.Send(typ, payload, lane.Now())
+	depart, arrive := r.link.Send(payload, lane.Now())
 
 	// Standby apply: the lane rides to the arrival, writes the shipped
 	// pages, sums the records, commits.
