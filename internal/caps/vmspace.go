@@ -31,7 +31,8 @@ type VMSpace struct {
 
 	// PageTable is an opaque slot for the vm package's table structure
 	// (kept here so the object graph mirrors the paper's VM Space, while
-	// avoiding a dependency cycle). Restore clears it.
+	// avoiding a dependency cycle). Restore clears it; Unmap empties it
+	// when it has an InvalidateAll method.
 	PageTable any
 }
 
@@ -63,7 +64,10 @@ func (v *VMSpace) Map(r *VMRegion) error {
 	return nil
 }
 
-// Unmap removes the region starting at vaBase and reports success.
+// Unmap removes the region starting at vaBase and reports success. Like a
+// TLB shootdown, it empties the parked page table, so no cached
+// translation outlives its region: a later access to the range faults, and
+// fails unless a region maps it again.
 func (v *VMSpace) Unmap(vaBase uint64) bool {
 	for i, r := range v.regions {
 		if r.VABase == vaBase {
@@ -73,6 +77,9 @@ func (v *VMSpace) Unmap(vaBase uint64) bool {
 			copy(v.regions[i:], v.regions[i+1:])
 			v.regions[last] = nil
 			v.regions = v.regions[:last]
+			if pt, ok := v.PageTable.(interface{ InvalidateAll() }); ok {
+				pt.InvalidateAll()
+			}
 			v.MarkDirty()
 			return true
 		}

@@ -120,13 +120,3 @@ func measureNetPoint(s Scale, intervalUs int, gated bool, requests int) (NetRow,
 	}
 	return row, nil
 }
-
-// FindNetRow returns the row for (gated, intervalUs), or false.
-func FindNetRow(rows []NetRow, gated bool, intervalUs int) (NetRow, bool) {
-	for _, r := range rows {
-		if r.Gated == gated && r.IntervalUs == intervalUs {
-			return r, true
-		}
-	}
-	return NetRow{}, false
-}

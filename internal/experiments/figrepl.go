@@ -136,13 +136,3 @@ func measureReplPoint(s Scale, intervalUs int, mode repl.Mode, requests int) (Re
 	}
 	return row, nil
 }
-
-// FindReplRow returns the row for (mode, intervalUs), or false.
-func FindReplRow(rows []ReplRow, mode string, intervalUs int) (ReplRow, bool) {
-	for _, r := range rows {
-		if r.Mode == mode && r.IntervalUs == intervalUs {
-			return r, true
-		}
-	}
-	return ReplRow{}, false
-}

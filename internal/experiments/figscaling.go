@@ -110,13 +110,3 @@ func measureScalingPoint(r *rig, cores int, serial bool, s Scale) (ScalingRow, e
 	row.WalkWorkUs = (walkWork / simclock.Duration(row.Rounds)).Micros()
 	return row, nil
 }
-
-// FindScalingRow returns the row for (hybrid, cores, serial), or false.
-func FindScalingRow(rows []ScalingRow, hybrid bool, cores int, serial bool) (ScalingRow, bool) {
-	for _, r := range rows {
-		if r.Hybrid == hybrid && r.Cores == cores && r.Serial == serial {
-			return r, true
-		}
-	}
-	return ScalingRow{}, false
-}

@@ -24,8 +24,8 @@ func TestNetLatencyGate(t *testing.T) {
 	var ungatedP50s []float64
 	var prevGatedP50 float64
 	for _, iv := range intervals {
-		u, ok1 := FindNetRow(rows, false, iv)
-		g, ok2 := FindNetRow(rows, true, iv)
+		u, ok1 := findNetRow(rows, false, iv)
+		g, ok2 := findNetRow(rows, true, iv)
 		if !ok1 || !ok2 {
 			t.Fatalf("missing rows for interval %dµs", iv)
 		}
@@ -77,4 +77,14 @@ func TestNetLatencyGate(t *testing.T) {
 	if hi > 1.1*lo {
 		t.Errorf("ungated p50 varies with the checkpoint interval: %.1f..%.1fµs", lo, hi)
 	}
+}
+
+// findNetRow returns the row for (gated, intervalUs), or false.
+func findNetRow(rows []NetRow, gated bool, intervalUs int) (NetRow, bool) {
+	for _, r := range rows {
+		if r.Gated == gated && r.IntervalUs == intervalUs {
+			return r, true
+		}
+	}
+	return NetRow{}, false
 }

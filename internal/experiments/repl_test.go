@@ -25,8 +25,8 @@ func TestReplLagGate(t *testing.T) {
 	intervals := []int{500, 1000, 2000, 5000}
 	var firstLocalDeltaKB, lastLocalDeltaKB float64
 	for i, iv := range intervals {
-		l, ok1 := FindReplRow(rows, "local", iv)
-		r, ok2 := FindReplRow(rows, "remote", iv)
+		l, ok1 := findReplRow(rows, "local", iv)
+		r, ok2 := findReplRow(rows, "remote", iv)
 		if !ok1 || !ok2 {
 			t.Fatalf("missing rows for interval %dµs", iv)
 		}
@@ -69,4 +69,14 @@ func TestReplLagGate(t *testing.T) {
 		t.Errorf("mean delta did not grow with the interval: %.1fKB at %dµs vs %.1fKB at %dµs",
 			firstLocalDeltaKB, intervals[0], lastLocalDeltaKB, intervals[len(intervals)-1])
 	}
+}
+
+// findReplRow returns the row for (mode, intervalUs), or false.
+func findReplRow(rows []ReplRow, mode string, intervalUs int) (ReplRow, bool) {
+	for _, r := range rows {
+		if r.Mode == mode && r.IntervalUs == intervalUs {
+			return r, true
+		}
+	}
+	return ReplRow{}, false
 }

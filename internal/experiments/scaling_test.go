@@ -21,8 +21,8 @@ func TestWalkScalingGate(t *testing.T) {
 
 	for _, hybrid := range []bool{false, true} {
 		for _, cores := range []int{2, 4, 8} {
-			ser, ok1 := FindScalingRow(rows, hybrid, cores, true)
-			par, ok2 := FindScalingRow(rows, hybrid, cores, false)
+			ser, ok1 := findScalingRow(rows, hybrid, cores, true)
+			par, ok2 := findScalingRow(rows, hybrid, cores, false)
 			if !ok1 || !ok2 {
 				t.Fatalf("missing rows for hybrid=%v %d cores", hybrid, cores)
 			}
@@ -53,8 +53,8 @@ func TestWalkScalingGate(t *testing.T) {
 		}
 		// 1 core: the parallel config falls back to the serial path, so
 		// the two rows must agree exactly.
-		ser1, _ := FindScalingRow(rows, hybrid, 1, true)
-		par1, _ := FindScalingRow(rows, hybrid, 1, false)
+		ser1, _ := findScalingRow(rows, hybrid, 1, true)
+		par1, _ := findScalingRow(rows, hybrid, 1, false)
 		if ser1.STWp50Us != par1.STWp50Us || ser1.CapTreeUs != par1.CapTreeUs {
 			t.Errorf("hybrid=%v 1 core: serial and parallel rows diverge: %+v vs %+v", hybrid, ser1, par1)
 		}
@@ -79,7 +79,7 @@ func BenchmarkCheckpointWalk(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					r, _ := FindScalingRow(rows, false, cores, serial)
+					r, _ := findScalingRow(rows, false, cores, serial)
 					stw += r.STWp50Us
 					capTree += r.CapTreeUs
 					rounds += r.Rounds
@@ -89,4 +89,14 @@ func BenchmarkCheckpointWalk(b *testing.B) {
 			})
 		}
 	}
+}
+
+// findScalingRow returns the row for (hybrid, cores, serial), or false.
+func findScalingRow(rows []ScalingRow, hybrid bool, cores int, serial bool) (ScalingRow, bool) {
+	for _, r := range rows {
+		if r.Hybrid == hybrid && r.Cores == cores && r.Serial == serial {
+			return r, true
+		}
+	}
+	return ScalingRow{}, false
 }

@@ -22,7 +22,7 @@ func TestScrubOverheadGate(t *testing.T) {
 	for _, replicas := range []int{0, 2} {
 		var prev ScrubRow
 		for i, keys := range sizes {
-			r, ok := FindScrubRow(rows, replicas, keys)
+			r, ok := findScrubRow(rows, replicas, keys)
 			if !ok {
 				t.Fatalf("missing row replicas=%d keys=%d", replicas, keys)
 			}
@@ -50,4 +50,14 @@ func TestScrubOverheadGate(t *testing.T) {
 			prev = r
 		}
 	}
+}
+
+// findScrubRow returns the row for (replicas, keys), or false.
+func findScrubRow(rows []ScrubRow, replicas, keys int) (ScrubRow, bool) {
+	for _, r := range rows {
+		if r.Replicas == replicas && r.Keys == keys {
+			return r, true
+		}
+	}
+	return ScrubRow{}, false
 }

@@ -101,13 +101,3 @@ func ScrubOverhead(s Scale) ([]ScrubRow, string, error) {
 	}
 	return rows, "Scrub overhead vs resident state (extension; §8 'Data Reliability')\n" + table(header, cells), nil
 }
-
-// FindScrubRow returns the row for (replicas, keys), or false.
-func FindScrubRow(rows []ScrubRow, replicas, keys int) (ScrubRow, bool) {
-	for _, r := range rows {
-		if r.Replicas == replicas && r.Keys == keys {
-			return r, true
-		}
-	}
-	return ScrubRow{}, false
-}

@@ -125,16 +125,6 @@ const (
 	RecordSize = recordSize
 )
 
-// DecodeRecord parses a serialized record body (the bytes at RecordOffset of
-// the journal frame), reporting whether its checksum held. Exported for
-// inspection tooling and the journal-replay fuzzer's oracle.
-func DecodeRecord(b []byte) (Record, bool) {
-	if len(b) < recordSize {
-		return Record{}, false
-	}
-	return decode(b[:recordSize])
-}
-
 // Journal is a single-writer redo/undo journal on NVM. TreeSLS's kernel runs
 // allocator operations under the kernel lock, so at most one record is in
 // flight at a time; the journal enforces that invariant.

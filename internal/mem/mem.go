@@ -84,11 +84,29 @@ var zeroFrame [PageSize]byte
 // onZeroFrame reports whether frame bytes b are the shared zero frame.
 func onZeroFrame(b []byte) bool { return &b[0] == &zeroFrame[0] }
 
+// OwnFrame reports whether b, frame bytes that Data returned, are the
+// frame's own bytes rather than the shared zero frame. Own bytes never move
+// (see frameChunk), so a caller may keep them and read the page through
+// ReadFrame later; the zero frame it must not keep, because the page's
+// first store, by whatever path, moves the page off it.
+func OwnFrame(b []byte) bool { return !onZeroFrame(b) }
+
 // frameChunk holds chunkFrames consecutive frames: each frame's backing
 // bytes (nil until the frame is first touched, zeroFrame until its first
 // store) and its host-only change-tracking metadata. The two live in
 // separate arrays so that a read touches only the slice headers, as it
 // would without the metadata.
+//
+// The frame invariant: once a store has given a frame bytes of its own,
+// those bytes stay the frame's bytes, at the same address, for the life of
+// the Memory. Only two places assign b[i]: Device.slot (nil to the zero
+// frame, at first touch) and Device.write (the zero frame to own bytes, at
+// the first store). Zeroing, Crash's DRAM wipe and ADR or media damage
+// change own bytes in place, and a chunk, once made, is never replaced.
+// The vm package's software TLB caches own bytes on this promise; a change
+// that replaces a frame's bytes (say, chunks copied on write for a
+// forkable machine) must invalidate such caches. TestOwnFrameNeverMoves
+// pins the invariant.
 type frameChunk struct {
 	b    [chunkFrames][]byte
 	meta [chunkFrames]frameMeta
@@ -428,7 +446,15 @@ func (m *Memory) WriteAt(p PageID, off int, data []byte) simclock.Duration {
 // ReadAt reads len(buf) bytes from page p at offset off and returns the
 // simulated cost.
 func (m *Memory) ReadAt(p PageID, off int, buf []byte) simclock.Duration {
-	d := m.Data(p)
+	return m.ReadFrame(p, m.Data(p), off, buf)
+}
+
+// ReadFrame reads len(buf) bytes at offset off of d, which must be page
+// p's bytes as Data(p) returns them, and returns the simulated cost, the
+// same as ReadAt's: ReadAt is ReadFrame applied to Data(p). A caller that
+// kept a page's own bytes (see OwnFrame) reads them here without resolving
+// p again.
+func (m *Memory) ReadFrame(p PageID, d []byte, off int, buf []byte) simclock.Duration {
 	if off < 0 || off+len(buf) > PageSize {
 		panic(fmt.Sprintf("mem: ReadAt out of page bounds: off=%d len=%d", off, len(buf)))
 	}

@@ -235,3 +235,86 @@ func TestTouchedFramesAreVisited(t *testing.T) {
 		t.Errorf("touched DRAM frames %v, want %v", dram, want)
 	}
 }
+
+// TestOwnFrameNeverMoves pins the frame invariant (see frameChunk) that the
+// vm package's software TLB keeps frame bytes on: once a store gives a page
+// bytes of its own, Data returns those same bytes, at the same address, and
+// a read through the kept bytes with ReadFrame returns and charges what
+// ReadAt does, across every path that changes a frame: ZeroPage, CopyPage,
+// WriteAt, WriteRaw, PersistAtomic, media damage, a DRAM frame freed and
+// allocated again, and Crash with its DRAM wipe and ADR damage.
+func TestOwnFrameNeverMoves(t *testing.T) {
+	for _, mode := range []PersistMode{ModeEADR, ModeADR} {
+		t.Run(mode.String(), func(t *testing.T) {
+			m := newModeMemory(mode)
+			src := nvmPage(20)
+			m.WriteAt(src, 0, bytes.Repeat([]byte{0x5A}, PageSize))
+			pages := []PageID{nvmPage(3), m.AllocDRAM()}
+			kept := make([][]byte, len(pages))
+			for i, p := range pages {
+				if OwnFrame(m.Data(p)) {
+					t.Fatalf("%v owns bytes before its first store", p)
+				}
+				m.WriteAt(p, 8, []byte("first store"))
+				if kept[i] = m.Data(p); !OwnFrame(kept[i]) {
+					t.Fatalf("%v still on the zero frame after its first store", p)
+				}
+			}
+			check := func(step string) {
+				t.Helper()
+				for i, p := range pages {
+					d := m.Data(p)
+					if &d[0] != &kept[i][0] || len(d) != PageSize || !OwnFrame(d) {
+						t.Fatalf("%s: %v moved off the bytes its first store gave it", step, p)
+					}
+					for _, off := range []int{0, 8, 100, PageSize - 8} {
+						var viaKept, viaPage [8]byte
+						c1 := m.ReadFrame(p, kept[i], off, viaKept[:])
+						c2 := m.ReadAt(p, off, viaPage[:])
+						if viaKept != viaPage || c1 != c2 {
+							t.Fatalf("%s: %v at %d: kept bytes read %x for %d, ReadAt %x for %d", step, p, off, viaKept, c1, viaPage, c2)
+						}
+					}
+				}
+			}
+			check("first store")
+			for _, p := range pages {
+				m.ZeroPage(p)
+			}
+			check("ZeroPage")
+			for _, p := range pages {
+				m.CopyPage(p, src)
+			}
+			check("CopyPage")
+			for _, p := range pages {
+				m.WriteAt(p, 100, []byte("WriteAt"))
+				m.WriteRaw(p, 200, []byte("WriteRaw"))
+				m.PersistAtomic(p, 0, []byte("atomic!!"))
+			}
+			check("WriteAt, WriteRaw and PersistAtomic")
+			m.InjectRot(pages[0], 64, 128, 5)
+			m.InjectPoison(pages[0], 512, 1, 6)
+			check("media damage")
+
+			m.FreeDRAM(pages[1])
+			if p := m.AllocDRAM(); p != pages[1] {
+				t.Fatalf("AllocDRAM after FreeDRAM(%v) returned %v", pages[1], p)
+			}
+			check("DRAM free and reallocation")
+
+			// Unflushed stores at the crash: under ADR their lines are
+			// dropped or torn in place.
+			for _, p := range pages {
+				m.WriteAt(p, 0, bytes.Repeat([]byte{0xC3}, PageSize))
+			}
+			m.Crash()
+			if mode == ModeADR && m.Stats.CrashLinesDropped+m.Stats.CrashLinesTorn == 0 {
+				t.Fatal("Crash under ADR damaged no line")
+			}
+			check("Crash")
+			if d := m.Data(pages[1]); !bytes.Equal(d, zeroFrame[:]) {
+				t.Fatalf("%v survived the DRAM wipe", pages[1])
+			}
+		})
+	}
+}

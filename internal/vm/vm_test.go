@@ -162,17 +162,6 @@ func TestU64Helpers(t *testing.T) {
 	}
 }
 
-func TestOfAccessor(t *testing.T) {
-	as, _, _, _ := newTestAS(4)
-	if Of(as.Space) != as {
-		t.Error("Of did not find parked address space")
-	}
-	var empty caps.VMSpace
-	if Of(&empty) != nil {
-		t.Error("Of on fresh space should be nil")
-	}
-}
-
 func TestFaultCostsCharged(t *testing.T) {
 	as, _, lane, pmo := newTestAS(4)
 	model := simclock.DefaultCostModel()
