@@ -14,10 +14,11 @@ import (
 
 // crashRestoreAllocBudget bounds the heap bytes one warm crash-and-restore
 // cycle of crashRestoreRig allocates. Reviving each object into its crashed
-// runtime object keeps a cycle near 3.5 KiB and 68 allocations, most of
-// them the kernel's rebuilt processes, address spaces and scheduler;
+// runtime object, and handing each process its crashed address space back
+// with the table storage kept, keeps a cycle near 2.4 KiB and 55
+// allocations, most of them the kernel's rebuilt processes and scheduler;
 // building every object, page slot and runtime radix anew took about
-// 85 KiB.
+// 85 KiB, and new address spaces at every restore about 5 KiB.
 const crashRestoreAllocBudget = 8 << 10
 
 // crashRestoreRig is a machine shaped like the kv-gated benchmark's, at a
