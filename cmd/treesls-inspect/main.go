@@ -108,7 +108,7 @@ func run(args []string, stdout io.Writer) error {
 		m.Ckpt.Stats.BackupPages, m.Ckpt.Stats.BackupBytes)
 	fmt.Fprintf(stdout, "  DRAM cache  %d hot pages, active list %d\n",
 		m.Ckpt.CachedPages(), m.Ckpt.ActiveListLen())
-	if sw := m.SwapStats(); sw.Evicted > 0 {
+	if sw := m.Ckpt.SwapStats(); sw.Evicted > 0 {
 		fmt.Fprintf(stdout, "  swap        %d evicted, %d swapped in, %d slots live\n",
 			sw.Evicted, sw.SwappedIn, sw.SlotsInUse)
 	}

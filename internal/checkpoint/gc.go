@@ -65,9 +65,7 @@ func (m *Manager) sweepUnreachable(lane *simclock.Lane, stamp uint64) {
 					m.freeBackup(lane, p)
 					m.freedThisRound[p.Frame] = true
 				}
-				if cp.Swap != 0 && m.cfg.ReleaseSwapSlot != nil {
-					m.cfg.ReleaseSwapSlot(cp.Swap - 1)
-				}
+				m.releaseSwapSlot(cp)
 				return true
 			})
 		}

@@ -154,7 +154,7 @@ func TestObjectRecordRoundTrip(t *testing.T) {
 	h.writePage(t, pmo, 0, []byte("zero"))
 	h.writePage(t, pmo, 2, []byte("two"))
 	h.checkpoint()
-	img := FullCapture(h.mgr, nil)
+	img := FullCapture(h.mgr)
 	decoded := 0
 	for k, rec := range img.Entries {
 		if k.Kind != ReplObject {

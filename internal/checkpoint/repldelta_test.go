@@ -118,7 +118,7 @@ func runReplDeltaSchedule(t *testing.T, cfg kernel.Config, seed uint64) int {
 		if e.Version != m.Ckpt.CommittedVersion() {
 			t.Fatalf("%s: newest ledger entry is v%d, committed v%d", what, e.Version, m.Ckpt.CommittedVersion())
 		}
-		cur := checkpoint.FullCapture(m.Ckpt, m.SwapReadSlot)
+		cur := checkpoint.FullCapture(m.Ckpt)
 		base := prev
 		if e.Full {
 			base = nil
@@ -153,7 +153,7 @@ func runReplDeltaSchedule(t *testing.T, cfg kernel.Config, seed uint64) int {
 			}
 		}
 		if e.Version%2 == 0 {
-			d := m.Ckpt.CaptureReplDelta(every, false, m.SwapReadSlot)
+			d := m.Ckpt.CaptureReplDelta(every, false)
 			if want := checkpoint.EncodeDelta(checkpoint.DiffImages(prevEvery, cur)); !bytes.Equal(checkpoint.EncodeDelta(d), want) {
 				t.Fatalf("%s (v%d): the every-other-round image's delta differs from the reference diff", what, e.Version)
 			}

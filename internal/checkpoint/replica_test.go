@@ -13,9 +13,9 @@ import (
 
 // FullCapture serializes the whole backup tree at the current committed
 // version: the in-place capture run against an empty image.
-func FullCapture(m *Manager, swapRead func(slot uint64) []byte) *ReplImage {
+func FullCapture(m *Manager) *ReplImage {
 	img := &ReplImage{}
-	m.CaptureReplDelta(img, true, swapRead)
+	m.CaptureReplDelta(img, true)
 	return img
 }
 
@@ -137,7 +137,7 @@ func TestCaptureDiffFoldRoundTrip(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
 	pmo := buildReplicaWorld(t, h)
 	h.checkpoint()
-	img1 := FullCapture(h.mgr, nil)
+	img1 := FullCapture(h.mgr)
 	if img1.Version != 1 || img1.RootID == 0 || len(img1.Entries) == 0 {
 		t.Fatalf("capture: v%d root %d, %d entries", img1.Version, img1.RootID, len(img1.Entries))
 	}
@@ -145,7 +145,7 @@ func TestCaptureDiffFoldRoundTrip(t *testing.T) {
 	h.writePage(t, pmo, 0, []byte("changed"))
 	h.writePage(t, pmo, 5, []byte("new page"))
 	h.checkpoint()
-	img2 := FullCapture(h.mgr, nil)
+	img2 := FullCapture(h.mgr)
 
 	full := DiffImages(nil, img2)
 	if !full.Full || len(full.Dels) != 0 || len(full.Puts) != len(img2.Entries) {
@@ -171,13 +171,13 @@ func TestDiffTombstones(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
 	pmo := buildReplicaWorld(t, h)
 	h.checkpoint()
-	img1 := FullCapture(h.mgr, nil)
+	img1 := FullCapture(h.mgr)
 	// Dropping a page makes its content key vanish from the next image.
 	if s := pmo.RemovePage(2); s != nil {
 		h.mgr.DeferFreePage(s.Page)
 	}
 	h.checkpoint()
-	img2 := FullCapture(h.mgr, nil)
+	img2 := FullCapture(h.mgr)
 	inc := DiffImages(img1, img2)
 	if len(inc.Dels) == 0 {
 		t.Fatalf("removed page produced no tombstones")
@@ -201,14 +201,14 @@ func TestInstallImageGuards(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
 	buildReplicaWorld(t, h)
 	h.checkpoint()
-	img := FullCapture(h.mgr, nil)
+	img := FullCapture(h.mgr)
 	// Non-fresh manager: the primary itself refuses an install.
-	if err := h.mgr.InstallImage(h.lane(), img, nil); err == nil {
+	if err := h.mgr.InstallImage(h.lane(), img); err == nil {
 		t.Fatalf("InstallImage on a non-fresh manager must fail")
 	}
 	// Empty image.
 	h2 := newHarness(t, DefaultConfig(), 1)
-	if err := h2.mgr.InstallImage(h2.lane(), &ReplImage{}, nil); err == nil {
+	if err := h2.mgr.InstallImage(h2.lane(), &ReplImage{}); err == nil {
 		t.Fatalf("InstallImage with an empty image must fail")
 	}
 	// Dangling object reference: drop every non-root object record.
@@ -219,7 +219,7 @@ func TestInstallImageGuards(t *testing.T) {
 			delete(bad.Entries, k)
 		}
 	}
-	if err := h3.mgr.InstallImage(h3.lane(), bad, nil); err == nil {
+	if err := h3.mgr.InstallImage(h3.lane(), bad); err == nil {
 		t.Fatalf("InstallImage with dangling references must fail")
 	}
 	// Missing page content.
@@ -230,7 +230,7 @@ func TestInstallImageGuards(t *testing.T) {
 			delete(bad2.Entries, k)
 		}
 	}
-	if err := h4.mgr.InstallImage(h4.lane(), bad2, nil); err == nil {
+	if err := h4.mgr.InstallImage(h4.lane(), bad2); err == nil {
 		t.Fatalf("InstallImage with missing page content must fail")
 	}
 }
@@ -239,17 +239,17 @@ func TestInstallImageRoundTrip(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
 	buildReplicaWorld(t, h)
 	h.checkpoint()
-	img := FullCapture(h.mgr, nil)
+	img := FullCapture(h.mgr)
 
 	h2 := newHarness(t, DefaultConfig(), 1)
-	if err := h2.mgr.InstallImage(h2.lane(), img, nil); err != nil {
+	if err := h2.mgr.InstallImage(h2.lane(), img); err != nil {
 		t.Fatalf("install: %v", err)
 	}
 	if h2.mgr.CommittedVersion() != img.Version {
 		t.Fatalf("installed manager committed v%d, want v%d", h2.mgr.CommittedVersion(), img.Version)
 	}
 	// The installed backup tree captures back to the identical image.
-	img2 := FullCapture(h2.mgr, nil)
+	img2 := FullCapture(h2.mgr)
 	if !reflect.DeepEqual(img.Entries, img2.Entries) {
 		t.Fatalf("capture(install(img)) != img (%d vs %d entries)", len(img.Entries), len(img2.Entries))
 	}

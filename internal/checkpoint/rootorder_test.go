@@ -132,10 +132,10 @@ func TestRootOrderAfterInstallImage(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
 	buildReplicaWorld(t, h)
 	h.checkpoint()
-	img := FullCapture(h.mgr, nil)
+	img := FullCapture(h.mgr)
 
 	h2 := newHarness(t, DefaultConfig(), 1)
-	if err := h2.mgr.InstallImage(h2.lane(), img, nil); err != nil {
+	if err := h2.mgr.InstallImage(h2.lane(), img); err != nil {
 		t.Fatalf("install: %v", err)
 	}
 	checkRootOrder(t, h2.mgr, "after InstallImage")

@@ -125,7 +125,7 @@ func NewDriver(m *kernel.Machine, capacity uint64) (*Driver, error) {
 	lane := &m.Cores[0].Lane
 	// Pre-fault every ring page.
 	for i := uint64(0); i < pages; i++ {
-		if _, err := m.MaterializePage(lane, pmo, i); err != nil {
+		if _, err := m.Ckpt.MaterializePage(lane, pmo, i); err != nil {
 			return nil, fmt.Errorf("extsync: materializing ring page %d: %w", i, err)
 		}
 	}

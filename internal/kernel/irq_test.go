@@ -94,7 +94,7 @@ func TestAutoEviction(t *testing.T) {
 		}
 	}
 	m.TakeCheckpoint()
-	if m.SwapStats().Evicted == 0 {
+	if m.Ckpt.SwapStats().Evicted == 0 {
 		t.Fatal("pressure never triggered eviction")
 	}
 	// Every page is still readable (possibly via swap-in).

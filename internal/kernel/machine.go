@@ -114,9 +114,6 @@ type Machine struct {
 	// by name (not pointers) so registrations remain valid across
 	// restore, like a service re-binding its endpoint at reboot.
 	services map[string]ServiceHandler
-	// swap is the lazily-created secondary-storage backend (§8 memory
-	// over-commitment). Like NVM, it survives Crash().
-	swap *swapState
 	// threadAvail enforces per-thread program order: a thread's next
 	// operation cannot begin before its previous one completed, even when
 	// an idle core lane lags behind.
@@ -185,14 +182,7 @@ func New(cfg Config) *Machine {
 		services:    make(map[string]ServiceHandler),
 		threadAvail: make(map[*caps.Thread]simclock.Time),
 	}
-	ckptCfg := cfg.Checkpoint
-	ckptCfg.ReleaseSwapSlot = func(slot uint64) {
-		if m.swap != nil {
-			delete(m.swap.data, slot)
-			m.swap.free = append(m.swap.free, slot)
-		}
-	}
-	m.Ckpt = checkpoint.New(ckptCfg, memory, al, tree)
+	m.Ckpt = checkpoint.New(cfg.Checkpoint, memory, al, tree)
 	for i := 0; i < cfg.Cores; i++ {
 		c := &Core{ID: i}
 		c.Lane.SetID(i)
@@ -551,24 +541,13 @@ func (m *Machine) procByThread(t *caps.Thread) *Process {
 	return nil
 }
 
-// ---- vm.FaultOps implementation --------------------------------------------
-
-// MaterializePage services a first-touch fault: it allocates an NVM page,
-// zeroes it (a recycled frame may hold a previous owner's bytes), and
-// installs it into the PMO.
-func (m *Machine) MaterializePage(lane *simclock.Lane, pmo *caps.PMO, idx uint64) (*caps.PageSlot, error) {
-	p, err := m.Alloc.AllocPage(lane)
-	if err != nil {
-		return nil, err
+// EvictColdPages evicts up to max cold pages to the swap device on the
+// last core, the "kswapd" core (see checkpoint.Manager.EvictColdPages).
+func (m *Machine) EvictColdPages(max int) (int, error) {
+	if m.crashed {
+		return 0, fmt.Errorf("kernel: EvictColdPages on crashed machine")
 	}
-	m.Memory.ZeroPage(p)
-	lane.Charge(m.Model.NVMWritePage)
-	return pmo.InstallPage(idx, p), nil
-}
-
-// HandleWriteFault services a copy-on-write fault via the checkpoint manager.
-func (m *Machine) HandleWriteFault(lane *simclock.Lane, pmo *caps.PMO, idx uint64, s *caps.PageSlot) error {
-	return m.Ckpt.HandleWriteFault(lane, pmo, idx, s)
+	return m.Ckpt.EvictColdPages(&m.Cores[len(m.Cores)-1].Lane, max)
 }
 
 // ---- Power failure and recovery --------------------------------------------
@@ -680,7 +659,7 @@ func (m *Machine) rebuildProcesses() {
 			as = cp.AS
 			as.Reset()
 		} else {
-			as = vm.NewAddressSpace(vs, m.Memory, m)
+			as = vm.NewAddressSpace(vs, m.Memory, m.Ckpt)
 		}
 		p := &Process{
 			M:     m,

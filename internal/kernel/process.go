@@ -46,7 +46,7 @@ func (m *Machine) NewProcess(name string, nThreads int) (*Process, error) {
 	g := m.Tree.NewCapGroup(m.Tree.Root, name)
 	vs := m.Tree.NewVMSpace(g)
 	p := &Process{M: m, Name: name, Group: g, VMS: vs, nextVA: userVABase}
-	p.AS = vm.NewAddressSpace(vs, m.Memory, m)
+	p.AS = vm.NewAddressSpace(vs, m.Memory, m.Ckpt)
 
 	// Code and data images.
 	if _, _, err := p.Mmap(4, caps.PMODefault); err != nil {

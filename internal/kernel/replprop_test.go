@@ -103,7 +103,7 @@ func runReplDeltaFoldProperty(t *testing.T, adr bool, seed uint64) {
 		}
 		sb := kernel.NewStandby(m.Config())
 		lane := &sb.Cores[0].Lane
-		if err := sb.Ckpt.InstallImage(lane, img, sb.SwapWriteSlot); err != nil {
+		if err := sb.Ckpt.InstallImage(lane, img); err != nil {
 			t.Fatalf("v%d: install: %v", target.Version, err)
 		}
 		sb.Crash()

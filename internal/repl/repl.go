@@ -230,7 +230,7 @@ func (r *Replicator) OnCheckpoint(version uint64, lane *simclock.Lane) {
 	if r.image == nil {
 		r.image = &checkpoint.ReplImage{}
 	}
-	delta := r.primary.Ckpt.CaptureReplDelta(r.image, full, r.primary.SwapReadSlot)
+	delta := r.primary.Ckpt.CaptureReplDelta(r.image, full)
 	payload := delta.PayloadBytes()
 
 	// Extraction cost on the primary: reading each shipped page out of
@@ -475,7 +475,7 @@ func (r *Replicator) FailoverAt(t simclock.Time) (*Failover, error) {
 	if t > lane.Now() {
 		lane.AdvanceTo(t)
 	}
-	if err := sb.Ckpt.InstallImage(lane, img, sb.SwapWriteSlot); err != nil {
+	if err := sb.Ckpt.InstallImage(lane, img); err != nil {
 		return nil, fmt.Errorf("repl: installing image at v%d: %w", target, err)
 	}
 	// Promote through the ordinary power-fail path: everything volatile

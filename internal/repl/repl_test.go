@@ -84,7 +84,7 @@ func (w *world) round(t testing.TB, rng *rand.Rand, writes int) {
 // capture run against an empty image.
 func capture(m *kernel.Machine) *checkpoint.ReplImage {
 	img := &checkpoint.ReplImage{}
-	m.Ckpt.CaptureReplDelta(img, true, m.SwapReadSlot)
+	m.Ckpt.CaptureReplDelta(img, true)
 	return img
 }
 

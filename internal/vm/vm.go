@@ -15,8 +15,8 @@ import (
 	"treesls/internal/simclock"
 )
 
-// FaultOps is implemented by the kernel/checkpoint manager to service the
-// two kinds of page fault the VM layer raises.
+// FaultOps is implemented by the checkpoint manager to service the three
+// kinds of page fault the VM layer raises.
 type FaultOps interface {
 	// MaterializePage provides a fresh zero page for PMO index idx (a
 	// first-touch fault on an unbacked page). The implementation
@@ -26,12 +26,9 @@ type FaultOps interface {
 	// the checkpoint manager duplicates the page into the backup tree
 	// (copy-on-write) and re-enables writing.
 	HandleWriteFault(lane *simclock.Lane, pmo *caps.PMO, idx uint64, s *caps.PageSlot) error
-}
-
-// SwapOps is optionally implemented by a FaultOps when the machine supports
-// memory over-commitment (§8): SwapIn brings an evicted page's content back
-// from secondary storage and re-backs the slot with a physical page.
-type SwapOps interface {
+	// SwapIn runs when an access hits a page evicted to secondary
+	// storage (§8 memory over-commitment): it brings the content back
+	// and re-backs the slot with a physical page.
 	SwapIn(lane *simclock.Lane, pmo *caps.PMO, idx uint64, s *caps.PageSlot) error
 }
 
@@ -210,16 +207,12 @@ func (as *AddressSpace) translate(lane *simclock.Lane, va uint64, forWrite bool)
 		// Major fault: the page was evicted to secondary storage.
 		lane.Charge(as.model.PageFaultTrap)
 		as.Stats.SwapFaults++
-		so, ok := as.ops.(SwapOps)
-		if !ok {
-			return nil, fmt.Errorf("vm: page %#x swapped out but the kernel has no swap support", va)
-		}
 		r := as.Space.FindRegion(va)
 		if r == nil {
 			return nil, fmt.Errorf("vm: segfault at %#x (region vanished)", va)
 		}
 		idx := r.PMOOffset + (vpn - r.VABase/mem.PageSize)
-		if err := so.SwapIn(lane, r.PMO, idx, slot); err != nil {
+		if err := as.ops.SwapIn(lane, r.PMO, idx, slot); err != nil {
 			return nil, err
 		}
 		if slot.SwappedOut || slot.Page.IsNil() {

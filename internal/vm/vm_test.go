@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"treesls/internal/caps"
@@ -28,6 +29,10 @@ func (o *testOps) HandleWriteFault(lane *simclock.Lane, pmo *caps.PMO, idx uint6
 	o.cowHandled++
 	s.Writable = true
 	return nil
+}
+
+func (o *testOps) SwapIn(lane *simclock.Lane, pmo *caps.PMO, idx uint64, s *caps.PageSlot) error {
+	return errors.New("testOps: no swap device")
 }
 
 func newTestAS(pages uint64) (*AddressSpace, *testOps, *simclock.Lane, *caps.PMO) {

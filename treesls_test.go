@@ -161,7 +161,7 @@ func TestPublicAPIOverCommit(t *testing.T) {
 			t.Errorf("page %d = %q", i, buf)
 		}
 	}
-	if m.SwapStats().SwappedIn == 0 {
+	if m.Ckpt.SwapStats().SwappedIn == 0 {
 		t.Error("no swap-ins recorded")
 	}
 }
