@@ -167,6 +167,33 @@ type ORoot struct {
 	// extension (§8): version -> snapshot, managed by the checkpoint
 	// manager when eidetic mode is on.
 	History []HistoricSnapshot
+
+	// Digest caches obs/audit's hash of the committed snapshot record the
+	// backup digests last folded for this root. It is host-only: nothing
+	// the checkpoint manager decides reads it.
+	Digest RecordDigest
+}
+
+// RecordDigest caches one hash of a snapshot record, keyed by the snapshot
+// and its version, the way mem caches a page's hash per write generation.
+// The key is exact: the checkpoint manager rewrites a snapshot struct in
+// place only under a new version, and a version number re-run after a
+// crash scrubbed it snapshots into a fresh struct, which cannot take the
+// address of the struct the cache still holds. Its zero value is empty.
+type RecordDigest struct {
+	snap Snapshot
+	ver  uint64
+	sum  uint64
+}
+
+// Of returns the hash of snap at version ver: the cached one when the
+// cache holds that very snapshot at that version, else hash(snap), which
+// it then keeps.
+func (c *RecordDigest) Of(snap Snapshot, ver uint64, hash func(Snapshot) uint64) uint64 {
+	if c.snap != snap || c.ver != ver {
+		c.snap, c.ver, c.sum = snap, ver, hash(snap)
+	}
+	return c.sum
 }
 
 // HistoricSnapshot is one retained (version, snapshot) pair in eidetic mode.

@@ -19,10 +19,16 @@
 //
 // Digests are 64-bit FNV-1a over a canonical byte encoding; identical seeds
 // must produce identical digests (the determinism regression test relies on
-// byte-for-byte stability). The encoding is two-level: a content page enters
-// as its own 64-bit FNV-1a hash (mem.PageHash), cached per frame until the
-// frame is next written, so a digest re-reads only the pages written since
-// the last one.
+// byte-for-byte stability). The encoding is two-level. A content page enters
+// as its own 64-bit hash (mem.PageHash, CRC-32C and CRC-32 of its bytes),
+// which mem caches per frame until the frame is next written. Every non-PMO
+// object enters as its kind, its ID and one word, the FNV-1a of its own
+// fields (its record hash); a PMO folds its type, size and page entries
+// inline. The backup digests keep each root's record hash on its ORoot,
+// keyed by the committed snapshot and its version, so a digest re-reads
+// only the pages and records written since the last one. The runtime
+// digest hashes every record afresh, since the dirty bits a cache would
+// have to trust are themselves under audit.
 package audit
 
 import (
@@ -40,7 +46,7 @@ import (
 // distinct states collide by concatenation ambiguity.
 type digest struct{ h uint64 }
 
-func newDigest() *digest { return &digest{h: mem.FNVOffset} }
+func newDigest() digest { return digest{h: mem.FNVOffset} }
 
 func (d *digest) byte(b byte) { d.h = (d.h ^ uint64(b)) * mem.FNVPrime }
 
@@ -67,9 +73,12 @@ const (
 )
 
 // StateDigest hashes the logical state reachable from the runtime capability
-// tree. Page content enters as its cached FNV-1a hash (mem.PageHash), which
-// is recomputed from the bytes only after the page was written and is free
-// in simulated time — auditing never perturbs lane clocks.
+// tree. Page content enters as its cached hash (mem.PageHash), which is
+// recomputed from the bytes only after the page was written, and every other
+// object as its record hash (objectHash), computed afresh: dirty bits are
+// part of what the auditor checks, so no cache keyed by them may feed this
+// digest. Digesting is free in simulated time — auditing never perturbs
+// lane clocks.
 func StateDigest(tree *caps.Tree, memory *mem.Memory) uint64 {
 	return stateDigest(tree, memory, nil)
 }
@@ -82,78 +91,95 @@ func stateDigest(tree *caps.Tree, memory *mem.Memory, page func(pmo *caps.PMO, i
 	tree.Walk(func(o caps.Object) {
 		d.byte(byte(o.Kind()))
 		d.u64(o.ID())
-		switch v := o.(type) {
-		case *caps.CapGroup:
-			d.str(v.Name)
-			d.u64(uint64(v.NumSlots()))
-			for i := 0; i < v.NumSlots(); i++ {
-				c := v.Cap(i)
-				if c.Obj == nil {
-					d.u64(0)
-					continue
-				}
-				d.u64(c.Obj.ID())
-				d.byte(byte(c.Rights))
-			}
-		case *caps.Thread:
-			d.u64(v.Ctx.PC)
-			d.u64(v.Ctx.SP)
-			for _, r := range v.Ctx.R {
-				d.u64(r)
-			}
-			d.u64(uint64(int64(v.Sched.Priority)))
-			d.u64(uint64(int64(v.Sched.Affinity)))
-			d.u64(uint64(v.Sched.TimeSlice))
-			// Running is a scheduling instant, not logical state: a
-			// restore revives running threads as runnable.
-			st := v.State
-			if st == caps.ThreadRunning {
-				st = caps.ThreadRunnable
-			}
-			d.byte(byte(st))
-		case *caps.VMSpace:
-			d.u64(uint64(v.NumRegions()))
-			v.ForEachRegion(func(r *caps.VMRegion) {
-				d.u64(r.VABase)
-				d.u64(r.NumPages)
-				d.u64(r.PMO.ID())
-				d.u64(r.PMOOffset)
-				d.byte(byte(r.Perm))
-			})
-		case *caps.PMO:
-			d.byte(byte(v.Type))
-			d.u64(v.SizePages)
-			v.ForEachPage(func(idx uint64, s *caps.PageSlot) bool {
-				d.u64(idx)
-				switch {
-				case s.SwappedOut:
-					d.byte(markSwapped)
-				case s.Page.IsNil():
-					d.byte(markNil)
-				default:
-					d.byte(markContent)
-					d.u64(memory.PageHash(s.Page))
-				}
-				if page != nil {
-					page(v, idx, s)
-				}
-				return true
-			})
-		case *caps.IPCConn:
-			d.u64(objID(v.Client))
-			d.u64(objID(v.Server))
-			d.bytes(v.Buf)
-			d.u64(v.Seq)
-		case *caps.Notification:
-			d.u64(uint64(int64(v.Count)))
-			d.u64(uint64(v.NumWaiters()))
-		case *caps.IRQNotification:
-			d.u64(uint64(int64(v.Line)))
-			d.u64(uint64(v.Pending))
-			d.u64(objID(v.Handler))
+		v, ok := o.(*caps.PMO)
+		if !ok {
+			d.u64(objectHash(o))
+			return
 		}
+		d.byte(byte(v.Type))
+		d.u64(v.SizePages)
+		v.ForEachPage(func(idx uint64, s *caps.PageSlot) bool {
+			d.u64(idx)
+			switch {
+			case s.SwappedOut:
+				d.byte(markSwapped)
+			case s.Page.IsNil():
+				d.byte(markNil)
+			default:
+				d.byte(markContent)
+				d.u64(memory.PageHash(s.Page))
+			}
+			if page != nil {
+				page(v, idx, s)
+			}
+			return true
+		})
 	})
 	return d.h
+}
+
+// objectHash is the record hash of a runtime non-PMO object: the FNV-1a of
+// its own logical fields. It folds the same words as recordHash of a
+// snapshot of the object, so a runtime record and its backup record hash
+// alike.
+func objectHash(o caps.Object) uint64 {
+	d := newDigest()
+	switch v := o.(type) {
+	case *caps.CapGroup:
+		d.str(v.Name)
+		d.u64(uint64(v.NumSlots()))
+		for i := 0; i < v.NumSlots(); i++ {
+			c := v.Cap(i)
+			if c.Obj == nil {
+				d.u64(0)
+				continue
+			}
+			d.u64(c.Obj.ID())
+			d.byte(byte(c.Rights))
+		}
+	case *caps.Thread:
+		d.context(&v.Ctx, v.Sched, v.State)
+	case *caps.VMSpace:
+		d.u64(uint64(v.NumRegions()))
+		v.ForEachRegion(func(r *caps.VMRegion) {
+			d.u64(r.VABase)
+			d.u64(r.NumPages)
+			d.u64(r.PMO.ID())
+			d.u64(r.PMOOffset)
+			d.byte(byte(r.Perm))
+		})
+	case *caps.IPCConn:
+		d.u64(objID(v.Client))
+		d.u64(objID(v.Server))
+		d.bytes(v.Buf)
+		d.u64(v.Seq)
+	case *caps.Notification:
+		d.u64(uint64(int64(v.Count)))
+		d.u64(uint64(v.NumWaiters()))
+	case *caps.IRQNotification:
+		d.u64(uint64(int64(v.Line)))
+		d.u64(uint64(v.Pending))
+		d.u64(objID(v.Handler))
+	}
+	return d.h
+}
+
+// context folds a thread's registers, scheduling parameters and state.
+// Running is a scheduling instant, not logical state: a restore revives
+// running threads as runnable.
+func (d *digest) context(ctx *caps.Context, sched caps.SchedContext, st caps.ThreadState) {
+	d.u64(ctx.PC)
+	d.u64(ctx.SP)
+	for _, r := range ctx.R {
+		d.u64(r)
+	}
+	d.u64(uint64(int64(sched.Priority)))
+	d.u64(uint64(int64(sched.Affinity)))
+	d.u64(uint64(sched.TimeSlice))
+	if st == caps.ThreadRunning {
+		st = caps.ThreadRunnable
+	}
+	d.byte(byte(st))
 }
 
 func objID(o caps.Object) uint64 {
@@ -215,7 +241,12 @@ func RestorableDigest(m *checkpoint.Manager, memory *mem.Memory) uint64 {
 	return backupDigest(m, memory, false, nil)
 }
 
-// backupDigest is the backup digests' DFS. When missing is non-nil it is
+// backupDigest is the backup digests' DFS. A non-PMO root folds the record
+// hash of its newest committed snapshot (recordHash), which its ORoot caches
+// under that snapshot's pointer and version, so a digest folds again only
+// the records a round rewrote. The cache is the audit's own: the checkpoint
+// manager's record digests (ORoot.Sum) are what the auditor checks, and
+// they are absent under DisableChecksums. When missing is non-nil it is
 // also called, in DFS order, for every reachable root that has no committed
 // snapshot, so the auditor's restorability check shares the digest's walk.
 func backupDigest(m *checkpoint.Manager, memory *mem.Memory, includeEternal bool, missing func(r *caps.ORoot)) uint64 {
@@ -231,6 +262,8 @@ func backupDigest(m *checkpoint.Manager, memory *mem.Memory, includeEternal bool
 		if r == nil || !seen.Add(r.ObjID) {
 			return
 		}
+		// Version numbers differ across checkpoint cadences, so only the
+		// content is folded; the version keys the record-hash cache.
 		snap, ver := r.LatestCommitted(committed)
 		d.byte(byte(r.Kind))
 		d.u64(r.ObjID)
@@ -241,96 +274,101 @@ func backupDigest(m *checkpoint.Manager, memory *mem.Memory, includeEternal bool
 			}
 			return
 		}
-		_ = ver // version numbers differ across checkpoint cadences; content is what matters
-		switch s := snap.(type) {
-		case *caps.CapGroupSnap:
-			d.str(s.Name)
-			d.u64(uint64(len(s.Slots)))
-			for _, bc := range s.Slots {
-				if bc.Root == nil {
-					d.u64(0)
-					continue
+		s, ok := snap.(*caps.PMOSnap)
+		if !ok {
+			d.u64(r.Digest.Of(snap, ver, recordHash))
+			switch s := snap.(type) {
+			case *caps.CapGroupSnap:
+				for _, bc := range s.Slots {
+					visit(bc.Root)
 				}
-				d.u64(bc.Root.ObjID)
-				d.byte(byte(bc.Rights))
-			}
-			for _, bc := range s.Slots {
-				visit(bc.Root)
-			}
-		case *caps.ThreadSnap:
-			d.u64(s.Ctx.PC)
-			d.u64(s.Ctx.SP)
-			for _, reg := range s.Ctx.R {
-				d.u64(reg)
-			}
-			d.u64(uint64(int64(s.Sched.Priority)))
-			d.u64(uint64(int64(s.Sched.Affinity)))
-			d.u64(uint64(s.Sched.TimeSlice))
-			st := s.State
-			if st == caps.ThreadRunning {
-				st = caps.ThreadRunnable
-			}
-			d.byte(byte(st))
-		case *caps.VMSpaceSnap:
-			d.u64(uint64(len(s.Regions)))
-			for i := range s.Regions {
-				rs := &s.Regions[i]
-				d.u64(rs.VABase)
-				d.u64(rs.NumPages)
-				d.u64(rs.PMORoot.ObjID)
-				d.u64(rs.PMOOffset)
-				d.byte(byte(rs.Perm))
-			}
-			for i := range s.Regions {
-				visit(s.Regions[i].PMORoot)
-			}
-		case *caps.PMOSnap:
-			d.byte(byte(s.Type))
-			d.u64(s.SizePages)
-			if s.Type == caps.PMOEternal && !includeEternal {
-				d.byte(markEternal)
-				return
-			}
-			s.Pages.Walk(func(idx uint64, cp *caps.CkptPage) bool {
-				if cp.Born > committed {
-					return true // stillborn entry: not part of restorable state
+			case *caps.VMSpaceSnap:
+				for i := range s.Regions {
+					visit(s.Regions[i].PMORoot)
 				}
-				d.u64(idx)
-				switch src := restoreSource(cp, committed); src {
-				case -1:
-					d.byte(markSwapped)
-				case -2:
-					d.byte(markNoSource)
-				default:
-					d.byte(markContent)
-					d.u64(memory.PageHash(cp.Page[src]))
+			case *caps.IPCConnSnap:
+				visit(s.ClientRoot)
+				visit(s.ServerRoot)
+			case *caps.NotificationSnap:
+				for _, w := range s.Waiters {
+					visit(w)
 				}
-				return true
-			})
-		case *caps.IPCConnSnap:
-			d.u64(rootID(s.ClientRoot))
-			d.u64(rootID(s.ServerRoot))
-			d.bytes(s.Buf)
-			d.u64(s.Seq)
-			visit(s.ClientRoot)
-			visit(s.ServerRoot)
-		case *caps.NotificationSnap:
-			d.u64(uint64(int64(s.Count)))
-			d.u64(uint64(len(s.Waiters)))
-			for _, w := range s.Waiters {
-				d.u64(rootID(w))
+			case *caps.IRQNotificationSnap:
+				visit(s.HandlerRoot)
 			}
-			for _, w := range s.Waiters {
-				visit(w)
-			}
-		case *caps.IRQNotificationSnap:
-			d.u64(uint64(int64(s.Line)))
-			d.u64(uint64(s.Pending))
-			d.u64(rootID(s.HandlerRoot))
-			visit(s.HandlerRoot)
+			return
 		}
+		d.byte(byte(s.Type))
+		d.u64(s.SizePages)
+		if s.Type == caps.PMOEternal && !includeEternal {
+			d.byte(markEternal)
+			return
+		}
+		s.Pages.Walk(func(idx uint64, cp *caps.CkptPage) bool {
+			if cp.Born > committed {
+				return true // stillborn entry: not part of restorable state
+			}
+			d.u64(idx)
+			switch src := restoreSource(cp, committed); src {
+			case -1:
+				d.byte(markSwapped)
+			case -2:
+				d.byte(markNoSource)
+			default:
+				d.byte(markContent)
+				d.u64(memory.PageHash(cp.Page[src]))
+			}
+			return true
+		})
 	}
 	visit(root)
+	return d.h
+}
+
+// recordHash is the record hash of a non-PMO snapshot: the FNV-1a of the
+// fields a restore revives, folded as objectHash folds the runtime object's.
+func recordHash(snap caps.Snapshot) uint64 {
+	d := newDigest()
+	switch s := snap.(type) {
+	case *caps.CapGroupSnap:
+		d.str(s.Name)
+		d.u64(uint64(len(s.Slots)))
+		for _, bc := range s.Slots {
+			if bc.Root == nil {
+				d.u64(0)
+				continue
+			}
+			d.u64(bc.Root.ObjID)
+			d.byte(byte(bc.Rights))
+		}
+	case *caps.ThreadSnap:
+		d.context(&s.Ctx, s.Sched, s.State)
+	case *caps.VMSpaceSnap:
+		d.u64(uint64(len(s.Regions)))
+		for i := range s.Regions {
+			rs := &s.Regions[i]
+			d.u64(rs.VABase)
+			d.u64(rs.NumPages)
+			d.u64(rs.PMORoot.ObjID)
+			d.u64(rs.PMOOffset)
+			d.byte(byte(rs.Perm))
+		}
+	case *caps.IPCConnSnap:
+		d.u64(rootID(s.ClientRoot))
+		d.u64(rootID(s.ServerRoot))
+		d.bytes(s.Buf)
+		d.u64(s.Seq)
+	case *caps.NotificationSnap:
+		d.u64(uint64(int64(s.Count)))
+		d.u64(uint64(len(s.Waiters)))
+		for _, w := range s.Waiters {
+			d.u64(rootID(w))
+		}
+	case *caps.IRQNotificationSnap:
+		d.u64(uint64(int64(s.Line)))
+		d.u64(uint64(s.Pending))
+		d.u64(rootID(s.HandlerRoot))
+	}
 	return d.h
 }
 
