@@ -43,8 +43,10 @@ func dropSnapshots(r *caps.ORoot) { r.Backup, r.Ver = [2]caps.Snapshot{}, [2]uin
 // TestFusedWalksConvict: the auditor checks restorability inside the backup
 // digest's walk and page placement inside the runtime digest's walk. Each
 // case breaks invariants on a checkpointed machine; the audit must name the
-// breach, and its full Violations slice and both digests must equal the
-// values the auditor produced when each check ran its own walk.
+// breach, its full Violations slice must equal the one the auditor
+// produced when each check ran its own walk, and both digests must equal
+// their pins, captured when object records joined pages in the two-level
+// digest encoding.
 func TestFusedWalksConvict(t *testing.T) {
 	cases := []struct {
 		name            string
@@ -57,42 +59,42 @@ func TestFusedWalksConvict(t *testing.T) {
 			name:    "missing-snapshot",
 			corrupt: func(m *kernel.Machine, pmo *caps.PMO) { dropSnapshots(pmo.ORoot()) },
 			named:   "reachable from backup root but has no committed snapshot",
-			runtime: 0x4d85ec0f10ad8cba, backup: 0x4133c43d9304212b,
+			runtime: 0xae73c626cc356be3, backup: 0x2df78b4d4c9ad20a,
 			wantViolations: []string{"corrupt: object 10 (PMO) reachable from backup root but has no committed snapshot"},
 		},
 		{
 			name:    "alias",
 			corrupt: func(m *kernel.Machine, pmo *caps.PMO) { pmo.Lookup(2).Page = pmo.Lookup(1).Page },
 			named:   "aliased by",
-			runtime: 0x45bf92759785c89a, backup: 0x4d85ec0f10ad8cba,
+			runtime: 0xb8c199a3b64b1395, backup: 0xae73c626cc356be3,
 			wantViolations: []string{"corrupt: frame NVM:17 aliased by PMO 10 page 2 and object 10"},
 		},
 		{
 			name:    "mapped-no-frame",
 			corrupt: func(m *kernel.Machine, pmo *caps.PMO) { pmo.Lookup(1).Page = mem.NilPage },
 			named:   "mapped but holds no frame",
-			runtime: 0xfbbfead90871cc50, backup: 0x4d85ec0f10ad8cba,
+			runtime: 0xfca7bf6f7bf22f68, backup: 0xae73c626cc356be3,
 			wantViolations: []string{"corrupt: PMO 10 page 1 mapped but holds no frame"},
 		},
 		{
 			name:    "swapped-with-frame",
 			corrupt: func(m *kernel.Machine, pmo *caps.PMO) { pmo.Lookup(3).SwappedOut = true },
 			named:   "swapped out but still holds frame",
-			runtime: 0xc08b6458c26b7f29, backup: 0x4d85ec0f10ad8cba,
+			runtime: 0x317aaa8351748891, backup: 0xae73c626cc356be3,
 			wantViolations: []string{"corrupt: PMO 10 page 3 swapped out but still holds frame 19"},
 		},
 		{
 			name:    "poisoned",
 			corrupt: func(m *kernel.Machine, pmo *caps.PMO) { m.Memory.InjectPoison(pmo.Lookup(0).Page, 0, 64, 9) },
 			named:   "is poisoned",
-			runtime: 0x6c15f26e9a0da861, backup: 0x6c15f26e9a0da861,
+			runtime: 0x6573180ebaaca100, backup: 0x6573180ebaaca100,
 			wantViolations: []string{"corrupt: PMO 10 page 0 live runtime frame NVM:16 is poisoned"},
 		},
 		{
 			name:    "dram-count",
 			corrupt: func(m *kernel.Machine, pmo *caps.PMO) { pmo.Lookup(2).Page = m.Memory.AllocDRAM() },
 			named:   "DRAM pages in the tree but manager counts",
-			runtime: 0xa8ee425f3e0bc4d7, backup: 0x4d85ec0f10ad8cba,
+			runtime: 0x1f5589b80997ec9f, backup: 0xae73c626cc356be3,
 			wantViolations: []string{"corrupt: 1 DRAM pages in the tree but manager counts 0 cached"},
 		},
 		{
@@ -111,7 +113,7 @@ func TestFusedWalksConvict(t *testing.T) {
 				pmo.Lookup(3).SwappedOut = true
 			},
 			named:   "has no committed snapshot",
-			runtime: 0x8466e32069da5f4b, backup: 0xe6fa38bedfd6955f,
+			runtime: 0x7b1d98a7c0b6b6e2, backup: 0xcd0a0654e65d6596,
 			wantViolations: []string{
 				"corrupt: object 4 (PMO) reachable from backup root but has no committed snapshot",
 				"corrupt: object 5 (PMO) reachable from backup root but has no committed snapshot",
