@@ -12,6 +12,7 @@ import (
 	"treesls/internal/checkpoint"
 	"treesls/internal/kernel"
 	"treesls/internal/mem"
+	"treesls/internal/obs/audit"
 	"treesls/internal/repl"
 )
 
@@ -28,7 +29,12 @@ import (
 // writes into a slice a retained delta shares. A second image captured
 // only every other round must match the diff of its two full captures
 // too: skipping a round lets a snapshot slot come back as the newest one
-// under a new version, which a stamp of the slot alone would miss.
+// under a new version, which a stamp of the slot alone would miss. Some
+// rounds change a PMO's skeleton record and no page entry's (frame,
+// generation) stamp: a swapped page moves to another slot, a page entry
+// loses every restore source, a page is added past the highest index and
+// one is dropped. After every round a standby built from the folded deltas
+// must restore to the primary's backup digest.
 func TestReplDeltaMatchesFullDiff(t *testing.T) {
 	type variant struct {
 		name   string
@@ -92,6 +98,9 @@ func runReplDeltaSchedule(t *testing.T, cfg kernel.Config, seed uint64) int {
 	// is the full capture at its last capture.
 	every := &checkpoint.ReplImage{}
 	var prevEvery *checkpoint.ReplImage
+	// folded is the image a standby folds from the shipped deltas; it
+	// keeps copies, since the replicator recycles page buffers.
+	var folded *checkpoint.ReplImage
 	// round takes a checkpoint, checks its delta against the reference and
 	// returns the delta.
 	round := func(what string, writes int) *checkpoint.Delta {
@@ -134,6 +143,8 @@ func runReplDeltaSchedule(t *testing.T, cfg kernel.Config, seed uint64) int {
 		}
 		shipped[e.Delta] = got
 		prev = cur
+		folded = checkpoint.FoldDelta(folded, cloneDelta(e.Delta))
+		checkStandby(t, what, m, folded)
 		for _, p := range e.Delta.Puts {
 			if p.Key.Kind == checkpoint.ReplObject || len(p.Data) == 0 {
 				continue
@@ -211,6 +222,63 @@ func runReplDeltaSchedule(t *testing.T, cfg kernel.Config, seed uint64) int {
 	if swapped > 0 && !hasKind(d, checkpoint.ReplSwap) {
 		t.Fatalf("swap round: %d pages evicted but the delta puts no swap entry", swapped)
 	}
+
+	// Skeleton transitions: only the PMO's record changes. First a
+	// swapped page moves to another swap slot and stays swapped.
+	incremental()
+	if k, ok := firstKey(prev, checkpoint.ReplSwap); ok {
+		if !checkpoint.MoveSwapSlot(m.Ckpt, k.ObjID, k.Page) {
+			t.Fatalf("swap-slot: page entry %v is not swapped out", k)
+		}
+		if d := round("swap-slot", 0); !putsKey(d, recordKey(k.ObjID)) {
+			t.Fatalf("swap-slot round: the moved page's PMO record is not in the delta")
+		}
+	} else if swapped > 0 {
+		t.Fatalf("%d pages evicted but the image holds no swap entry", swapped)
+	}
+	// Then a PMO of its own adds a page past its highest index, drops
+	// one, and has one lose every restore source.
+	sp, err := m.NewProcess("skel", 1)
+	if err != nil {
+		t.Fatalf("NewProcess: %v", err)
+	}
+	skelVA, skel, err := sp.Mmap(8, caps.PMODefault)
+	if err != nil {
+		t.Fatalf("Mmap: %v", err)
+	}
+	writeSkel := func(idx uint64) {
+		if _, err := m.Run(sp, sp.MainThread(), func(e *kernel.Env) error {
+			return e.WriteU64(skelVA+idx*mem.PageSize, idx+1)
+		}); err != nil {
+			t.Fatalf("skel write: %v", err)
+		}
+	}
+	for idx := uint64(0); idx < 4; idx++ {
+		writeSkel(idx)
+	}
+	round("skel-spawn", 0)
+	skelRec := recordKey(skel.ID())
+	incremental()
+	writeSkel(6)
+	if d := round("skel-grow", 0); !putsKey(d, skelRec) {
+		t.Fatalf("skel-grow round: the PMO record is not in the delta")
+	}
+	incremental()
+	checkpoint.DropPage(m.Ckpt, skel, 1)
+	// Stop-and-copy keeps a removed page's checkpointed entry.
+	d = round("skel-drop", 0)
+	if cfg.Checkpoint.Method != checkpoint.MethodStopAndCopy && (!putsKey(d, skelRec) || !delsKey(d, pageKey(skel.ID(), 1))) {
+		t.Fatalf("skel-drop round: want the PMO record put and page 1 deleted")
+	}
+	incremental()
+	cp, ok := skel.ORoot().Backup[0].(*caps.PMOSnap).Pages.Get(2)
+	if !ok {
+		t.Fatalf("no-source: page 2 has no checkpointed entry")
+	}
+	cp.Page, cp.Ver = [2]mem.PageID{}, [2]uint64{}
+	if d := round("no-source", 0); !putsKey(d, skelRec) || !delsKey(d, pageKey(skel.ID(), 2)) {
+		t.Fatalf("no-source round: want the PMO record put and page 2 deleted")
+	}
 	round("after-swap", 6)
 
 	// A restore drops the image: the next round is a full sync.
@@ -268,6 +336,70 @@ func restoreSourcePage(t *testing.T, m *kernel.Machine, img *checkpoint.ReplImag
 		t.Fatalf("page entry %v has no restore source", keys[0])
 	}
 	return keys[0], src
+}
+
+// cloneDelta returns d with every put's bytes copied, so an image folded
+// from it outlives the replicator's recycling of its page buffers.
+func cloneDelta(d *checkpoint.Delta) *checkpoint.Delta {
+	c := *d
+	c.Puts = make([]checkpoint.ReplRecord, len(d.Puts))
+	for i, p := range d.Puts {
+		c.Puts[i] = checkpoint.ReplRecord{Key: p.Key, Data: bytes.Clone(p.Data)}
+	}
+	return &c
+}
+
+// checkStandby builds a standby from img and requires its backup digest,
+// as installed and after a restore, to equal the primary's. A restore
+// rebuilds a page entry without a restore source as a zero page, which
+// changes the backup tree, so after a restore that lost pages only the
+// installed digest is compared.
+func checkStandby(t *testing.T, what string, m *kernel.Machine, img *checkpoint.ReplImage) {
+	t.Helper()
+	want := audit.BackupDigest(m.Ckpt, m.Memory)
+	sb := kernel.NewStandby(m.Config())
+	if err := sb.Ckpt.InstallImage(&sb.Cores[0].Lane, img); err != nil {
+		t.Fatalf("%s: install: %v", what, err)
+	}
+	if got := audit.BackupDigest(sb.Ckpt, sb.Memory); got != want {
+		t.Fatalf("%s: installed standby's backup digest %#x, primary's %#x", what, got, want)
+	}
+	sb.Crash()
+	if err := sb.Restore(); err != nil {
+		t.Fatalf("%s: standby restore: %v", what, err)
+	}
+	if got := audit.BackupDigest(sb.Ckpt, sb.Memory); got != want && len(sb.Ckpt.Manifest().Lost) == 0 {
+		t.Fatalf("%s: restored standby's backup digest %#x, primary's %#x", what, got, want)
+	}
+}
+
+// firstKey returns img's first entry of the given kind in key order.
+func firstKey(img *checkpoint.ReplImage, kind byte) (checkpoint.ReplKey, bool) {
+	var best checkpoint.ReplKey
+	found := false
+	for k := range img.Entries {
+		if k.Kind == kind && (!found || k.ObjID < best.ObjID || k.ObjID == best.ObjID && k.Page < best.Page) {
+			best, found = k, true
+		}
+	}
+	return best, found
+}
+
+func recordKey(id uint64) checkpoint.ReplKey {
+	return checkpoint.ReplKey{ObjID: id, Kind: checkpoint.ReplObject}
+}
+
+func pageKey(id, idx uint64) checkpoint.ReplKey {
+	return checkpoint.ReplKey{ObjID: id, Page: idx, Kind: checkpoint.ReplPage}
+}
+
+func delsKey(d *checkpoint.Delta, k checkpoint.ReplKey) bool {
+	for _, dk := range d.Dels {
+		if dk == k {
+			return true
+		}
+	}
+	return false
 }
 
 func hasKind(d *checkpoint.Delta, kind byte) bool {

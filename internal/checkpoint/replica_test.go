@@ -42,6 +42,44 @@ func ReplSourcePage(m *Manager, objID, idx uint64) (mem.PageID, uint64) {
 	return mem.NilPage, 0
 }
 
+// MoveSwapSlot moves the swapped-out entry of page idx of PMO objID to a
+// fresh swap slot holding the same bytes, as a swap-in and an eviction to
+// another slot would, and reports whether the entry was swapped out.
+func MoveSwapSlot(m *Manager, objID, idx uint64) bool {
+	r := m.lookupRoot(objID)
+	if r == nil {
+		return false
+	}
+	ps, ok := r.Backup[0].(*caps.PMOSnap)
+	if !ok {
+		return false
+	}
+	cp, ok := ps.Pages.Get(idx)
+	if !ok || cp.Swap == 0 {
+		return false
+	}
+	slot := m.swap.allocSlot()
+	m.swap.data[slot] = m.swap.data[cp.Swap-1]
+	m.releaseSwapSlot(cp)
+	cp.Swap = slot + 1
+	return true
+}
+
+// DropPage removes page idx from pmo's runtime tree and releases its frame
+// as a process exit does: a DRAM frame now, an NVM frame at the next
+// commit, whose round also drops the page's checkpointed entry.
+func DropPage(m *Manager, pmo *caps.PMO, idx uint64) {
+	s := pmo.RemovePage(idx)
+	switch {
+	case s == nil || s.SwappedOut || s.Page.IsNil():
+	case s.Page.Kind == mem.KindDRAM:
+		m.memory.FreeDRAM(s.Page)
+		m.cached--
+	default:
+		m.deferFreePage(s.Page)
+	}
+}
+
 // DiffImages is the reference delta: it computes the delta turning prev
 // into cur from two full captures. prev == nil (or an empty image) yields a
 // Full delta. Puts and Dels are in deterministic key order.
@@ -174,7 +212,7 @@ func TestDiffTombstones(t *testing.T) {
 	img1 := FullCapture(h.mgr)
 	// Dropping a page makes its content key vanish from the next image.
 	if s := pmo.RemovePage(2); s != nil {
-		h.mgr.DeferFreePage(s.Page)
+		h.mgr.deferFreePage(s.Page)
 	}
 	h.checkpoint()
 	img2 := FullCapture(h.mgr)
