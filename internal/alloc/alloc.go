@@ -107,8 +107,8 @@ func (a *Allocator) allocPage(lane *simclock.Lane, logged bool) (mem.PageID, err
 
 // FreePageCkpt releases an NVM frame under a journal record. It is not
 // op-logged: checkpoint-owned frames are freed directly, and runtime frames
-// only at a commit (Manager.DeferFreePage), so a rollback never needs a
-// freed frame back.
+// only at a commit (the checkpoint manager defers them), so a rollback
+// never needs a freed frame back.
 func (a *Allocator) FreePageCkpt(lane *simclock.Lane, p mem.PageID) {
 	if p.Kind != mem.KindNVM {
 		panic("alloc: FreePageCkpt on " + p.String())

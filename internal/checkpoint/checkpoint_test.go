@@ -600,7 +600,7 @@ func TestRemovedPageReclaimed(t *testing.T) {
 	backups := h.mgr.Stats.BackupPages
 
 	slot := pmo.RemovePage(1)
-	h.mgr.DeferFreePage(slot.Page)
+	h.mgr.deferFreePage(slot.Page)
 	h.checkpoint()
 	if h.mgr.Stats.BackupPages >= backups {
 		t.Errorf("backup pages %d not reclaimed (was %d)", h.mgr.Stats.BackupPages, backups)

@@ -236,7 +236,7 @@ func TestDeferredFreeProcessedAtCommit(t *testing.T) {
 
 	slot := pmo.RemovePage(0)
 	free := h.alloc.FreeFrames()
-	h.mgr.DeferFreePage(slot.Page)
+	h.mgr.deferFreePage(slot.Page)
 	if h.alloc.FreeFrames() != free {
 		t.Fatal("freed before commit")
 	}
@@ -259,7 +259,7 @@ func TestReplicaDroppedOnPageRemoval(t *testing.T) {
 		t.Fatal("no replica created")
 	}
 	slot := pmo.RemovePage(0)
-	h.mgr.DeferFreePage(slot.Page)
+	h.mgr.deferFreePage(slot.Page)
 	h.checkpoint() // reclaims backup + replica
 	if n := replicaCount(h.mgr); n != 0 {
 		t.Errorf("replicas leaked: %d", n)

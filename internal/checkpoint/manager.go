@@ -480,10 +480,10 @@ func (m *Manager) Register(cb Callback) { m.callbacks = append(m.callbacks, cb) 
 // CachedPages reports how many pages are currently cached in DRAM.
 func (m *Manager) CachedPages() int { return m.cached }
 
-// DeferFreePage queues a runtime NVM frame for release at the next
+// deferFreePage queues a runtime NVM frame for release at the next
 // checkpoint commit. See deferredFrees for why frees must not happen
 // mid-epoch.
-func (m *Manager) DeferFreePage(p mem.PageID) {
+func (m *Manager) deferFreePage(p mem.PageID) {
 	m.deferredFrees = append(m.deferredFrees, p)
 }
 
@@ -501,7 +501,7 @@ func (m *Manager) PurgePMO(pmo *caps.PMO) {
 			m.memory.FreeDRAM(s.Page)
 			m.cached--
 		default:
-			m.DeferFreePage(s.Page)
+			m.deferFreePage(s.Page)
 		}
 		return true
 	})

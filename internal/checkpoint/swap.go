@@ -145,7 +145,7 @@ func (m *Manager) EvictColdPages(lane *simclock.Lane, max int) (int, error) {
 			frame := s.Page
 			s.Page = mem.NilPage
 			s.SwappedOut = true
-			m.DeferFreePage(frame)
+			m.deferFreePage(frame)
 			m.swap.stats.Evicted++
 			evicted++
 			return true

@@ -30,12 +30,12 @@ func FuzzJournalReplay(f *testing.F) {
 		j, memory, page := fuzzJournal()
 		lane := &simclock.Lane{}
 		j.Begin(lane, OpBuddyAlloc, 7, 8, 9)
-		body := make([]byte, RecordSize)
-		memory.ReadRaw(page, RecordOffset, body)
+		body := make([]byte, recordSize)
+		memory.ReadRaw(page, recordOff, body)
 		f.Add(uint64(1), body)
 	}
 	// Seed 3: pending flag with a corrupted checksum (torn tail).
-	f.Add(uint64(1), make([]byte, RecordSize))
+	f.Add(uint64(1), make([]byte, recordSize))
 	// Seed 4: pending flag with a short body.
 	f.Add(uint64(1), []byte{0xde, 0xad})
 	// Seed 5: garbage flag value.
@@ -46,17 +46,17 @@ func FuzzJournalReplay(f *testing.F) {
 
 		var fb [8]byte
 		binary.LittleEndian.PutUint64(fb[:], flag)
-		memory.WriteRaw(page, FlagOffset, fb[:])
-		if len(body) > mem.PageSize-RecordOffset {
-			body = body[:mem.PageSize-RecordOffset]
+		memory.WriteRaw(page, flagOff, fb[:])
+		if len(body) > mem.PageSize-recordOff {
+			body = body[:mem.PageSize-recordOff]
 		}
-		memory.WriteRaw(page, RecordOffset, body)
+		memory.WriteRaw(page, recordOff, body)
 
 		j.OnCrash() // must not panic on any frame contents
 
 		// Oracle: recompute the expected outcome from the raw frame.
-		raw := make([]byte, RecordSize)
-		memory.ReadRaw(page, RecordOffset, raw)
+		raw := make([]byte, recordSize)
+		memory.ReadRaw(page, recordOff, raw)
 		rec, ok := decodeRecord(raw)
 
 		pending := j.PendingRecord()
@@ -84,7 +84,7 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 			// Truncation must clear the durable flag so a second
 			// recovery is clean.
-			memory.ReadRaw(page, FlagOffset, fb[:])
+			memory.ReadRaw(page, flagOff, fb[:])
 			if binary.LittleEndian.Uint64(fb[:]) != 0 {
 				t.Fatal("torn record truncated but flag still pending")
 			}
@@ -113,7 +113,7 @@ func FuzzJournalReplay(f *testing.F) {
 	})
 }
 
-// decodeRecord parses a serialized record body (the bytes at RecordOffset of
+// decodeRecord parses a serialized record body (the bytes at recordOff of
 // the journal frame), reporting whether its checksum held: the
 // journal-replay fuzzer's oracle.
 func decodeRecord(b []byte) (Record, bool) {

@@ -114,17 +114,6 @@ const (
 	mirrorBodyOff = 3 * mem.LineSize
 )
 
-// Exported layout constants for tooling and fuzzers that poke the journal
-// frame directly.
-const (
-	// FlagOffset is the byte offset of the 8-byte pending flag.
-	FlagOffset = flagOff
-	// RecordOffset is the byte offset of the serialized record body.
-	RecordOffset = recordOff
-	// RecordSize is the serialized record body size in bytes.
-	RecordSize = recordSize
-)
-
 // Journal is a single-writer redo/undo journal on NVM. TreeSLS's kernel runs
 // allocator operations under the kernel lock, so at most one record is in
 // flight at a time; the journal enforces that invariant.

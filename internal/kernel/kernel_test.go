@@ -153,8 +153,8 @@ func TestCrashRestoreFunctional(t *testing.T) {
 	if p2 == nil {
 		t.Fatal("process not rebuilt after restore")
 	}
-	if p2 == p {
-		t.Fatal("process struct not rebuilt (stale pointer)")
+	if p2 != p {
+		t.Fatal("restore built a new process struct; a pre-crash handle must observe the restored process")
 	}
 	if len(p2.Threads) != 2 {
 		t.Errorf("threads = %d", len(p2.Threads))

@@ -106,9 +106,10 @@ type Machine struct {
 
 	procs map[string]*Process
 	// crashedProcs is the process table at the last power failure, kept
-	// until Restore rebuilds the processes: each rebuilt process takes
-	// back the address space of the crashed one whose VM space was
-	// revived in place, so a warm restore reuses its table storage.
+	// until Restore rebuilds the processes: each rebuilt process is the
+	// crashed one of the same name, refilled in place, and takes back its
+	// address space when its VM space was revived in place, so a warm
+	// restore reuses their storage. The two maps swap at each crash.
 	crashedProcs map[string]*Process
 	// services maps a process name to its registered IPC handler. Keyed
 	// by name (not pointers) so registrations remain valid across
@@ -171,16 +172,17 @@ func New(cfg Config) *Machine {
 	tree := caps.NewTree()
 
 	m := &Machine{
-		cfg:         cfg,
-		Model:       model,
-		Memory:      memory,
-		Journal:     jrnl,
-		Alloc:       al,
-		Tree:        tree,
-		Sched:       NewScheduler(cfg.Cores),
-		procs:       make(map[string]*Process),
-		services:    make(map[string]ServiceHandler),
-		threadAvail: make(map[*caps.Thread]simclock.Time),
+		cfg:          cfg,
+		Model:        model,
+		Memory:       memory,
+		Journal:      jrnl,
+		Alloc:        al,
+		Tree:         tree,
+		Sched:        NewScheduler(cfg.Cores),
+		procs:        make(map[string]*Process),
+		crashedProcs: make(map[string]*Process),
+		services:     make(map[string]ServiceHandler),
+		threadAvail:  make(map[*caps.Thread]simclock.Time),
 	}
 	m.Ckpt = checkpoint.New(cfg.Checkpoint, memory, al, tree)
 	for i := 0; i < cfg.Cores; i++ {
@@ -563,11 +565,11 @@ func (m *Machine) Crash() {
 	m.Journal.OnCrash()
 	m.Tree = nil
 	if !m.crashed {
-		m.crashedProcs = m.procs
+		m.procs, m.crashedProcs = m.crashedProcs, m.procs
 	}
-	m.procs = make(map[string]*Process)
-	m.threadAvail = make(map[*caps.Thread]simclock.Time)
-	m.Sched = NewScheduler(m.cfg.Cores)
+	clear(m.procs)
+	clear(m.threadAvail)
+	m.Sched.reset()
 	m.crashed = true
 	m.Stats.Crashes++
 }
@@ -637,13 +639,12 @@ func (m *Machine) RestoreToCut(v uint64) error {
 }
 
 // rebuildProcesses reconstructs the kernel's process table from the restored
-// capability tree: every cap group holding a VM space is a process. A
-// process whose VM space was revived into the crashed one's gets the
-// crashed process's address space back, reset to a new one's state.
+// capability tree: every cap group holding a VM space is a process. The
+// crashed process of the same name is refilled in place, and it keeps its
+// address space, reset to a new one's state, when its VM space was revived
+// into the crashed one.
 func (m *Machine) rebuildProcesses() {
 	crashed := m.crashedProcs
-	m.crashedProcs = nil
-	m.procs = make(map[string]*Process)
 	m.Tree.Root.ForEach(func(_ int, c caps.Capability) {
 		g, ok := c.Obj.(*caps.CapGroup)
 		if !ok {
@@ -654,19 +655,25 @@ func (m *Machine) rebuildProcesses() {
 			return
 		}
 		vs := vsCap.Obj.(*caps.VMSpace)
-		var as *vm.AddressSpace
-		if cp := crashed[g.Name]; cp != nil && cp.AS.Space == vs {
-			as = cp.AS
+		p := crashed[g.Name]
+		delete(crashed, g.Name)
+		if p == nil {
+			p = &Process{}
+		}
+		as := p.AS
+		if as != nil && as.Space == vs {
 			as.Reset()
 		} else {
 			as = vm.NewAddressSpace(vs, m.Memory, m.Ckpt)
 		}
-		p := &Process{
-			M:     m,
-			Name:  g.Name,
-			Group: g,
-			VMS:   vs,
-			AS:    as,
+		clear(p.Threads)
+		*p = Process{
+			M:       m,
+			Name:    g.Name,
+			Group:   g,
+			VMS:     vs,
+			AS:      as,
+			Threads: p.Threads[:0],
 		}
 		g.ForEach(func(_ int, cc caps.Capability) {
 			if th, ok := cc.Obj.(*caps.Thread); ok {
@@ -683,4 +690,5 @@ func (m *Machine) rebuildProcesses() {
 		}
 		m.procs[p.Name] = p
 	})
+	clear(crashed)
 }

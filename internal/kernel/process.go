@@ -15,7 +15,9 @@ const userVABase = 0x1000_0000
 // Process is the kernel's view of a user-space process: a cap-group subtree
 // (Figure 4) plus the volatile address-space structure. Everything durable
 // about a process lives in the capability tree; Process itself is derived
-// state rebuilt after restore.
+// state rebuilt after restore. Restore refills the crashed Process of the
+// same name in place, as it revives the objects ORoot.Runtime points at,
+// so a handle kept across a crash observes the restored process.
 type Process struct {
 	M       *Machine
 	Name    string

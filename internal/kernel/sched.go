@@ -44,13 +44,20 @@ func (s *Scheduler) Queue(core int) []*caps.Thread { return s.queues[core] }
 // reachable from the restored capability tree — the recovery step the paper
 // describes as "adding all threads to the scheduler's queue".
 func (s *Scheduler) RebuildFromTree(tree *caps.Tree) {
-	for i := range s.queues {
-		s.queues[i] = s.queues[i][:0]
-	}
-	s.next = 0
+	s.reset()
 	tree.Walk(func(o caps.Object) {
 		if th, ok := o.(*caps.Thread); ok && th.State == caps.ThreadRunnable {
 			s.Enqueue(th)
 		}
 	})
+}
+
+// reset empties every run queue, keeping its storage, and restarts the
+// round-robin placement. A crash resets the queues; restore refills them.
+func (s *Scheduler) reset() {
+	for i, q := range s.queues {
+		clear(q)
+		s.queues[i] = q[:0]
+	}
+	s.next = 0
 }
