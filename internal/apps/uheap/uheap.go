@@ -139,12 +139,3 @@ func (h *Heap) Free(e *kernel.Env, va, n uint64) error {
 	}
 	return e.WriteU64(headVA, va)
 }
-
-// Used reports the bump-allocated bytes (recycled blocks still count).
-func (h *Heap) Used(e *kernel.Env) (uint64, error) {
-	bump, err := e.ReadU64(h.Base)
-	if err != nil {
-		return 0, err
-	}
-	return bump - h.Base - headerSize, nil
-}

@@ -128,6 +128,8 @@ func TestOutOfHeap(t *testing.T) {
 	})
 }
 
+// TestUsedAccounting reads the bump word: it counts the bytes handed out
+// past the header.
 func TestUsedAccounting(t *testing.T) {
 	m, p := newProc(t)
 	run(t, m, p, func(e *kernel.Env) error {
@@ -135,13 +137,18 @@ func TestUsedAccounting(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		u0, _ := h.Used(e)
-		if u0 != 0 {
+		used := func() uint64 {
+			bump, err := e.ReadU64(h.Base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bump - h.Base - headerSize
+		}
+		if u0 := used(); u0 != 0 {
 			t.Errorf("fresh heap used = %d", u0)
 		}
 		h.Alloc(e, 64)
-		u1, _ := h.Used(e)
-		if u1 != 64 {
+		if u1 := used(); u1 != 64 {
 			t.Errorf("used = %d, want 64", u1)
 		}
 		return nil

@@ -67,9 +67,6 @@ type PMO struct {
 	// their checkpointed-radix entries, so per-round work is O(dirty
 	// pages), not O(all pages). The checkpoint manager drains it.
 	Touched []uint64
-	// Removed lists page indices dropped since the last checkpoint; the
-	// checkpoint manager reclaims their backup structures after commit.
-	Removed []uint64
 }
 
 func newPMO(id uint64, sizePages uint64, typ PMOType) *PMO {
@@ -81,7 +78,7 @@ func newPMO(id uint64, sizePages uint64, typ PMOType) *PMO {
 // reset puts p in the state of a new PMO with the given ID, size and type:
 // no pages. It keeps the storage of the page radix — its nodes, and the
 // page slot each index last held, which InstallPage and InstallSwapped
-// reuse — and of Touched and Removed.
+// reuse — and of Touched.
 func (p *PMO) reset(id uint64, sizePages uint64, typ PMOType) {
 	p.pages.Reset()
 	*p = PMO{
@@ -90,7 +87,6 @@ func (p *PMO) reset(id uint64, sizePages uint64, typ PMOType) {
 		SizePages: sizePages,
 		pages:     p.pages,
 		Touched:   p.Touched[:0],
-		Removed:   p.Removed[:0],
 	}
 }
 
@@ -140,19 +136,6 @@ func (p *PMO) fileSlot(idx uint64) *PageSlot {
 		*leaf = new(PageSlot)
 	}
 	return *leaf
-}
-
-// RemovePage drops the page at idx from the radix tree, returning its slot
-// (so the caller can free the physical page). Returns nil if absent.
-func (p *PMO) RemovePage(idx uint64) *PageSlot {
-	s, ok := p.pages.Get(idx)
-	if !ok {
-		return nil
-	}
-	p.pages.Delete(idx)
-	p.Removed = append(p.Removed, idx)
-	p.MarkDirty()
-	return s
 }
 
 // NumPages returns the number of materialized pages.

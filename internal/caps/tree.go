@@ -84,8 +84,8 @@ func (t *Tree) NewIRQNotification(owner *CapGroup, line int) *IRQNotification {
 // at, is of that kind, Revive resets it in place: every field is
 // overwritten, and only its Go storage is kept (slot, region, waiter and
 // buffer slices, region structs, and a PMO's radix nodes, page slots and
-// Touched and Removed capacity). Otherwise it makes a new object through
-// the same reset.
+// Touched capacity). Otherwise it makes a new object through the same
+// reset.
 func Revive(old Object, id uint64, snap Snapshot) Object {
 	switch s := snap.(type) {
 	case *CapGroupSnap:

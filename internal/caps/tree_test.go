@@ -126,12 +126,6 @@ func TestPMOPages(t *testing.T) {
 	if pmo.NumPages() != 1 {
 		t.Errorf("NumPages = %d", pmo.NumPages())
 	}
-	if got := pmo.RemovePage(3); got != s {
-		t.Error("RemovePage returned wrong slot")
-	}
-	if pmo.NumPages() != 0 || pmo.RemovePage(3) != nil {
-		t.Error("page survived removal")
-	}
 }
 
 func TestPMOInstallBeyondSizePanics(t *testing.T) {

@@ -228,15 +228,17 @@ func TestEideticAccessors(t *testing.T) {
 	}
 }
 
+// TestDeferredFreeProcessedAtCommit exits a process: its runtime frame is
+// freed at the next commit, not before, and exactly once — the sweep finds
+// the page's checkpoint slot, which names the same frame, already free.
 func TestDeferredFreeProcessedAtCommit(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
-	_, pmo, _ := h.buildProc("app", 4)
+	g, pmo, _ := h.buildProc("app", 4)
 	h.writePage(t, pmo, 0, []byte("a"))
 	h.checkpoint()
 
-	slot := pmo.RemovePage(0)
 	free := h.alloc.FreeFrames()
-	h.mgr.deferFreePage(slot.Page)
+	h.exitProc(g, pmo)
 	if h.alloc.FreeFrames() != free {
 		t.Fatal("freed before commit")
 	}
@@ -250,7 +252,7 @@ func TestReplicaDroppedOnPageRemoval(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Replicas = 2
 	h := newHarness(t, cfg, 1)
-	_, pmo, _ := h.buildProc("app", 4)
+	g, pmo, _ := h.buildProc("app", 4)
 	h.writePage(t, pmo, 0, []byte("v1"))
 	h.checkpoint()
 	h.writePage(t, pmo, 0, []byte("v2")) // fault -> backup + replica
@@ -258,9 +260,8 @@ func TestReplicaDroppedOnPageRemoval(t *testing.T) {
 	if replicaCount(h.mgr) == 0 {
 		t.Fatal("no replica created")
 	}
-	slot := pmo.RemovePage(0)
-	h.mgr.deferFreePage(slot.Page)
-	h.checkpoint() // reclaims backup + replica
+	h.exitProc(g, pmo)
+	h.checkpoint() // sweeps the backup and its replica
 	if n := replicaCount(h.mgr); n != 0 {
 		t.Errorf("replicas leaked: %d", n)
 	}

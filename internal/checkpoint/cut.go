@@ -95,18 +95,10 @@ func (m *Manager) RollForwardCommit(lane *simclock.Lane, v uint64) error {
 // restricts both to what the prepare actually guaranteed.
 func (m *Manager) publishGC(ll *simclock.Lane, stamp uint64, frees int, sweep bool) {
 	// Deferred runtime-frame releases: safe now that the commit has made
-	// the state that stopped referencing them durable. The set is emptied
-	// here, before any free: a crash inside the previous collection may
-	// have left its entries behind, and they would make this sweep skip
-	// frames it must free.
-	if m.freedThisRound == nil {
-		m.freedThisRound = make(map[uint32]bool)
-	}
-	clear(m.freedThisRound)
+	// the state that stopped referencing them durable.
 	for _, p := range m.deferredFrees[:frees] {
 		m.alloc.FreePageCkpt(ll, p)
 		m.forgetFrame(p)
-		m.freedThisRound[p.Frame] = true
 	}
 	m.deferredFrees = append(m.deferredFrees[:0], m.deferredFrees[frees:]...)
 	if sweep {

@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"treesls/internal/caps"
-	"treesls/internal/mem"
 	"treesls/internal/obs"
 	"treesls/internal/simclock"
 )
@@ -14,11 +13,13 @@ import (
 // commit keeps the protocol crash-safe — until the commit, the previous
 // round's state still referenced these backups.
 //
-// For PMO roots the checkpointed radix pages are released (skipping frames
-// already freed as deferred runtime frames this round — a demoted page's
-// backup slot aliases its runtime frame), replicas are dropped and swap
-// slots recycled. Non-PMO snapshots are plain Go objects; removing the root
-// makes them collectible.
+// For PMO roots the checkpointed radix pages are released, replicas are
+// dropped and swap slots recycled. A slot whose frame the allocator already
+// holds free is skipped: nothing allocates between the round's deferred
+// frees and this sweep, so such a frame is one this collection just freed —
+// a deferred runtime frame a demoted page's backup slot aliases, or the
+// other slot's frame when both slots alias it. Non-PMO snapshots are plain
+// Go objects; removing the root makes them collectible.
 func (m *Manager) sweepUnreachable(lane *simclock.Lane, stamp uint64) {
 	sweptBefore := m.Stats.RootsSwept
 	// done counts the directory entries the loop has finished with. The
@@ -49,21 +50,10 @@ func (m *Manager) sweepUnreachable(lane *simclock.Lane, stamp uint64) {
 		}
 		if snap, ok := r.Backup[0].(*caps.PMOSnap); ok {
 			snap.Pages.Walk(func(idx uint64, cp *caps.CkptPage) bool {
-				for i := 0; i < 2; i++ {
-					p := cp.Page[i]
-					if p.IsNil() || p.Kind != mem.KindNVM {
-						continue
+				for _, p := range cp.Page {
+					if nvmSlot(p) && !m.alloc.IsFree(p.Frame) {
+						m.freeBackup(lane, p)
 					}
-					if m.freedThisRound[p.Frame] || m.alloc.WasRolledBack(p.Frame) {
-						continue
-					}
-					// Both slots of a CkptPage can alias the
-					// same frame right after a restore.
-					if i == 1 && cp.Page[0] == p {
-						continue
-					}
-					m.freeBackup(lane, p)
-					m.freedThisRound[p.Frame] = true
 				}
 				m.releaseSwapSlot(cp)
 				return true

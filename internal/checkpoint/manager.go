@@ -71,8 +71,6 @@ type Config struct {
 	// DemoteAfter is the number of consecutive checkpoint rounds a cached
 	// page may stay clean before being migrated back to NVM.
 	DemoteAfter uint16
-	// MaxCachedPages caps the number of DRAM-cached hot pages.
-	MaxCachedPages int
 	// EideticVersions > 0 retains that many historical snapshots per
 	// object (§8 "Extending to Eidetic System"). 0 keeps only the two
 	// alternating backups.
@@ -104,11 +102,10 @@ type Config struct {
 // DefaultConfig mirrors the paper's evaluated configuration.
 func DefaultConfig() Config {
 	return Config{
-		HybridCopy:     true,
-		HotThreshold:   3,
-		DemoteAfter:    8,
-		MaxCachedPages: 4096,
-		ParallelWalk:   true,
+		HybridCopy:   true,
+		HotThreshold: 3,
+		DemoteAfter:  8,
+		ParallelWalk: true,
 	}
 }
 
@@ -307,12 +304,6 @@ type Manager struct {
 	// The list is runtime state: a crash drops it, leaking the frames
 	// (bounded by one epoch) rather than risking reuse.
 	deferredFrees []mem.PageID
-	// freedThisRound tracks the frames just released at this commit so
-	// the unreachable-object sweep never double-frees a backup slot that
-	// aliased a runtime frame (the demoted-page case). publishGC empties
-	// it before its first free; the map itself is kept for the next
-	// round.
-	freedThisRound map[uint32]bool
 	// pending records a round prepared under Config.DeferCommitPublish
 	// whose commit word has not been published yet (cut.go). Volatile
 	// by design: a crash drops it, and the prepared round rolls back at
@@ -442,9 +433,6 @@ func New(cfg Config, memory *mem.Memory, al *alloc.Allocator, tree *caps.Tree) *
 	}
 	if cfg.DemoteAfter == 0 {
 		cfg.DemoteAfter = DefaultConfig().DemoteAfter
-	}
-	if cfg.MaxCachedPages == 0 {
-		cfg.MaxCachedPages = DefaultConfig().MaxCachedPages
 	}
 	if cfg.Method == MethodStopAndCopy {
 		// Hybrid copy presupposes copy-on-write fault tracking.

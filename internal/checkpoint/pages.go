@@ -29,10 +29,9 @@ func (m *Manager) pmoSnap(lane *simclock.Lane, r *caps.ORoot, pmo *caps.PMO, rou
 
 // checkpointPMO checkpoints one PMO during the STW pause: it reuses the
 // checkpointed radix tree, adding entries for pages touched since the last
-// round, and reclaims entries for pages removed since then. Page *contents*
-// are not copied here — the runtime NVM page doubles as the consistent copy
-// (Figure 6a), and DRAM-cached pages are stop-and-copied by the hybrid-copy
-// cores.
+// round. Page *contents* are not copied here — the runtime NVM page doubles
+// as the consistent copy (Figure 6a), and DRAM-cached pages are
+// stop-and-copied by the hybrid-copy cores.
 func (m *Manager) checkpointPMO(lane *simclock.Lane, pmo *caps.PMO, r *caps.ORoot, round uint64, rep *Report) {
 	snap := m.pmoSnap(lane, r, pmo, round)
 	snap.SizePages = pmo.SizePages
@@ -68,9 +67,6 @@ func (m *Manager) checkpointPMO(lane *simclock.Lane, pmo *caps.PMO, r *caps.ORoo
 
 	for _, idx := range pmo.Touched {
 		s := pmo.Lookup(idx)
-		if s == nil {
-			continue // installed and removed within the epoch
-		}
 		cp := m.ckptPage(lane, snap, idx, round)
 		if s.Page.Kind == mem.KindDRAM {
 			continue // hybrid copy owns cached pages
@@ -106,26 +102,6 @@ func (m *Manager) checkpointPMO(lane *simclock.Lane, pmo *caps.PMO, r *caps.ORoo
 		s.Dirty = false
 	}
 	pmo.Touched = pmo.Touched[:0]
-
-	// Reclaim backups of removed pages. Deferred to the commit phase in
-	// spirit; see DESIGN.md for the crash-window discussion.
-	if len(pmo.Removed) > 0 {
-		for _, idx := range pmo.Removed {
-			if pmo.Lookup(idx) != nil {
-				continue // reinstalled at the same index
-			}
-			cp, ok := snap.Pages.Get(idx)
-			if !ok {
-				continue
-			}
-			if !cp.Page[0].IsNil() {
-				m.freeBackup(lane, cp.Page[0])
-			}
-			snap.Pages.Delete(idx)
-			lane.Charge(m.model.RadixVisit)
-		}
-		pmo.Removed = pmo.Removed[:0]
-	}
 
 	if grown := snap.Pages.Nodes() - nodesBefore; grown > 0 {
 		m.Stats.BackupBytes += alloc.ClassRadixNode.Size() * grown
@@ -178,7 +154,6 @@ func (m *Manager) copyBackup(lane *simclock.Lane, cp *caps.CkptPage, slot int, s
 // Figure 7 illustrates.
 func (m *Manager) stopAndCopyPMO(lane *simclock.Lane, pmo *caps.PMO, snap *caps.PMOSnap, round uint64, rep *Report) {
 	pmo.Touched = pmo.Touched[:0]
-	pmo.Removed = pmo.Removed[:0]
 	if pmo.Type == caps.PMOEternal {
 		// Eternal pages still need radix entries pointing at the
 		// runtime page so restore can find them.
@@ -300,6 +275,10 @@ func (m *Manager) HandleWriteFault(lane *simclock.Lane, pmo *caps.PMO, idx uint6
 	return nil
 }
 
+// maxCachedPages caps the number of DRAM-cached hot pages: a newly hot page
+// stays on NVM while the cache is full.
+const maxCachedPages = 4096
+
 // runHybridCopy is step ❸ of Figure 5: the non-leader cores traverse
 // stride-partitioned sublists of the dual-function active page list,
 // stop-and-copying dirty DRAM-cached pages, migrating newly-hot pages to
@@ -318,9 +297,6 @@ func (m *Manager) runHybridCopy(workers []*simclock.Lane, start simclock.Time, r
 		w := workers[i%len(workers)]
 		w.Charge(m.model.HotListVisit)
 		s := ref.pmo.Lookup(ref.idx)
-		if s == nil {
-			continue // page removed; drop from the list
-		}
 		cp, ok := ref.snap.Pages.Get(ref.idx)
 		if !ok {
 			s.OnHotList = false
@@ -330,7 +306,7 @@ func (m *Manager) runHybridCopy(workers []*simclock.Lane, start simclock.Time, r
 		case s.Page.Kind == mem.KindNVM:
 			// Newly appended since the last checkpoint: migrate to
 			// DRAM (NVM->DRAM migration, Figure 6b).
-			if m.cached >= m.cfg.MaxCachedPages {
+			if m.cached >= maxCachedPages {
 				s.OnHotList = false
 				s.Hotness = 0
 				continue

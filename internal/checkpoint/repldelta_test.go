@@ -32,8 +32,8 @@ import (
 // under a new version, which a stamp of the slot alone would miss. Some
 // rounds change a PMO's skeleton record and no page entry's (frame,
 // generation) stamp: a swapped page moves to another slot, a page entry
-// loses every restore source, a page is added past the highest index and
-// one is dropped. After every round a standby built from the folded deltas
+// loses every restore source and a page is added past the highest index.
+// After every round a standby built from the folded deltas
 // must restore to the primary's backup digest.
 func TestReplDeltaMatchesFullDiff(t *testing.T) {
 	type variant struct {
@@ -236,8 +236,8 @@ func runReplDeltaSchedule(t *testing.T, cfg kernel.Config, seed uint64) int {
 	} else if swapped > 0 {
 		t.Fatalf("%d pages evicted but the image holds no swap entry", swapped)
 	}
-	// Then a PMO of its own adds a page past its highest index, drops
-	// one, and has one lose every restore source.
+	// Then a PMO of its own adds a page past its highest index and has
+	// one lose every restore source.
 	sp, err := m.NewProcess("skel", 1)
 	if err != nil {
 		t.Fatalf("NewProcess: %v", err)
@@ -262,13 +262,6 @@ func runReplDeltaSchedule(t *testing.T, cfg kernel.Config, seed uint64) int {
 	writeSkel(6)
 	if d := round("skel-grow", 0); !putsKey(d, skelRec) {
 		t.Fatalf("skel-grow round: the PMO record is not in the delta")
-	}
-	incremental()
-	checkpoint.DropPage(m.Ckpt, skel, 1)
-	// Stop-and-copy keeps a removed page's checkpointed entry.
-	d = round("skel-drop", 0)
-	if cfg.Checkpoint.Method != checkpoint.MethodStopAndCopy && (!putsKey(d, skelRec) || !delsKey(d, pageKey(skel.ID(), 1))) {
-		t.Fatalf("skel-drop round: want the PMO record put and page 1 deleted")
 	}
 	incremental()
 	cp, ok := skel.ORoot().Backup[0].(*caps.PMOSnap).Pages.Get(2)

@@ -65,21 +65,6 @@ func MoveSwapSlot(m *Manager, objID, idx uint64) bool {
 	return true
 }
 
-// DropPage removes page idx from pmo's runtime tree and releases its frame
-// as a process exit does: a DRAM frame now, an NVM frame at the next
-// commit, whose round also drops the page's checkpointed entry.
-func DropPage(m *Manager, pmo *caps.PMO, idx uint64) {
-	s := pmo.RemovePage(idx)
-	switch {
-	case s == nil || s.SwappedOut || s.Page.IsNil():
-	case s.Page.Kind == mem.KindDRAM:
-		m.memory.FreeDRAM(s.Page)
-		m.cached--
-	default:
-		m.deferFreePage(s.Page)
-	}
-}
-
 // DiffImages is the reference delta: it computes the delta turning prev
 // into cur from two full captures. prev == nil (or an empty image) yields a
 // Full delta. Puts and Dels are in deterministic key order.
@@ -207,18 +192,19 @@ func TestCaptureDiffFoldRoundTrip(t *testing.T) {
 
 func TestDiffTombstones(t *testing.T) {
 	h := newHarness(t, DefaultConfig(), 1)
-	pmo := buildReplicaWorld(t, h)
+	buildReplicaWorld(t, h)
+	g, pmo, _ := h.buildProc("exiting", 4)
+	h.writePage(t, pmo, 2, []byte("gone"))
 	h.checkpoint()
 	img1 := FullCapture(h.mgr)
-	// Dropping a page makes its content key vanish from the next image.
-	if s := pmo.RemovePage(2); s != nil {
-		h.mgr.deferFreePage(s.Page)
-	}
+	// A process exit makes its records and its page's content key vanish
+	// from the next image.
+	h.exitProc(g, pmo)
 	h.checkpoint()
 	img2 := FullCapture(h.mgr)
 	inc := DiffImages(img1, img2)
-	if len(inc.Dels) == 0 {
-		t.Fatalf("removed page produced no tombstones")
+	if !slices.Contains(inc.Dels, ReplKey{ObjID: pmo.ID(), Page: 2, Kind: ReplPage}) {
+		t.Fatalf("exited process's page produced no tombstone: %v", inc.Dels)
 	}
 	folded := FoldDelta(cloneImage(img1), inc)
 	if !reflect.DeepEqual(folded.Entries, img2.Entries) {

@@ -74,12 +74,11 @@ func (m *Manager) Restore(lane *simclock.Lane) (*caps.Tree, uint64, error) {
 	// Sever every backup-tree reference into a free frame — one the
 	// rollback just reclaimed, or one a crashed post-commit collection
 	// (deferred frees, unreachable sweep) had already released — before
-	// anything can allocate (and so recycle) those frames. The rolled-back
-	// set itself is volatile and the op log is already truncated: if this
-	// restore crashes mid-walk, the re-entered restore's own Recover finds
-	// an empty log and would trust any pointer still standing — while the
-	// allocator hands the same frame to someone else. This pass performs
-	// no persistence events, so no crash can strand it half-done.
+	// anything can allocate (and so recycle) those frames. From here on a
+	// slot that names an NVM frame owns it. This pass performs no
+	// persistence events, so no crash can strand it half-done, and a
+	// re-entered restore, whose Recover finds an empty op log, runs it
+	// again.
 	m.severFreed()
 	if !m.HasCheckpoint() {
 		return nil, 0, ErrNoCheckpoint
@@ -297,21 +296,28 @@ func appendSnapshotRefs(refs []*caps.ORoot, snap caps.Snapshot) []*caps.ORoot {
 	return refs
 }
 
-// Sentinel results of chooseRestoreSource beyond slot indices 0 and 1.
+// Sentinel results of RestoreSource beyond slot indices 0 and 1.
 const (
 	srcNone = -1 // no recoverable copy (uncommitted-only page)
 	srcSwap = -2 // the consistent copy lives on the swap device
 )
 
-// chooseRestoreSource applies the version rules of §4.2/§4.3.3 to one
-// checkpointed page and returns the slot index holding the consistent
-// content for the committed version — or srcSwap/srcNone. valid reports
-// whether a slot's frame may be trusted (non-nil, NVM, not reclaimed by the
-// allocator rollback). Pure function; property-tested in isolation.
-func chooseRestoreSource(cp *caps.CkptPage, committed uint64, valid func(mem.PageID) bool) int {
+// nvmSlot reports whether a checkpoint-page slot holds a frame: any non-nil
+// NVM page. Restore's severFreed unlinks every slot that points into a free
+// frame before anything allocates, so a slot that passes owns its frame.
+func nvmSlot(p mem.PageID) bool { return !p.IsNil() && p.Kind == mem.KindNVM }
+
+// RestoreSource applies the version rules of §4.2/§4.3.3 to one
+// checkpointed page and returns the copy a restore reads for the committed
+// version: a slot index (0 or 1), or srcSwap (-2) when the consistent copy
+// is swapped out, or srcNone (-1) when there is none. Restore, capture,
+// scrub and fault injection share it; the audit digest keeps its own
+// independent copy as the oracle. Pure function; property-tested in
+// isolation.
+func RestoreSource(cp *caps.CkptPage, committed uint64) int {
 	// Rule 1: a backup whose version equals the global version.
 	for i := 0; i < 2; i++ {
-		if valid(cp.Page[i]) && cp.Ver[i] == committed && cp.Ver[i] != 0 {
+		if nvmSlot(cp.Page[i]) && cp.Ver[i] == committed && cp.Ver[i] != 0 {
 			return i
 		}
 	}
@@ -320,30 +326,17 @@ func chooseRestoreSource(cp *caps.CkptPage, committed uint64, valid func(mem.Pag
 		return srcSwap
 	}
 	// Rule 2: a version-zero second backup is the unmodified runtime page.
-	if valid(cp.Page[1]) && cp.Ver[1] == 0 {
+	if nvmSlot(cp.Page[1]) && cp.Ver[1] == 0 {
 		return 1
 	}
 	// Rule 3: the newest committed backup.
 	src, best := srcNone, uint64(0)
 	for i := 0; i < 2; i++ {
-		if valid(cp.Page[i]) && cp.Ver[i] != 0 && cp.Ver[i] <= committed && cp.Ver[i] > best {
+		if nvmSlot(cp.Page[i]) && cp.Ver[i] != 0 && cp.Ver[i] <= committed && cp.Ver[i] > best {
 			src, best = i, cp.Ver[i]
 		}
 	}
 	return src
-}
-
-// nvmSlot is the validity test of a healthy committed tree: any non-nil NVM
-// frame (no allocator rollback has run to reclaim one).
-func nvmSlot(p mem.PageID) bool { return !p.IsNil() && p.Kind == mem.KindNVM }
-
-// RestoreSource applies the restore version rules to one checkpointed page
-// of a healthy committed tree — the copy a restore would read: a slot index
-// (0 or 1), or a negative value when the consistent copy is swapped out
-// (-2) or there is none (-1). Capture, scrub and fault injection share it;
-// the audit digest keeps its own independent copy as the oracle.
-func RestoreSource(cp *caps.CkptPage, committed uint64) int {
-	return chooseRestoreSource(cp, committed, nvmSlot)
 }
 
 // restorePMOPages rebuilds the runtime page set of a PMO by the version
@@ -360,15 +353,6 @@ func RestoreSource(cp *caps.CkptPage, committed uint64) int {
 // Restoration is non-destructive to version information, so a crash in the
 // middle of a restore simply restarts it (idempotence).
 func (m *Manager) restorePMOPages(lane *simclock.Lane, pmo *caps.PMO, snap *caps.PMOSnap) error {
-	// A persistent entry must never be trusted when it points at a frame
-	// the allocator rollback just reclaimed (e.g. the runtime frame of a
-	// page removed and faulted in again during the crashed epoch).
-	valid := func(p mem.PageID) bool {
-		if p.IsNil() || p.Kind == mem.KindDRAM {
-			return false
-		}
-		return !m.alloc.WasRolledBack(p.Frame)
-	}
 	var fail error
 	var stillborn []uint64
 	snap.Pages.Walk(func(idx uint64, cp *caps.CkptPage) bool {
@@ -386,18 +370,16 @@ func (m *Manager) restorePMOPages(lane *simclock.Lane, pmo *caps.PMO, snap *caps
 		}
 		// Backup slots written by the crashed round carry its version
 		// tag, which the retried round will reuse — scrub them, or a
-		// later restore would read a stale capture through rule 1. The
-		// frames are returned to the allocator unless the rollback
-		// already reclaimed them.
+		// later restore would read a stale capture through rule 1, and
+		// their frames go back to the allocator.
 		m.scrubUncommittedSlots(lane, cp)
-		src := chooseRestoreSource(cp, m.committed, valid)
+		src := RestoreSource(cp, m.committed)
 		if src == srcSwap {
 			// Swapped-out page (§8 over-commitment): the
 			// consistent content lives on the swap device; revive
 			// the page as a swapped-out placeholder and let a
-			// fault bring it back. Any stale runtime pointer is
-			// cleared (its frame may have been reclaimed by the
-			// allocator rollback).
+			// fault bring it back. Any runtime pointer left behind
+			// is cleared.
 			cp.Page[1] = mem.NilPage
 			cp.Ver[1] = 0
 			pmo.InstallSwapped(idx)
@@ -417,7 +399,7 @@ func (m *Manager) restorePMOPages(lane *simclock.Lane, pmo *caps.PMO, snap *caps
 		lost := src == srcNone
 		if !lost && !m.verifySource(lane, cp.Page[src]) {
 			alt := 1 - src
-			if valid(cp.Page[alt]) && cp.Ver[alt] != 0 && cp.Ver[alt] <= m.committed &&
+			if nvmSlot(cp.Page[alt]) && cp.Ver[alt] != 0 && cp.Ver[alt] <= m.committed &&
 				m.verifySource(lane, cp.Page[alt]) {
 				// Graceful degradation: fall back to the older
 				// committed version — never to a version-zero
@@ -440,7 +422,7 @@ func (m *Manager) restorePMOPages(lane *simclock.Lane, pmo *caps.PMO, snap *caps
 		switch {
 		case lost:
 			// Rebuild the page as explicit zeros and name it.
-			if err := m.lostPage(lane, pmo, idx, cp, valid); err != nil {
+			if err := m.lostPage(lane, pmo, idx, cp); err != nil {
 				fail = err
 				return false
 			}
@@ -449,12 +431,12 @@ func (m *Manager) restorePMOPages(lane *simclock.Lane, pmo *caps.PMO, snap *caps
 			// directly, no copying.
 		default:
 			// Copy the consistent backup into the other slot, which
-			// becomes the new runtime page (version zero). A stale
-			// (rolled-back) other slot is replaced with a fresh frame;
-			// a crash before its publication merely leaks it.
+			// becomes the new runtime page (version zero). An empty
+			// other slot gets a fresh frame; a crash before its
+			// publication merely leaks it.
 			other := 1 - src
 			dst := cp.Page[other]
-			fresh := !valid(dst)
+			fresh := !nvmSlot(dst)
 			if fresh {
 				p, err := m.alloc.AllocPageCkpt(lane)
 				if err != nil {
@@ -481,10 +463,9 @@ func (m *Manager) restorePMOPages(lane *simclock.Lane, pmo *caps.PMO, snap *caps
 			snap.Pages.Delete(idx)
 		}
 	}
-	// InstallPage filled Touched/Removed/dirty bookkeeping; a freshly
-	// restored PMO is clean and fully synced with its snapshot.
+	// InstallPage filled Touched/dirty bookkeeping; a freshly restored PMO
+	// is clean and fully synced with its snapshot.
 	pmo.Touched = pmo.Touched[:0]
-	pmo.Removed = pmo.Removed[:0]
 	caps.ClearDirty(pmo)
 	return fail
 }
@@ -494,7 +475,9 @@ func (m *Manager) restorePMOPages(lane *simclock.Lane, pmo *caps.PMO, snap *caps
 // reclaimed, and those a crash stopped the post-commit collection after
 // releasing — their slots stay filed under the roots the next sweep will
 // visit again, which must not free them twice. The frames are already free
-// — only the stale pointers are cleared, never the frames themselves. Pure
+// — only the stale pointers are cleared, never the frames themselves. It is
+// the one guard against stale frame pointers: afterwards every slot that
+// names an NVM frame owns it, whatever the frame's rollback history. Pure
 // metadata mutation: no journal, flush, or fence, hence no crash window.
 func (m *Manager) severFreed() {
 	for _, r := range m.roots {
@@ -506,7 +489,7 @@ func (m *Manager) severFreed() {
 			snap.Pages.Walk(func(_ uint64, cp *caps.CkptPage) bool {
 				for i := 0; i < 2; i++ {
 					p := cp.Page[i]
-					if p.IsNil() || p.Kind != mem.KindNVM || !m.alloc.IsFree(p.Frame) {
+					if !nvmSlot(p) || !m.alloc.IsFree(p.Frame) {
 						continue
 					}
 					m.forgetFrame(p)
@@ -521,10 +504,10 @@ func (m *Manager) severFreed() {
 
 // scrubUncommittedSlots clears every slot of cp whose version tag belongs to
 // a round newer than the committed one — state written by the crashed,
-// never-committed round. Frames the allocator rollback did not reclaim
-// (checkpoint-owned backup allocations, or old runtime frames retagged by a
-// hybrid-copy migration) are freed here; rolled-back frames are only
-// unlinked, since the allocator already owns them again.
+// never-committed round — and frees the frames they name: checkpoint-owned
+// backup allocations, or old runtime frames retagged by a hybrid-copy
+// migration. No slot names a rolled-back frame here: severFreed unlinked
+// them all.
 func (m *Manager) scrubUncommittedSlots(lane *simclock.Lane, cp *caps.CkptPage) {
 	slot0 := cp.Page[0]
 	for i := 0; i < 2; i++ {
@@ -534,7 +517,7 @@ func (m *Manager) scrubUncommittedSlots(lane *simclock.Lane, cp *caps.CkptPage) 
 		p := cp.Page[i]
 		cp.Page[i] = mem.NilPage
 		cp.Ver[i] = 0
-		if p.IsNil() || p.Kind != mem.KindNVM || m.alloc.WasRolledBack(p.Frame) {
+		if !nvmSlot(p) {
 			continue
 		}
 		if i == 1 && slot0 == p {
@@ -615,13 +598,13 @@ func (m *Manager) Manifest() *RestoreManifest { return m.LastManifest }
 // zero-filled frame is installed as the version-zero runtime slot. The
 // restored system reads deterministic zeros — never garbage — and the page
 // is named in the restore manifest.
-func (m *Manager) lostPage(lane *simclock.Lane, pmo *caps.PMO, idx uint64, cp *caps.CkptPage, valid func(mem.PageID) bool) error {
+func (m *Manager) lostPage(lane *simclock.Lane, pmo *caps.PMO, idx uint64, cp *caps.CkptPage) error {
 	slot0 := cp.Page[0]
 	for i := 0; i < 2; i++ {
 		p := cp.Page[i]
 		cp.Page[i] = mem.NilPage
 		cp.Ver[i] = 0
-		if !valid(p) {
+		if !nvmSlot(p) {
 			continue
 		}
 		if i == 1 && p == slot0 {

@@ -10,16 +10,14 @@ import (
 
 func pg(f uint32) mem.PageID { return mem.PageID{Kind: mem.KindNVM, Frame: f} }
 
-func allValid(p mem.PageID) bool { return !p.IsNil() && p.Kind == mem.KindNVM }
-
 func TestChooseSourceRule1(t *testing.T) {
 	// Backup with version == committed wins, whichever slot holds it.
 	cp := &caps.CkptPage{Ver: [2]uint64{5, 0}, Page: [2]mem.PageID{pg(1), pg(2)}}
-	if got := chooseRestoreSource(cp, 5, allValid); got != 0 {
+	if got := RestoreSource(cp, 5); got != 0 {
 		t.Errorf("got %d", got)
 	}
 	cp = &caps.CkptPage{Ver: [2]uint64{3, 5}, Page: [2]mem.PageID{pg(1), pg(2)}}
-	if got := chooseRestoreSource(cp, 5, allValid); got != 1 {
+	if got := RestoreSource(cp, 5); got != 1 {
 		t.Errorf("got %d", got)
 	}
 }
@@ -27,12 +25,12 @@ func TestChooseSourceRule1(t *testing.T) {
 func TestChooseSourceRule2RuntimePage(t *testing.T) {
 	// Unmodified runtime page (second backup with version zero).
 	cp := &caps.CkptPage{Ver: [2]uint64{3, 0}, Page: [2]mem.PageID{pg(1), pg(2)}}
-	if got := chooseRestoreSource(cp, 5, allValid); got != 1 {
+	if got := RestoreSource(cp, 5); got != 1 {
 		t.Errorf("got %d", got)
 	}
 	// Empty backup, runtime only (Figure 6a case ❸).
 	cp = &caps.CkptPage{Ver: [2]uint64{0, 0}, Page: [2]mem.PageID{mem.NilPage, pg(2)}}
-	if got := chooseRestoreSource(cp, 5, allValid); got != 1 {
+	if got := RestoreSource(cp, 5); got != 1 {
 		t.Errorf("got %d", got)
 	}
 }
@@ -42,46 +40,46 @@ func TestChooseSourceRule3HigherCommitted(t *testing.T) {
 	// higher committed one wins; in-flight versions (> committed) are
 	// ignored.
 	cp := &caps.CkptPage{Ver: [2]uint64{4, 3}, Page: [2]mem.PageID{pg(1), pg(2)}}
-	if got := chooseRestoreSource(cp, 5, allValid); got != 0 {
+	if got := RestoreSource(cp, 5); got != 0 {
 		t.Errorf("got %d", got)
 	}
 	cp = &caps.CkptPage{Ver: [2]uint64{6, 4}, Page: [2]mem.PageID{pg(1), pg(2)}}
-	if got := chooseRestoreSource(cp, 5, allValid); got != 1 {
+	if got := RestoreSource(cp, 5); got != 1 {
 		t.Errorf("in-flight version not ignored: got %d", got)
 	}
 }
 
 func TestChooseSourceSwap(t *testing.T) {
 	cp := &caps.CkptPage{Swap: 7, Ver: [2]uint64{3, 0}, Page: [2]mem.PageID{pg(1), mem.NilPage}}
-	if got := chooseRestoreSource(cp, 5, allValid); got != srcSwap {
+	if got := RestoreSource(cp, 5); got != srcSwap {
 		t.Errorf("got %d", got)
 	}
 	// ...but a rule-1 backup supersedes the swap copy.
 	cp = &caps.CkptPage{Swap: 7, Ver: [2]uint64{5, 0}, Page: [2]mem.PageID{pg(1), mem.NilPage}}
-	if got := chooseRestoreSource(cp, 5, allValid); got != 0 {
+	if got := RestoreSource(cp, 5); got != 0 {
 		t.Errorf("got %d", got)
 	}
 }
 
 func TestChooseSourceNone(t *testing.T) {
-	// All copies invalid or uncommitted: unrecoverable.
+	// All copies empty or uncommitted: unrecoverable.
 	cp := &caps.CkptPage{Ver: [2]uint64{6, 6}, Page: [2]mem.PageID{pg(1), pg(2)}}
-	if got := chooseRestoreSource(cp, 5, allValid); got != srcNone {
+	if got := RestoreSource(cp, 5); got != srcNone {
 		t.Errorf("got %d", got)
 	}
 	cp = &caps.CkptPage{}
-	if got := chooseRestoreSource(cp, 5, allValid); got != srcNone {
+	if got := RestoreSource(cp, 5); got != srcNone {
 		t.Errorf("empty cp: got %d", got)
 	}
 }
 
-// Properties over arbitrary CkptPage states.
+// Properties over arbitrary CkptPage states. A slot restore may not use is
+// an empty one: severFreed unlinks every slot into a free frame before the
+// rules run.
 func TestChooseSourceProperties(t *testing.T) {
 	type state struct {
 		V0, V1 uint8
 		P0, P1 bool // slot present?
-		Inv0   bool // slot 0 invalid (rolled back)?
-		Inv1   bool
 		Swap   uint8
 		Commit uint8
 	}
@@ -96,20 +94,9 @@ func TestChooseSourceProperties(t *testing.T) {
 		if s.P1 {
 			cp.Page[1] = pg(11)
 		}
-		valid := func(p mem.PageID) bool {
-			if p.IsNil() {
-				return false
-			}
-			if p.Frame == 10 && s.Inv0 {
-				return false
-			}
-			if p.Frame == 11 && s.Inv1 {
-				return false
-			}
-			return true
-		}
+		valid := func(p mem.PageID) bool { return !p.IsNil() }
 		committed := uint64(s.Commit)
-		got := chooseRestoreSource(cp, committed, valid)
+		got := RestoreSource(cp, committed)
 		switch got {
 		case srcNone:
 			// Only legal when nothing usable exists: no valid slot

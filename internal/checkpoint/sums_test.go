@@ -456,10 +456,9 @@ func TestCleanRoundAllocations(t *testing.T) {
 }
 
 // TestRestoreAllocations is the allocation gate of restore: a warm crash
-// and restore of the host-cost tree allocates at most 4 times. It allocates
-// 3 times: the restore manifest (Restore), the allocator's rolled-back frame
-// set (alloc.Allocator.Recover) and the Tree that wraps the revived root
-// (caps.RebuildTree). Every object is revived into the crashed runtime
+// and restore of the host-cost tree allocates at most 3 times. It allocates
+// twice: the restore manifest (Restore) and the Tree that wraps the revived
+// root (caps.RebuildTree). Every object is revived into the crashed runtime
 // object its root points at, which keeps its slices, region structs, radix
 // nodes and page slots, and the discovery order, reference stack and
 // discovered-ID set are kept on the Manager.
@@ -474,8 +473,8 @@ func TestRestoreAllocations(t *testing.T) {
 		h.crash()
 		h.restore(t)
 	})
-	if allocs > 4 {
-		t.Errorf("a warm restore allocates %.1f times, want at most 4", allocs)
+	if allocs > 3 {
+		t.Errorf("a warm restore allocates %.1f times, want at most 3", allocs)
 	}
 	// The restores measured rebuilt the whole tree.
 	if got := h.tree.Counts(); got != counts {

@@ -39,7 +39,6 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"treesls/internal/apps/kvstore"
 	"treesls/internal/extsync"
@@ -173,22 +172,16 @@ func (cut Cut) VersionOf(shard int) (uint64, bool) {
 }
 
 // FoldCut computes the cluster digest: an FNV-1a fold over each
-// participant's (shard id, version, digest) in participant order.
+// participant's (shard id, version, digest) in participant order, each
+// word's eight bytes little-endian.
 func FoldCut(shards []int, versions, digests []uint64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(v uint64) {
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
+	h := uint64(mem.FNVOffset)
 	for i := range versions {
-		put(uint64(shards[i]))
-		put(versions[i])
-		put(digests[i])
+		h = mem.FoldFNV64(h, uint64(shards[i]))
+		h = mem.FoldFNV64(h, versions[i])
+		h = mem.FoldFNV64(h, digests[i])
 	}
-	return h.Sum64()
+	return h
 }
 
 // Coordinator drives cluster epochs. Its announced-cut log models a record

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"treesls/internal/caps"
+	"treesls/internal/mem"
 )
 
 func TestExitProcessReclaimsAtCommit(t *testing.T) {
@@ -50,6 +51,62 @@ func TestExitProcessReclaimsAtCommit(t *testing.T) {
 	// Everything except the reserved metadata should be free again.
 	if got < baselineFree-2 {
 		t.Errorf("frames leaked: free=%d baseline=%d", got, baselineFree)
+	}
+}
+
+// TestExitAfterRestoreFreesBackups exits a process whose copy-on-write
+// backups were taken after a restore. The crash rolls back eight
+// post-commit page allocations, so the eight backups the overwrites make
+// next reuse those frame numbers; the exit must still free every frame and
+// every backup at the next commit.
+func TestExitAfterRestoreFreesBackups(t *testing.T) {
+	const pages = 8
+	for _, mode := range []mem.PersistMode{mem.ModeEADR, mem.ModeADR} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.CheckpointEvery = 0
+			cfg.SkipDefaultServices = true
+			cfg.Mem.Persist = mode
+			m := New(cfg)
+			baselineFree := m.Alloc.FreeFrames()
+			p, err := m.NewProcess("app", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			va, _, err := p.Mmap(2*pages, caps.PMODefault)
+			if err != nil {
+				t.Fatal(err)
+			}
+			write := func(p *Process, from, to int, b byte) {
+				t.Helper()
+				for i := from; i < to; i++ {
+					if _, err := m.Run(p, p.MainThread(), func(e *Env) error {
+						return e.Write(va+uint64(i)*mem.PageSize, []byte{b})
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			write(p, 0, pages, 1)
+			m.TakeCheckpoint()
+			write(p, pages, 2*pages, 2) // post-commit allocations
+			m.Crash()
+			if err := m.Restore(); err != nil {
+				t.Fatal(err)
+			}
+			write(m.Process("app"), 0, pages, 3) // COW backups
+			m.TakeCheckpoint()
+			if err := m.ExitProcess("app"); err != nil {
+				t.Fatal(err)
+			}
+			m.TakeCheckpoint()
+			if free := m.Alloc.FreeFrames(); free != baselineFree {
+				t.Errorf("%d frames leaked", baselineFree-free)
+			}
+			if n := m.Ckpt.Stats.BackupPages; n != 0 {
+				t.Errorf("BackupPages = %d after the exit, want 0", n)
+			}
+		})
 	}
 }
 

@@ -476,8 +476,8 @@ func compareObjects(oa, ob caps.Object) string {
 			return fmt.Sprintf("%v of %d pages with %d filed fresh, %v of %d with %d in place",
 				a.Type, a.SizePages, a.NumPages(), b.Type, b.SizePages, b.NumPages())
 		}
-		if !slices.Equal(a.Touched, b.Touched) || !slices.Equal(a.Removed, b.Removed) {
-			return fmt.Sprintf("touched %v removed %v fresh, %v and %v in place", a.Touched, a.Removed, b.Touched, b.Removed)
+		if !slices.Equal(a.Touched, b.Touched) {
+			return fmt.Sprintf("touched %v fresh, %v in place", a.Touched, b.Touched)
 		}
 		type filed struct {
 			idx  uint64
